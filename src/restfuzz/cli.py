@@ -277,11 +277,11 @@ def cmd_fuzz(args) -> int:
     else:
         grammar = load_grammar(_read_text(args.grammar))
         fallback = baked_host(grammar)
-
-    # Fail early if the dictionary cannot cover the grammar's fuzzable kinds.
-    for template in grammar.templates:
-        for slot in template.fuzzable_slots():
-            dictionary.candidates(slot.kind)
+        # compile_grammar runs this check on the --spec path: fail early if
+        # the dictionary cannot cover the grammar's fuzzable kinds.
+        for template in grammar.templates:
+            for slot in template.fuzzable_slots():
+                dictionary.candidates(slot.kind)
 
     config = EngineConfig(
         strategy=Strategy.parse(args.strategy),

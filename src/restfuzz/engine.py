@@ -19,6 +19,9 @@ Strategies differ only in the extension step:
   draw. It ignores max_length, needs a time budget, and restarts from
   scratch (without memoizing) whenever the walk cannot be extended; a
   restart that makes no progress past the empty sequence ends the run.
+
+Dependency checks compute one produced-set per frontier sequence (and one
+consumed-set per template) per iteration, then only compare the two.
 """
 
 from __future__ import annotations
@@ -163,36 +166,28 @@ def extend(
 
     An empty result means the search is exhausted at this length.
     """
-    templates = grammar.templates
-    if strategy is Strategy.BFS:
-        return [
-            CandidateExtension(steps, template.id)
-            for steps in seq_set
-            for template in templates
-            if dependencies_satisfied(steps, template, grammar)
-        ]
+    if strategy is Strategy.RANDOM_WALK and rng is None:
+        raise ValueError("random-walk extension needs an rng")
+    needs = [(template.id, consumes(template)) for template in grammar.templates]
+    haves = [(steps, sequence_produces(steps, grammar)) for steps in seq_set]
     if strategy is Strategy.BFS_FAST:
         out = []
-        for template in templates:
-            for steps in seq_set:
-                if dependencies_satisfied(steps, template, grammar):
-                    out.append(CandidateExtension(steps, template.id))
-                    break
+        for template_id, need in needs:
+            first = next((steps for steps, have in haves if need <= have), None)
+            if first is not None:
+                out.append(CandidateExtension(first, template_id))
         return out
+    if strategy not in (Strategy.BFS, Strategy.RANDOM_WALK):
+        raise ValueError(f"unhandled strategy {strategy}")
+    satisfiable = [
+        CandidateExtension(steps, template_id)
+        for steps, have in haves
+        for template_id, need in needs
+        if need <= have
+    ]
     if strategy is Strategy.RANDOM_WALK:
-        if rng is None:
-            raise ValueError("random-walk extension needs an rng")
-        satisfiable = [
-            (steps, template)
-            for steps in seq_set
-            for template in templates
-            if dependencies_satisfied(steps, template, grammar)
-        ]
-        if not satisfiable:
-            return []
-        steps, template = rng.choice(satisfiable)
-        return [CandidateExtension(steps, template.id)]
-    raise ValueError(f"unhandled strategy {strategy}")
+        return [rng.choice(satisfiable)] if satisfiable else []
+    return satisfiable
 
 
 # ----------------------------------------------------------------------------

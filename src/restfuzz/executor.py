@@ -372,6 +372,8 @@ def value_to_text(value) -> str:
         return "false"
     if value is None:
         return "null"
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
 
 
@@ -411,17 +413,17 @@ class DynamicObjectPool:
         return [e.value for e in self._values.get(resource, [])]
 
 
-_warned_missing_paths: set[tuple[str, str]] = set()
-
-
 def extract_objects(
-    exchange: HttpExchange, producers: Sequence[ProducerSpec]
+    exchange: HttpExchange,
+    producers: Sequence[ProducerSpec],
+    warned: set[tuple[str, str]] | None = None,
 ) -> list[tuple[ResourceType, object]]:
     """Pull produced values out of a 2xx response body.
 
     Raises BodyParseError when the body is not structured; a missing
-    extraction path is only a warning (that producer yields nothing),
-    and only the first occurrence per producer is logged.
+    extraction path is only a warning (that producer yields nothing).
+    Producers already in ``warned`` are not logged again; each one logged
+    is added to it. Without ``warned`` every occurrence is logged.
     """
     if not producers:
         return []
@@ -451,14 +453,16 @@ def extract_objects(
             out.append((spec.resource, node))
         else:
             key = (spec.resource.name, repr(spec.extraction_path))
-            if key not in _warned_missing_paths:
-                _warned_missing_paths.add(key)
-                logger.warning(
-                    "producer %s: extraction path %r missing in response "
-                    "(further occurrences suppressed)",
-                    spec.resource,
-                    list(spec.extraction_path),
-                )
+            if warned is not None:
+                if key in warned:
+                    continue
+                warned.add(key)
+            logger.warning(
+                "producer %s: extraction path %r missing in response "
+                "(further occurrences suppressed)",
+                spec.resource,
+                list(spec.extraction_path),
+            )
     return out
 
 
@@ -473,10 +477,6 @@ class ExecutionResult:
     steps_executed: int
     extracted: int = 0
     failure: str | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.final_class == ResponseClass.VALID
 
 
 @dataclass(frozen=True)
@@ -506,6 +506,8 @@ class SequenceExecutor:
         self.error_classes = tuple(error_classes)
         self.external_values = dict(external_values or {})
         self.sink = sink
+        # Producers whose missing extraction path was already logged.
+        self.warned_missing_paths: set[tuple[str, str]] = set()
 
     def execute_sequence(
         self,
@@ -568,7 +570,9 @@ class SequenceExecutor:
             template = self.template_lookup(rendered.template_id)
             if template.producers:
                 try:
-                    for resource, value in extract_objects(exchange, template.producers):
+                    for resource, value in extract_objects(
+                        exchange, template.producers, self.warned_missing_paths
+                    ):
                         pool.add(resource, value)
                         extracted += 1
                 except BodyParseError as exc:

@@ -17,7 +17,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 logger = logging.getLogger(__name__)
 
@@ -326,11 +326,13 @@ class GrammarProgram:
     unsatisfiable: frozenset[ResourceType] = frozenset()
     excluded_operations: tuple[tuple[str, str], ...] = ()
     external_values: Mapping[ResourceType, str] = field(default_factory=dict)
+    _by_id: Mapping[str, RequestTemplate] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [t.id for t in self.templates]
-        if len(set(ids)) != len(ids):
+        by_id = {t.id: t for t in self.templates}
+        if len(by_id) != len(self.templates):
             raise GrammarError("template ids must be unique")
+        object.__setattr__(self, "_by_id", by_id)
         produced = set(self.external_values)
         for t in self.templates:
             produced |= produces(t)
@@ -343,10 +345,7 @@ class GrammarProgram:
                 )
 
     def template_by_id(self, template_id: str) -> RequestTemplate:
-        for t in self.templates:
-            if t.id == template_id:
-                return t
-        raise KeyError(template_id)
+        return self._by_id[template_id]
 
     def without_dependencies(self) -> "GrammarProgram":
         """Return a copy where every consumer slot is a fuzzable string.
@@ -479,12 +478,3 @@ def load_grammar(text: str) -> GrammarProgram:
             raise
         raise GrammarFormatError(f"bad grammar document: {exc}") from exc
     return program
-
-
-def grammar_resource_types(templates: Iterable[RequestTemplate]) -> frozenset[ResourceType]:
-    """All resource types referenced by the given templates."""
-    out: set[ResourceType] = set()
-    for t in templates:
-        out |= consumes(t)
-        out |= produces(t)
-    return frozenset(out)

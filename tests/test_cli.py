@@ -108,6 +108,23 @@ class TestUsage:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["--spec", "--grammar"])
+    def test_dictionary_gap_fails_before_writing(self, source, tmp_path, capsys):
+        source_path = SPEC
+        if source == "--grammar":
+            source_path = str(tmp_path / "grammar.json")
+            assert main(["compile", "--spec", SPEC, "--out", source_path]) == EXIT_OK
+        no_strings = tmp_path / "dictionary.json"
+        no_strings.write_text(json.dumps({"integer": ["0"]}))
+        out = tmp_path / "o"
+        code = main(
+            ["fuzz", source, source_path, "--dictionary", str(no_strings),
+             "--out", str(out), "--target", "localhost:1"]
+        )
+        assert code == EXIT_CONFIG
+        assert "no candidates for kind 'string'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_walk_without_budget(self, tmp_path, capsys):
         code = main(
             ["fuzz", "--spec", SPEC, "--strategy", "random-walk",

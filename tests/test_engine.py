@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from restfuzz.blogserver import serve
 from restfuzz.compiler import compile_grammar
 from restfuzz.engine import (
+    CandidateExtension,
     ConfigError,
     EngineConfig,
     FuzzEngine,
@@ -182,7 +183,7 @@ class TestExtendExamples:
 # Extension strategies, property over random grammars
 
 
-def abstract_grammar(produce_sets, consume_sets):
+def abstract_grammar(produce_sets, consume_sets, external=()):
     templates = []
     for i, (prod, cons) in enumerate(zip(produce_sets, consume_sets)):
         slots = [StaticSlot(f"GET /t{i} HTTP/1.1\r\n".encode())]
@@ -196,7 +197,10 @@ def abstract_grammar(produce_sets, consume_sets):
                 declaration_index=i,
             )
         )
-    return GrammarProgram(templates=tuple(templates))
+    return GrammarProgram(
+        templates=tuple(templates),
+        external_values={ResourceType(r): "fixed" for r in external},
+    )
 
 
 @st.composite
@@ -243,6 +247,69 @@ def test_bfs_fast_covers_each_satisfiable_template_exactly_once(case):
         template = grammar.template_by_id(candidate.template_id)
         first = next(s for s in seq_set if dependencies_satisfied(s, template, grammar))
         assert candidate.prefix == first
+
+
+def reference_extend(seq_set, grammar, strategy, rng=None):
+    """Brute-force extension: one dependencies_satisfied call per pair."""
+    pairs = [
+        CandidateExtension(steps, template.id)
+        for steps in seq_set
+        for template in grammar.templates
+        if dependencies_satisfied(steps, template, grammar)
+    ]
+    if strategy is Strategy.BFS:
+        return pairs
+    if strategy is Strategy.RANDOM_WALK:
+        return [rng.choice(pairs)] if pairs else []
+    fast = []
+    for template in grammar.templates:
+        for steps in seq_set:
+            if dependencies_satisfied(steps, template, grammar):
+                fast.append(CandidateExtension(steps, template.id))
+                break
+    return fast
+
+
+@st.composite
+def synthetic_grammar(draw):
+    count = draw(st.integers(min_value=1, max_value=6))
+    resources = ("r0", "r1", "r2", "r3")
+    produce_sets = [
+        draw(st.sets(st.sampled_from(resources), max_size=2)) for _ in range(count)
+    ]
+    external = draw(st.sets(st.sampled_from(resources), max_size=1))
+    pool = sorted(set(external).union(*produce_sets))
+    consume_sets = [
+        draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
+        for _ in range(count)
+    ]
+    return abstract_grammar(produce_sets, consume_sets, external)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    strategy=st.sampled_from(Strategy),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_extend_matches_the_per_pair_reference(pure_grammar, data, strategy, seed):
+    grammar = data.draw(st.one_of(st.just(pure_grammar), synthetic_grammar()))
+    # Arbitrary frontiers, not only reachable ones: the check is pure set logic.
+    ids = [t.id for t in grammar.templates]
+    seq_set = data.draw(
+        st.lists(
+            st.lists(st.sampled_from(ids), max_size=4).map(
+                lambda chosen: tuple(step(i) for i in chosen)
+            ),
+            max_size=8,
+        )
+    )
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    assert extend(seq_set, grammar, strategy, rng) == reference_extend(
+        seq_set, grammar, strategy, reference_rng
+    )
+    # Both drew the same number of times, so later walk steps agree too.
+    assert rng.getstate() == reference_rng.getstate()
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-import restfuzz.executor as executor_mod
 from restfuzz.executor import (
     AuthConfig,
     BodyParseError,
@@ -45,7 +44,9 @@ from restfuzz.grammar import (
     FuzzingDictionary,
     ProducerSpec,
     RenderedRequest,
+    RequestTemplate,
     ResourceType,
+    StaticSlot,
     render_combinations,
 )
 
@@ -161,6 +162,9 @@ class TestValueText:
             (None, "null"),
             (7, "7"),
             (2.5, "2.5"),
+            ({"a": 1}, '{"a":1}'),
+            ([1, "x"], '[1,"x"]'),
+            ({"k": [True, None]}, '{"k":[true,null]}'),
         ],
     )
     def test_rendering(self, value, expect):
@@ -238,13 +242,38 @@ class TestExtraction:
         assert got == [(rt("posts/id"), 1), (rt("posts/last"), 9)]
 
     def test_missing_path_warns_once_and_yields_nothing(self, caplog):
-        executor_mod._warned_missing_paths.clear()
+        warned = SequenceExecutor(SimpleNamespace(), {}.get).warned_missing_paths
         spec = (ProducerSpec(rt("posts/gone"), ("nope",)),)
         with caplog.at_level("WARNING"):
-            assert extract_objects(exchange_with_body(b"{}"), spec) == []
-            assert extract_objects(exchange_with_body(b"{}"), spec) == []
+            assert extract_objects(exchange_with_body(b"{}"), spec, warned) == []
+            assert extract_objects(exchange_with_body(b"{}"), spec, warned) == []
         hits = [r for r in caplog.records if "missing in response" in r.message]
         assert len(hits) == 1
+
+    def test_missing_path_warnings_belong_to_one_executor(self, caplog):
+        template = RequestTemplate(
+            id="GET /t",
+            method="GET",
+            slots=(StaticSlot(b"GET /t HTTP/1.1\r\n"),),
+            producers=(ProducerSpec(rt("posts/gone"), ("nope",)),),
+        )
+        rendered = render_combinations(template, FuzzingDictionary.default())[0]
+        transport = SimpleNamespace(roundtrip=lambda request: exchange_with_body(b"{}"))
+
+        def executor():
+            return SequenceExecutor(transport, {template.id: template}.__getitem__)
+
+        with caplog.at_level("WARNING"):
+            first = executor()
+            first.execute_sequence([rendered])
+            first.execute_sequence([rendered])
+            executor().execute_sequence([rendered])
+            extract_objects(exchange_with_body(b"{}"), template.producers)
+            extract_objects(exchange_with_body(b"{}"), template.producers)
+        hits = [r for r in caplog.records if "missing in response" in r.message]
+        # Once per executor, nothing carried over between them; without a
+        # set every occurrence is logged.
+        assert len(hits) == 4
 
     def test_unstructured_body_raises(self):
         spec = (ProducerSpec(rt("posts/id"), ("id",)),)
@@ -256,7 +285,6 @@ class TestExtraction:
         assert extract_objects(exchange_with_body(b"<html>oops</html>"), ()) == []
 
     def test_empty_body_is_just_a_missing_path(self):
-        executor_mod._warned_missing_paths.clear()
         spec = (ProducerSpec(rt("posts/id"), ("id",)),)
         assert extract_objects(exchange_with_body(b""), spec) == []
 

@@ -189,6 +189,17 @@ class TestProgram:
         )
         assert program.template_by_id("GET /a/{b}") is consumer
 
+    def test_template_by_id_returns_the_template_or_raises_key_error(self):
+        a = template_of(StaticSlot(b"GET /a"), tid="GET /a")
+        b = template_of(StaticSlot(b"GET /b"), tid="GET /b")
+        program = GrammarProgram(templates=(a, b))
+        assert program.template_by_id("GET /a") is a
+        assert program.template_by_id("GET /b") is b
+        with pytest.raises(KeyError):
+            program.template_by_id("GET /c")
+        # The lookup table is not part of the program's value.
+        assert program == GrammarProgram(templates=(a, b))
+
     def test_duplicate_ids_rejected(self):
         t = template_of(StaticSlot(b"x"), tid="GET /same")
         with pytest.raises(GrammarError):
