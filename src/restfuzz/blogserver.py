@@ -89,6 +89,10 @@ class _HttpError(Exception):
 class _BlogHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "BlogPosts/0.1"
+    # Head and body go out in separate writes. With Nagle on, the second
+    # write of a reply on a kept-alive connection waits for the client's
+    # delayed ACK (about 40 ms).
+    disable_nagle_algorithm = True
 
     # The store is attached to the server object by serve().
 
@@ -120,6 +124,9 @@ class _BlogHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str):
         try:
+            # Read the whole request before routing, so that an early 404
+            # or 405 leaves no bytes of it on a kept-alive connection.
+            self._body = self._read_body()
             status, payload = self._route(method)
         except _HttpError as exc:
             self._send(exc.status, {"error": exc.message})
@@ -204,15 +211,21 @@ class _BlogHandler(BaseHTTPRequestHandler):
         except ValueError:
             raise _HttpError(404, f"no post with id {ident!r}") from None
 
-    def _read_json(self) -> dict:
+    def _read_body(self) -> bytes:
         length_header = self.headers.get("Content-Length")
         try:
             length = int(length_header) if length_header else 0
+            if length < 0:
+                raise ValueError(length_header)
         except ValueError:
+            # The request cannot be framed, so neither can the next one.
+            self.close_connection = True
             raise _HttpError(400, "bad Content-Length") from None
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_json(self) -> dict:
         try:
-            parsed = json.loads(raw.decode("utf-8")) if raw else None
+            parsed = json.loads(self._body.decode("utf-8")) if self._body else None
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise _HttpError(400, "request body is not valid JSON") from None
         if not isinstance(parsed, dict):
@@ -234,7 +247,8 @@ class _BlogHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        if self.command != "HEAD":
+            self.wfile.write(data)
 
 
 @dataclass

@@ -4,7 +4,7 @@ The search keeps a set of valid rendered sequences of uniform length n
 (initially the singleton empty sequence). Each iteration extends those
 sequences by one request whose dependencies are satisfied, renders the new
 last request every way the dictionary allows (capped), executes each
-candidate front to back on a fresh connection, and keeps the renderings
+candidate front to back on a connection of its own, and keeps the renderings
 whose final response was 2xx. Bug-class finals go to the bucket store;
 nothing non-2xx is extended further unless feedback is disabled.
 

@@ -1,11 +1,15 @@
 """HTTP/1.1 execution layer: sockets, framing, object pool, sequences.
 
-Requests go out on a fresh TCP connection each, as raw bytes, because the
-whole point of a fuzzer is that nothing between the grammar and the wire
-"helpfully" rewrites the message. Responses are parsed with the three
-framing rules (Content-Length, chunked, connection close) and classified as
-Valid (2xx), Bug (matches the configured error classes, 5xx by default) or
-Invalid (everything else; redirects are never followed).
+Requests go out as raw bytes, because the whole point of a fuzzer is that
+nothing between the grammar and the wire "helpfully" rewrites the message.
+All requests of one sequence share one TCP connection: it is kept after an
+HTTP/1.1 response framed by Content-Length or chunked encoding, with no
+``Connection: close`` and no bytes left over, and replaced by a new one
+otherwise. A written request is never sent twice. Responses are parsed with
+the framing rules of RFC 9112 (bodiless responses, Content-Length, chunked,
+connection close) and classified as Valid (2xx), Bug (matches the configured
+error classes, 5xx by default) or Invalid (everything else; redirects are
+never followed).
 
 While a sequence runs, values extracted from 2xx responses live in a
 DynamicObjectPool private to that one execution. Consumers receive values in
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import select
 import socket
 import ssl
 import time
@@ -192,34 +198,86 @@ def probe_target(conn: ConnectionConfig) -> None:
         raise TargetUnreachable(f"{conn.host}:{conn.port} is unreachable: {exc}") from exc
 
 
-def send_request(request: bytes, conn: ConnectionConfig) -> HttpExchange:
-    """One complete HTTP/1.1 round trip on a dedicated connection."""
-    started = time.time()
-    t0 = time.monotonic()
+def _connect(conn: ConnectionConfig) -> socket.socket:
     try:
         sock = socket.create_connection((conn.host, conn.port), timeout=conn.connect_timeout)
     except OSError as exc:
         raise TransportFailure("connect", str(exc)) from exc
+    if conn.secure:
+        context = ssl.create_default_context()
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+        try:
+            sock = context.wrap_socket(sock, server_hostname=conn.host)
+        except (OSError, ssl.SSLError) as exc:
+            _close(sock)
+            raise TransportFailure("connect", f"TLS handshake failed: {exc}") from exc
+    sock.settimeout(conn.read_timeout)
+    return sock
+
+
+def _close(sock: socket.socket) -> None:
     try:
-        if conn.secure:
-            context = ssl.create_default_context()
-            context.check_hostname = False
-            context.verify_mode = ssl.CERT_NONE
-            try:
-                sock = context.wrap_socket(sock, server_hostname=conn.host)
-            except (OSError, ssl.SSLError) as exc:
-                raise TransportFailure("connect", f"TLS handshake failed: {exc}") from exc
-        sock.settimeout(conn.read_timeout)
+        sock.close()
+    except OSError:
+        pass
+
+
+class KeptConnection:
+    """The socket one response left open for the next request, if any."""
+
+    def __init__(self):
+        self.sock: socket.socket | None = None
+
+    def take(self) -> socket.socket | None:
+        """Hand over the kept socket, or None when there is none or it went
+        stale. A socket that is readable before the request is written has
+        been closed by the server or holds bytes nobody asked for."""
+        sock, self.sock = self.sock, None
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            _close(sock)
+            return None
+        return sock
+
+    def close(self) -> None:
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            _close(sock)
+
+
+_REQUEST_CLOSE = re.compile(rb"\r\nconnection:[^\r\n]*\bclose\b", re.IGNORECASE)
+
+
+def send_request(
+    request: bytes, conn: ConnectionConfig, kept: KeptConnection | None = None
+) -> HttpExchange:
+    """One complete HTTP/1.1 round trip.
+
+    The request goes out on the socket ``kept`` holds if it is still usable,
+    else on a new connection. The connection goes back into ``kept`` when
+    the response allows another request on it, and is closed otherwise or
+    without ``kept``. Nothing is retried: a request is written at most once.
+    """
+    started = time.time()
+    t0 = time.monotonic()
+    sock = kept.take() if kept is not None else None
+    if sock is None:
+        sock = _connect(conn)
+    reusable = False
+    try:
         try:
             sock.sendall(request)
         except OSError as exc:
             raise TransportFailure("write", str(exc)) from exc
-        status, reason, headers, body = _read_response(sock)
+        method = request.split(b" ", 1)[0].decode("latin-1")
+        status, reason, headers, body, reusable = _read_response(sock, method)
+        head = request.partition(b"\r\n\r\n")[0]
+        reusable = reusable and not _REQUEST_CLOSE.search(head)
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        if reusable and kept is not None:
+            kept.sock = sock
+        else:
+            _close(sock)
     return HttpExchange(
         request=request,
         status=status,
@@ -262,8 +320,11 @@ def _read_line(sock: socket.socket, buffer: bytearray) -> bytes:
     return line
 
 
-def _read_response(sock: socket.socket) -> tuple[int, str, tuple[tuple[str, str], ...], bytes]:
-    buffer = bytearray()
+def _read_head(
+    sock: socket.socket, buffer: bytearray
+) -> tuple[bytes, int, str, list[tuple[str, str]]]:
+    """Status line and headers of one response: (version, status, reason,
+    headers). What follows the head stays in ``buffer``."""
     while b"\r\n\r\n" not in buffer:
         chunk = _recv(sock)
         if not chunk:
@@ -272,7 +333,7 @@ def _read_response(sock: socket.socket) -> tuple[int, str, tuple[tuple[str, str]
         if len(buffer) > _MAX_HEAD_BYTES:
             raise TransportFailure("frame", "response head too large")
     head, _, remainder = bytes(buffer).partition(b"\r\n\r\n")
-    buffer = bytearray(remainder)
+    buffer[:] = remainder
 
     lines = head.split(b"\r\n")
     parts = lines[0].split(None, 2)
@@ -289,6 +350,22 @@ def _read_response(sock: socket.socket) -> tuple[int, str, tuple[tuple[str, str]
         name, sep, value = raw.partition(b":")
         if sep:
             headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
+    return parts[0], status, reason, headers
+
+
+def _read_response(
+    sock: socket.socket, method: str
+) -> tuple[int, str, tuple[tuple[str, str], ...], bytes, bool]:
+    """Read the final response to a ``method`` request.
+
+    Returns (status, reason, headers, body, reusable); ``reusable`` says
+    whether the connection may carry another request. Interim 1xx heads
+    other than 101 are skipped.
+    """
+    buffer = bytearray()
+    version, status, reason, headers = _read_head(sock, buffer)
+    while 100 <= status < 200 and status != 101:
+        version, status, reason, headers = _read_head(sock, buffer)
 
     def header(name: str) -> str | None:
         for key, value in headers:
@@ -296,9 +373,16 @@ def _read_response(sock: socket.socket) -> tuple[int, str, tuple[tuple[str, str]
                 return value
         return None
 
+    tokens = {t.strip().lower() for t in (header("connection") or "").split(",")}
+    reusable = version == b"HTTP/1.1" and status >= 200 and "close" not in tokens
+
     transfer = (header("transfer-encoding") or "").lower()
-    if "chunked" in transfer:
-        body = bytearray()
+    length_value = header("content-length")
+    if method == "HEAD" or status < 200 or status in (204, 304):
+        # RFC 9112 section 6.3: these responses end with their head.
+        body = b""
+    elif "chunked" in transfer:
+        chunks = bytearray()
         while True:
             size_line = _read_line(sock, buffer)
             try:
@@ -310,52 +394,63 @@ def _read_response(sock: socket.socket) -> tuple[int, str, tuple[tuple[str, str]
                 while _read_line(sock, buffer) != b"":
                     pass
                 break
-            body.extend(_read_exact(sock, buffer, size))
+            chunks.extend(_read_exact(sock, buffer, size))
             if _read_exact(sock, buffer, 2) != b"\r\n":
                 raise TransportFailure("frame", "chunk missing terminator")
-            if len(body) > _MAX_BODY_BYTES:
+            if len(chunks) > _MAX_BODY_BYTES:
                 raise TransportFailure("frame", "response body too large")
-        return status, reason, tuple(headers), bytes(body)
-
-    length_value = header("content-length")
-    if length_value is not None:
+        body = bytes(chunks)
+    elif length_value is not None:
         try:
             length = int(length_value)
+            if length < 0:
+                raise ValueError(length)
         except ValueError as exc:
             raise TransportFailure("frame", f"bad Content-Length {length_value!r}") from exc
         if length > _MAX_BODY_BYTES:
             raise TransportFailure("frame", "response body too large")
-        return status, reason, tuple(headers), _read_exact(sock, buffer, length)
-
-    # No framing header: read until the server closes the connection.
-    body = bytearray(buffer)
-    while True:
-        chunk = _recv(sock)
-        if not chunk:
-            break
-        body.extend(chunk)
-        if len(body) > _MAX_BODY_BYTES:
-            raise TransportFailure("frame", "response body too large")
-    return status, reason, tuple(headers), bytes(body)
+        body = _read_exact(sock, buffer, length)
+    else:
+        # No framing header: read until the server closes the connection.
+        chunks = bytearray(buffer)
+        buffer.clear()
+        while True:
+            chunk = _recv(sock)
+            if not chunk:
+                break
+            chunks.extend(chunk)
+            if len(chunks) > _MAX_BODY_BYTES:
+                raise TransportFailure("frame", "response body too large")
+        body = bytes(chunks)
+        reusable = False
+    return status, reason, tuple(headers), body, reusable and not buffer
 
 
 class Transport(Protocol):
+    """Sends one request and returns its exchange. A transport may also
+    have a ``close()``, which the executor calls after each sequence."""
+
     def roundtrip(self, request: bytes) -> HttpExchange: ...
 
 
 class SocketTransport:
-    """Production transport: auth injection plus one socket per request."""
+    """Production transport: auth injection plus one connection kept
+    across requests until ``close``."""
 
     def __init__(self, conn: ConnectionConfig, auth: AuthConfig | None = None):
         self.conn = conn
         self.auth = auth
+        self.kept = KeptConnection()
 
     def roundtrip(self, request: bytes) -> HttpExchange:
         if self.auth is not None:
             line = self.auth.header_line()
             if line is not None:
                 request = inject_header(request, line)
-        return send_request(request, self.conn)
+        return send_request(request, self.conn, self.kept)
+
+    def close(self) -> None:
+        self.kept.close()
 
 
 # --------------------------------------------------------------------------
@@ -405,12 +500,6 @@ class DynamicObjectPool:
         if resource in self._external:
             return self._external[resource]
         raise UnresolvableConsumer(f"no value of type {resource} was ever produced")
-
-    def size(self) -> int:
-        return sum(len(v) for v in self._values.values())
-
-    def values_of(self, resource: ResourceType) -> list[object]:
-        return [e.value for e in self._values.get(resource, [])]
 
 
 def extract_objects(
@@ -518,8 +607,18 @@ class SequenceExecutor:
 
         Execution stops at the first non-2xx step; the returned class is the
         last executed step's class (an empty sequence is trivially valid).
-        Transport failures are recorded and reported as Invalid.
+        Transport failures are recorded and reported as Invalid. A transport
+        with a ``close()`` is closed afterwards, so the steps share at most
+        one connection that no other sequence uses.
         """
+        try:
+            return self._execute(steps, test_index)
+        finally:
+            close = getattr(self.transport, "close", None)
+            if close is not None:
+                close()
+
+    def _execute(self, steps: Sequence[RenderedRequest], test_index: int) -> ExecutionResult:
         pool = DynamicObjectPool(self.external_values)
         exchanges: list[HttpExchange] = []
         extracted = 0

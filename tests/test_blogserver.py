@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
+import socket
 
 import pytest
 
@@ -218,6 +220,56 @@ def test_collision_is_the_only_5xx_source(handle):
     )
     assert status == 500
     assert checksum  # sweep above must not have destroyed post 1 silently
+
+
+def raw_exchange(sock, request: bytes) -> tuple[bytes, bytes]:
+    """Send one request on a raw socket; return the response head and the
+    body its Content-Length announces (none after a HEAD)."""
+    sock.sendall(request)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed before the response head"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    if not request.startswith(b"HEAD "):
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            body += chunk
+    return head, body
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        b"HEAD /api/blog/posts HTTP/1.1\r\nHost: t\r\n\r\n",
+        b"POST /api/blog/posts/1 HTTP/1.1\r\nHost: t\r\nContent-Length: 13\r\n\r\n"
+        b'{"body": "x"}',
+    ],
+    ids=["head", "405-with-body"],
+)
+def test_kept_connection_stays_framed_after_an_early_answer(handle, first):
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock:
+        head, body = raw_exchange(sock, first)
+        assert head.startswith(b"HTTP/1.1 405 ")
+        if first.startswith(b"HEAD "):
+            assert b"Content-Length: " in head and body == b""
+        # Any byte the server left behind would come before this head.
+        head, body = raw_exchange(sock, b"GET /api/blog/posts HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body) == []
+
+
+def test_unframeable_request_is_400_and_ends_the_connection(handle):
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock:
+        head, body = raw_exchange(
+            sock, b"GET /api/blog/posts HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n"
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "bad Content-Length"}
+        assert sock.recv(1) == b""
 
 
 def test_store_can_be_preseeded():

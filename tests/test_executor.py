@@ -1,8 +1,9 @@
 """Execution-layer tests.
 
-Framing is exercised against a one-shot scripted TCP server so each of the
-three response-body rules (Content-Length, chunked, read-to-close) is pinned
-byte for byte; sequence semantics run against the live reference service.
+Framing is exercised against a scripted TCP server so each response-body
+rule (bodiless, Content-Length, chunked, read-to-close) is pinned byte for
+byte, and so is the choice between keeping a connection and opening a new
+one; sequence semantics run against the live reference service.
 """
 
 from __future__ import annotations
@@ -10,12 +11,14 @@ from __future__ import annotations
 import re
 import socket
 import threading
+import time
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from restfuzz.compiler import compile_grammar
 from restfuzz.executor import (
     AuthConfig,
     BodyParseError,
@@ -193,8 +196,12 @@ class TestPool:
         pool.add(rt("b/id"), 2)
         assert pool.resolve(rt("b/id")) == 2
         assert pool.resolve(rt("a/id")) == 1
-        assert pool.size() == 2
-        assert pool.values_of(rt("a/id")) == [1]
+        # Each type holds exactly its own one value: both are exhausted now
+        # and repeat it, and a type nobody added holds nothing.
+        assert pool.resolve(rt("a/id")) == 1
+        assert pool.resolve(rt("b/id")) == 2
+        with pytest.raises(UnresolvableConsumer):
+            pool.resolve(rt("c/id"))
 
     def test_external_value_is_a_fallback_only(self):
         pool = DynamicObjectPool({rt("posts/id"): "fromconfig"})
@@ -293,47 +300,93 @@ class TestExtraction:
 # Wire framing, against a scripted server
 
 
+class ServerLog(list):
+    """The requests a scripted server received, in order.
+
+    ``accepts`` counts the connections it accepted; ``hung_up`` is set each
+    time it closes a connection of its own accord.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.accepts = 0
+        self.hung_up = threading.Event()
+
+
+def _read_request(conn: socket.socket) -> bytes | None:
+    """One request (head plus Content-Length body), or None when the client
+    closed the connection before sending anything."""
+    data = bytearray()
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            if not data:
+                return None
+            break
+        data.extend(chunk)
+    head, _, rest = bytes(data).partition(b"\r\n\r\n")
+    match = re.search(rb"content-length:\s*(\d+)", head, re.I)
+    want = int(match.group(1)) if match else 0
+    body = bytearray(rest)
+    while len(body) < want:
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        body.extend(chunk)
+    return head + b"\r\n\r\n" + bytes(body)
+
+
 @contextmanager
-def scripted_server(script: bytes):
-    """Accept one connection, read one request, answer with canned bytes."""
-    captured: list[bytes] = []
+def scripted_server(*scripts: bytes, close_after=None):
+    """Answer the n-th request with the n-th canned script.
+
+    Requests are read from one connection until the client closes it, then
+    from the next one accepted. The server closes a connection itself after
+    the scripts whose indices are in ``close_after`` (default: the last).
+    """
+    if close_after is None:
+        close_after = {len(scripts) - 1}
+    log = ServerLog()
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
     port = listener.getsockname()[1]
 
     def run():
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        conn.settimeout(5)
-        try:
-            data = bytearray()
-            while b"\r\n\r\n" not in data:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                data.extend(chunk)
-            head, _, rest = bytes(data).partition(b"\r\n\r\n")
-            match = re.search(rb"content-length:\s*(\d+)", head, re.I)
-            want = int(match.group(1)) if match else 0
-            body = bytearray(rest)
-            while len(body) < want:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                body.extend(chunk)
-            captured.append(head + b"\r\n\r\n" + bytes(body))
-            conn.sendall(script)
-        finally:
-            conn.close()
+        served = 0
+        while served < len(scripts):
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            log.accepts += 1
+            conn.settimeout(5)
+            hang_up = False
+            try:
+                while not hang_up:
+                    request = _read_request(conn)
+                    if request is None:
+                        break
+                    log.append(request)
+                    if served == len(scripts):
+                        break  # nothing left to answer with
+                    conn.sendall(scripts[served])
+                    hang_up = served in close_after
+                    served += 1
+            finally:
+                conn.close()
+                if hang_up:
+                    log.hung_up.set()
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     try:
-        yield port, captured
+        yield port, log
     finally:
+        try:
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         listener.close()
         thread.join(timeout=5)
 
@@ -403,6 +456,148 @@ class TestFraming:
         with pytest.raises(TransportFailure) as info:
             send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", closed_port(), connect_timeout=1.0))
         assert info.value.phase == "connect"
+
+
+    def test_head_response_has_no_body_whatever_its_content_length(self):
+        # The server keeps the connection open: a client that waited for
+        # the 42 announced bytes would hang until its read timeout.
+        script = b"HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n"
+        with scripted_server(script, close_after=()) as (port, _):
+            t0 = time.monotonic()
+            ex = send_request(b"HEAD / HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
+            assert time.monotonic() - t0 < 1.0
+        assert (ex.status, ex.body, ex.header("Content-Length")) == (200, b"", "42")
+
+    def test_bare_204_ends_with_its_head(self):
+        script = b"HTTP/1.1 204 No Content\r\n\r\n"
+        with scripted_server(script, close_after=()) as (port, _):
+            t0 = time.monotonic()
+            ex = send_request(b"DELETE /x HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
+            assert time.monotonic() - t0 < 1.0
+        assert (ex.status, ex.body) == (204, b"")
+
+    def test_interim_responses_are_skipped(self):
+        script = (
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 103 Early Hints\r\nLink: </s.css>; rel=preload\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+        )
+        with scripted_server(script) as (port, _):
+            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+        assert (ex.status, ex.reason, ex.body) == (200, "OK", b"hello")
+        assert ex.headers == (("Content-Length", "5"),)
+
+
+# --------------------------------------------------------------------------
+# Connection reuse
+
+
+def response(status: str, body: bytes = b"", extra: bytes = b"") -> bytes:
+    head = b"HTTP/1.1 " + status.encode() + b"\r\n" + extra
+    return head + b"Content-Length: %d\r\n\r\n" % len(body) + body
+
+
+OK_HI = response("200 OK", b"hi")
+
+
+def quick(port: int) -> ConnectionConfig:
+    return ConnectionConfig("127.0.0.1", port, connect_timeout=2.0, read_timeout=5.0)
+
+
+def plain_step(path: bytes) -> RenderedRequest:
+    return RenderedRequest(
+        template_id="GET " + path.decode(),
+        method="GET",
+        rendering_index=0,
+        parts=(b"GET " + path + b" HTTP/1.1\r\nHost: t\r\n",),
+        body_start=1,
+    )
+
+
+class TestKeepAlive:
+    def test_blog_sequence_runs_on_one_connection(self, blog_model, dictionary):
+        grammar = compile_grammar(blog_model, host="t")
+        scripts = (
+            response("201 Created", b'{"body": "x", "id": 7}'),
+            response("200 OK", b'{"body": "x", "checksum": "c0ffee", "id": 7}'),
+            response("500 Internal Server Error", b'{"error": "internal server error"}'),
+        )
+        with scripted_server(*scripts, close_after=()) as (port, log):
+            executor = SequenceExecutor(SocketTransport(quick(port)), grammar.template_by_id)
+            result = executor.execute_sequence([
+                rendering_of(grammar, POST, dictionary),
+                rendering_of(grammar, GET_ONE, dictionary),
+                rendering_of(grammar, PUT_ONE, dictionary),
+            ])
+        assert [e.status for e in result.exchanges] == [201, 200, 500]
+        assert log.accepts == 1
+        assert len(log) == 3
+        assert log[1].startswith(b"GET /api/blog/posts/7 HTTP/1.1")
+        assert b"c0ffee" in log[2]
+
+    def test_sequences_never_share_a_connection(self):
+        with scripted_server(OK_HI, OK_HI, OK_HI, close_after=()) as (port, log):
+            executor = SequenceExecutor(
+                SocketTransport(quick(port)), lambda tid: SimpleNamespace(producers=())
+            )
+            first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+            second = executor.execute_sequence([plain_step(b"/c")])
+        assert first.final_class == second.final_class == ResponseClass.VALID
+        assert log.accepts == 2
+        assert [r.split(b" ")[1] for r in log] == [b"/a", b"/b", b"/c"]
+
+    @pytest.mark.parametrize(
+        ("first", "close_after"),
+        [
+            (response("200 OK", b"hello", b"Connection: close\r\n"), ()),
+            (b"HTTP/1.1 200 OK\r\n\r\nhello", {0}),
+            (b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello", ()),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloNOISE", ()),
+        ],
+        ids=["connection-close", "close-delimited", "http-1.0", "trailing-bytes"],
+    )
+    def test_response_that_forbids_reuse_forces_a_new_connection(self, first, close_after):
+        with scripted_server(first, OK_HI, close_after=close_after) as (port, log):
+            transport = SocketTransport(quick(port))
+            try:
+                bodies = [transport.roundtrip(PLAIN_GET).body]
+                # Dropped on reading the response, not later found stale.
+                assert transport.kept.sock is None
+                bodies.append(transport.roundtrip(PLAIN_GET).body)
+            finally:
+                transport.close()
+        assert bodies == [b"hello", b"hi"]
+        assert log.accepts == 2
+        assert len(log) == 2
+
+    def test_kept_connection_closed_while_idle_is_replaced(self):
+        class WaitForHangUp:
+            def record_exchange(self, exchange, context):
+                assert log.hung_up.wait(5)
+
+        with scripted_server(OK_HI, OK_HI, close_after={0}) as (port, log):
+            executor = SequenceExecutor(
+                SocketTransport(quick(port)),
+                lambda tid: SimpleNamespace(producers=()),
+                sink=WaitForHangUp(),
+            )
+            result = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+        assert result.final_class == ResponseClass.VALID
+        assert [e.status for e in result.exchanges] == [200, 200]
+        assert log.accepts == 2
+        # The second request went out once, on the new connection.
+        assert [r.split(b" ")[1] for r in log] == [b"/a", b"/b"]
+
+    def test_request_asking_for_close_is_not_followed_on_its_connection(self):
+        closing = b"GET / HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        with scripted_server(OK_HI, OK_HI, close_after=()) as (port, log):
+            transport = SocketTransport(quick(port))
+            try:
+                transport.roundtrip(closing)
+                transport.roundtrip(PLAIN_GET)
+            finally:
+                transport.close()
+        assert log.accepts == 2
 
 
 # --------------------------------------------------------------------------
