@@ -387,7 +387,10 @@ def cmd_replay(args) -> int:
         error_classes=error_classes,
         external_values=dict(grammar.external_values),
     )
-    result = replay_bucket(bucket, grammar, dictionary, executor, instance_index=args.instance)
+    try:
+        result = replay_bucket(bucket, grammar, dictionary, executor, instance_index=args.instance)
+    finally:
+        executor.close()
     status = f" (status {result.final_status})" if result.final_status is not None else ""
     if result.reproduced:
         print(f"bucket {bucket.bucket_id}: reproduced — final class bug{status}")

@@ -4,9 +4,13 @@ The search keeps a set of valid rendered sequences of uniform length n
 (initially the singleton empty sequence). Each iteration extends those
 sequences by one request whose dependencies are satisfied, renders the new
 last request every way the dictionary allows (capped), executes each
-candidate front to back on a connection of its own, and keeps the renderings
+candidate front to back on its worker's connection, and keeps the renderings
 whose final response was 2xx. Bug-class finals go to the bucket store;
-nothing non-2xx is extended further unless feedback is disabled.
+nothing non-2xx is extended further unless feedback is disabled. A worker's
+connection carries on into its next candidate only while every response on
+it was 2xx; after any other final class, or a transport failure, the next
+candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
+connection when it returns or raises.
 
 Strategies differ only in the extension step:
 
@@ -425,14 +429,25 @@ class FuzzEngine:
         if len(executors) == 1:
             run_partition(0)
         else:
+            errors: list[BaseException] = []
+
+            def run_worker(worker_id: int) -> None:
+                try:
+                    run_partition(worker_id)
+                except BaseException as exc:
+                    errors.append(exc)
+                    stop_flag.set()
+
             threads = [
-                threading.Thread(target=run_partition, args=(i,), daemon=True)
+                threading.Thread(target=run_worker, args=(i,), daemon=True)
                 for i in range(len(executors))
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
+            if errors:
+                raise errors[0]
 
         merged: list[RenderedSteps] = []
         seen: set[RenderedSteps] = set()
@@ -475,52 +490,58 @@ class FuzzEngine:
         stopped_reason = "exhausted"
         is_walk = self.config.strategy is Strategy.RANDOM_WALK
 
-        while True:
-            if budget.expired() or self.stop_requested.is_set():
-                stopped_reason = "time_budget" if not self.stop_requested.is_set() else "interrupted"
-                break
-            if not is_walk and length >= self.config.max_length:
-                stopped_reason = "max_length"
-                break
-
-            candidates = extend(seq_set, self.grammar, self.config.strategy, rng)
-            if not candidates:
-                if is_walk:
-                    if not progressed_since_restart:
-                        stopped_reason = "exhausted"
-                        break
-                    restarts += 1
-                    progressed_since_restart = False
-                    seq_set = [()]
-                    length = 0
-                    continue
-                stopped_reason = "exhausted"
-                break
-
-            outcome = self._execute_candidates(candidates, executors, budget)
-            length += 1
-            row = per_length.setdefault(length, [0, 0, 0])
-            row[0] += outcome.tests
-            row[1] = len(outcome.retained)
-            row[2] += outcome.extracted
-            if self.sink is not None:
-                self.sink.record_length_stats(
-                    PerLengthRow(
-                        length=length,
-                        tests=row[0],
-                        seqset_size=row[1],
-                        dynamic_objects=row[2],
+        try:
+            while True:
+                if budget.expired() or self.stop_requested.is_set():
+                    stopped_reason = (
+                        "interrupted" if self.stop_requested.is_set() else "time_budget"
                     )
-                )
-            seq_set = outcome.retained
-            if seq_set:
-                max_reached = max(max_reached, length)
-                progressed_since_restart = True
-            if outcome.stopped_early:
-                stopped_reason = (
-                    "interrupted" if self.stop_requested.is_set() else "time_budget"
-                )
-                break
+                    break
+                if not is_walk and length >= self.config.max_length:
+                    stopped_reason = "max_length"
+                    break
+
+                candidates = extend(seq_set, self.grammar, self.config.strategy, rng)
+                if not candidates:
+                    if is_walk:
+                        if not progressed_since_restart:
+                            stopped_reason = "exhausted"
+                            break
+                        restarts += 1
+                        progressed_since_restart = False
+                        seq_set = [()]
+                        length = 0
+                        continue
+                    stopped_reason = "exhausted"
+                    break
+
+                outcome = self._execute_candidates(candidates, executors, budget)
+                length += 1
+                row = per_length.setdefault(length, [0, 0, 0])
+                row[0] += outcome.tests
+                row[1] = len(outcome.retained)
+                row[2] += outcome.extracted
+                if self.sink is not None:
+                    self.sink.record_length_stats(
+                        PerLengthRow(
+                            length=length,
+                            tests=row[0],
+                            seqset_size=row[1],
+                            dynamic_objects=row[2],
+                        )
+                    )
+                seq_set = outcome.retained
+                if seq_set:
+                    max_reached = max(max_reached, length)
+                    progressed_since_restart = True
+                if outcome.stopped_early:
+                    stopped_reason = (
+                        "interrupted" if self.stop_requested.is_set() else "time_budget"
+                    )
+                    break
+        finally:
+            for executor in executors:
+                executor.close()
 
         elapsed = time.monotonic() - started
         buckets = [

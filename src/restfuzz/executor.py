@@ -2,14 +2,18 @@
 
 Requests go out as raw bytes, because the whole point of a fuzzer is that
 nothing between the grammar and the wire "helpfully" rewrites the message.
-All requests of one sequence share one TCP connection: it is kept after an
-HTTP/1.1 response framed by Content-Length or chunked encoding, with no
-``Connection: close`` and no bytes left over, and replaced by a new one
-otherwise. A written request is never sent twice. Responses are parsed with
-the framing rules of RFC 9112 (bodiless responses, Content-Length, chunked,
-connection close) and classified as Valid (2xx), Bug (matches the configured
-error classes, 5xx by default) or Invalid (everything else; redirects are
-never followed).
+A SequenceExecutor's transport keeps one TCP connection across requests and
+across sequences: it is kept after an HTTP/1.1 response framed by
+Content-Length or chunked encoding, with no ``Connection: close`` and no
+bytes left over, and replaced by a new one otherwise. The executor closes it
+after every sequence whose final class is not Valid, so each request goes
+out on a fresh connection or on one whose earlier responses were all 2xx; a
+target that answers 4xx/5xx without reading the request body cannot spill
+into the next test. A written request is never sent twice. Responses are
+parsed with the framing rules of RFC 9112 (bodiless responses,
+Content-Length, chunked, connection close) and classified as Valid (2xx),
+Bug (matches the configured error classes, 5xx by default) or Invalid
+(everything else; redirects are never followed).
 
 While a sequence runs, values extracted from 2xx responses live in a
 DynamicObjectPool private to that one execution. Consumers receive values in
@@ -143,7 +147,8 @@ class AuthConfig:
 
 @dataclass(frozen=True)
 class HttpExchange:
-    """One request/response pair, bytes as they crossed the wire."""
+    """One request/response pair, bytes as they crossed the wire (a chunked
+    body is stored de-chunked)."""
 
     request: bytes
     status: int
@@ -152,6 +157,7 @@ class HttpExchange:
     body: bytes
     started: float
     duration: float
+    version: str = "HTTP/1.1"
 
     def header(self, name: str) -> str | None:
         lowered = name.lower()
@@ -161,7 +167,7 @@ class HttpExchange:
         return None
 
     def response_head(self) -> bytes:
-        lines = [f"HTTP/1.1 {self.status} {self.reason}".encode("utf-8")]
+        lines = [f"{self.version} {self.status} {self.reason}".encode("utf-8")]
         lines += [f"{k}: {v}".encode("utf-8") for k, v in self.headers]
         return b"\r\n".join(lines) + b"\r\n\r\n"
 
@@ -270,7 +276,7 @@ def send_request(
         except OSError as exc:
             raise TransportFailure("write", str(exc)) from exc
         method = request.split(b" ", 1)[0].decode("latin-1")
-        status, reason, headers, body, reusable = _read_response(sock, method)
+        version, status, reason, headers, body, reusable = _read_response(sock, method)
         head = request.partition(b"\r\n\r\n")[0]
         reusable = reusable and not _REQUEST_CLOSE.search(head)
     finally:
@@ -286,6 +292,7 @@ def send_request(
         body=body,
         started=started,
         duration=time.monotonic() - t0,
+        version=version.decode("latin-1"),
     )
 
 
@@ -355,12 +362,12 @@ def _read_head(
 
 def _read_response(
     sock: socket.socket, method: str
-) -> tuple[int, str, tuple[tuple[str, str], ...], bytes, bool]:
+) -> tuple[bytes, int, str, tuple[tuple[str, str], ...], bytes, bool]:
     """Read the final response to a ``method`` request.
 
-    Returns (status, reason, headers, body, reusable); ``reusable`` says
-    whether the connection may carry another request. Interim 1xx heads
-    other than 101 are skipped.
+    Returns (version, status, reason, headers, body, reusable);
+    ``reusable`` says whether the connection may carry another request.
+    Interim 1xx heads other than 101 are skipped.
     """
     buffer = bytearray()
     version, status, reason, headers = _read_head(sock, buffer)
@@ -423,12 +430,13 @@ def _read_response(
                 raise TransportFailure("frame", "response body too large")
         body = bytes(chunks)
         reusable = False
-    return status, reason, tuple(headers), body, reusable and not buffer
+    return version, status, reason, tuple(headers), body, reusable and not buffer
 
 
 class Transport(Protocol):
     """Sends one request and returns its exchange. A transport may also
-    have a ``close()``, which the executor calls after each sequence."""
+    have a ``close()``, which the executor calls after a sequence whose
+    final class is not Valid or that raised, and from its own ``close()``."""
 
     def roundtrip(self, request: bytes) -> HttpExchange: ...
 
@@ -607,16 +615,24 @@ class SequenceExecutor:
 
         Execution stops at the first non-2xx step; the returned class is the
         last executed step's class (an empty sequence is trivially valid).
-        Transport failures are recorded and reported as Invalid. A transport
-        with a ``close()`` is closed afterwards, so the steps share at most
-        one connection that no other sequence uses.
+        Transport failures are recorded and reported as Invalid. The
+        transport's connection carries on into the next sequence only when
+        this one ended Valid; otherwise, or when this raises, it is closed.
         """
         try:
-            return self._execute(steps, test_index)
-        finally:
-            close = getattr(self.transport, "close", None)
-            if close is not None:
-                close()
+            result = self._execute(steps, test_index)
+        except BaseException:
+            self.close()
+            raise
+        if result.final_class != ResponseClass.VALID:
+            self.close()
+        return result
+
+    def close(self) -> None:
+        """Close the transport's connection, when the transport has one."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
 
     def _execute(self, steps: Sequence[RenderedRequest], test_index: int) -> ExecutionResult:
         pool = DynamicObjectPool(self.external_values)

@@ -4,7 +4,8 @@ Every request/response pair is recorded three ways:
 
 * an in-memory timeline used for live stats and the final report,
 * ``events.jsonl`` — machine-readable, one JSON object per event, request
-  and response bytes base64-encoded exactly as they crossed the wire,
+  and response bytes base64-encoded as they crossed the wire, except that a
+  chunked response body is stored de-chunked,
 * ``wire.log`` — human-readable traces ("Sending:" / "Received:" blocks)
   with the auth header value redacted; only this copy is redacted.
 

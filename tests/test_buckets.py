@@ -332,7 +332,9 @@ DELETE_ONE = "DELETE /api/blog/posts/{id}"
 
 @pytest.fixture()
 def live_executor(blog_conn, blog_grammar):
-    return SequenceExecutor(SocketTransport(blog_conn), blog_grammar.template_by_id)
+    executor = SequenceExecutor(SocketTransport(blog_conn), blog_grammar.template_by_id)
+    yield executor
+    executor.close()
 
 
 class TestReplay:

@@ -418,6 +418,78 @@ class TestRunControl:
 
 
 # --------------------------------------------------------------------------
+# Connection lifetime
+
+
+class ExplodingTransport(SocketTransport):
+    """A socket transport whose third round trip raises."""
+
+    def __init__(self, conn):
+        super().__init__(conn)
+        self.roundtrips = 0
+
+    def roundtrip(self, request):
+        self.roundtrips += 1
+        if self.roundtrips == 3:
+            raise RuntimeError("transport exploded")
+        return super().roundtrip(request)
+
+
+def lifetime_engine(blog_server, blog_model, transport_class, **config_kwargs):
+    """An engine plus the list of every transport its workers were given."""
+    conn = ConnectionConfig("127.0.0.1", blog_server.port)
+    transports = []
+
+    def factory():
+        transports.append(transport_class(conn))
+        return transports[-1]
+
+    engine = FuzzEngine(
+        compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+        FuzzingDictionary.default(),
+        EngineConfig(**config_kwargs),
+        transport_factory=factory,
+    )
+    return engine, transports
+
+
+class TestConnectionLifetime:
+    @pytest.mark.parametrize(
+        ("config", "stopped"),
+        [
+            ({"strategy": Strategy.BFS, "max_length": 3}, "max_length"),
+            ({"strategy": Strategy.BFS, "max_length": 3, "worker_count": 2}, "max_length"),
+            ({"strategy": Strategy.RANDOM_WALK, "time_budget": 0.3}, "time_budget"),
+        ],
+        ids=["search-done", "search-done-2w", "time-budget"],
+    )
+    def test_no_connection_outlives_the_run(self, blog_server, blog_model, config, stopped):
+        engine, transports = lifetime_engine(blog_server, blog_model, SocketTransport, **config)
+        report = engine.run()
+        assert report.stopped_reason == stopped
+        assert report.total_tests > 0
+        assert len(transports) == config.get("worker_count", 1)
+        assert all(t.kept.sock is None for t in transports)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_exception_propagates_and_closes_connections(
+        self, blog_server, blog_model, workers
+    ):
+        engine, transports = lifetime_engine(
+            blog_server,
+            blog_model,
+            ExplodingTransport,
+            strategy=Strategy.BFS,
+            max_length=3,
+            worker_count=workers,
+        )
+        with pytest.raises(RuntimeError, match="transport exploded"):
+            engine.run()
+        assert len(transports) == workers
+        assert all(t.kept.sock is None for t in transports)
+
+
+# --------------------------------------------------------------------------
 # Determinism
 
 

@@ -487,6 +487,13 @@ class TestFraming:
         assert (ex.status, ex.reason, ex.body) == (200, "OK", b"hello")
         assert ex.headers == (("Content-Length", "5"),)
 
+    def test_status_line_version_is_recorded_as_received(self):
+        script = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello"
+        with scripted_server(script) as (port, _):
+            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+        assert ex.version == "HTTP/1.0"
+        assert ex.response_head() + ex.body == script
+
 
 # --------------------------------------------------------------------------
 # Connection reuse
@@ -535,16 +542,61 @@ class TestKeepAlive:
         assert log[1].startswith(b"GET /api/blog/posts/7 HTTP/1.1")
         assert b"c0ffee" in log[2]
 
-    def test_sequences_never_share_a_connection(self):
+    def test_all_2xx_sequences_share_one_connection(self):
         with scripted_server(OK_HI, OK_HI, OK_HI, close_after=()) as (port, log):
             executor = SequenceExecutor(
                 SocketTransport(quick(port)), lambda tid: SimpleNamespace(producers=())
             )
-            first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
-            second = executor.execute_sequence([plain_step(b"/c")])
+            try:
+                first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+                second = executor.execute_sequence([plain_step(b"/c")])
+            finally:
+                executor.close()
         assert first.final_class == second.final_class == ResponseClass.VALID
+        assert log.accepts == 1
+        assert [r.split(b" ")[1] for r in log] == [b"/a", b"/b", b"/c"]
+
+    @pytest.mark.parametrize(
+        "final",
+        [
+            response("404 Not Found", b"gone"),
+            response("500 Internal Server Error", b"oops"),
+            b"SMTP ready\r\n\r\n",
+        ],
+        ids=["404", "500", "transport-failure"],
+    )
+    def test_sequence_not_ending_2xx_closes_its_connection(self, final):
+        # The server would keep the connection: only the client closes it.
+        with scripted_server(OK_HI, final, OK_HI, close_after=()) as (port, log):
+            executor = SequenceExecutor(
+                SocketTransport(quick(port)), lambda tid: SimpleNamespace(producers=())
+            )
+            try:
+                first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+                assert executor.transport.kept.sock is None
+                second = executor.execute_sequence([plain_step(b"/c")])
+            finally:
+                executor.close()
+        assert first.final_class != ResponseClass.VALID
+        assert second.final_class == ResponseClass.VALID
         assert log.accepts == 2
         assert [r.split(b" ")[1] for r in log] == [b"/a", b"/b", b"/c"]
+
+    def test_sequence_that_raises_closes_its_connection(self):
+        class Explodes:
+            closes = 0
+
+            def roundtrip(self, request):
+                raise RuntimeError("boom")
+
+            def close(self):
+                self.closes += 1
+
+        transport = Explodes()
+        executor = SequenceExecutor(transport, lambda tid: SimpleNamespace(producers=()))
+        with pytest.raises(RuntimeError, match="boom"):
+            executor.execute_sequence([plain_step(b"/a")])
+        assert transport.closes == 1
 
     @pytest.mark.parametrize(
         ("first", "close_after"),
@@ -581,7 +633,10 @@ class TestKeepAlive:
                 lambda tid: SimpleNamespace(producers=()),
                 sink=WaitForHangUp(),
             )
-            result = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+            try:
+                result = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
+            finally:
+                executor.close()
         assert result.final_class == ResponseClass.VALID
         assert [e.status for e in result.exchanges] == [200, 200]
         assert log.accepts == 2
@@ -676,15 +731,22 @@ DELETE_ONE = "DELETE /api/blog/posts/{id}"
 
 @pytest.fixture()
 def blog_executor(blog_conn, blog_grammar):
-    def make(sink=None, error_classes=("5xx",)):
-        return SequenceExecutor(
-            SocketTransport(blog_conn),
-            blog_grammar.template_by_id,
-            error_classes=error_classes,
-            sink=sink,
-        )
+    made = []
 
-    return make
+    def make(sink=None, error_classes=("5xx",)):
+        made.append(
+            SequenceExecutor(
+                SocketTransport(blog_conn),
+                blog_grammar.template_by_id,
+                error_classes=error_classes,
+                sink=sink,
+            )
+        )
+        return made[-1]
+
+    yield make
+    for executor in made:
+        executor.close()
 
 
 class TestSequenceExecution:
@@ -795,6 +857,9 @@ class TestSequenceExecution:
                 lambda tid: SimpleNamespace(producers=()),
                 external_values={rt("widgets/id"): "777"},
             )
-            result = executor.execute_sequence([rendered])
+            try:
+                result = executor.execute_sequence([rendered])
+            finally:
+                executor.close()
         assert result.final_class == ResponseClass.VALID
         assert captured[0].startswith(b"GET /widgets/777 HTTP/1.1")
