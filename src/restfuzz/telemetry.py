@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import functools
 import io
 import json
 import logging
@@ -41,6 +42,7 @@ from .executor import (
     DEFAULT_ERROR_STATUS_CLASSES,
     ExchangeContext,
     HttpExchange,
+    Memo,
     classify_status,
     redact_header_value,
     status_class_label,
@@ -52,7 +54,7 @@ EVENTS_FILENAME = "events.jsonl"
 WIRE_LOG_FILENAME = "wire.log"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimelinePoint:
     elapsed: float
     test_index: int
@@ -89,23 +91,19 @@ class TelemetrySink:
         self.error_classes = tuple(error_classes)
         self.timeline: list[TimelinePoint] = []
         self.per_length: list[PerLengthRow] = []
-        self.bucket_events: list[dict] = []
-        self.class_totals: Counter[str] = Counter()
-        self.status_group_totals: Counter[str] = Counter()
-        self.failures = 0
         self.degraded = False
+        self._classes = Memo(functools.partial(classify_status, error_classes=self.error_classes))
+        self._auth_needle = auth_header_name.lower().encode("latin-1") + b":"
         self._lock = threading.Lock()
         self._start_monotonic = time.monotonic()
         self._start_wall = time.time()
         self._events_fh: io.TextIOBase | None = None
-        self._wire_fh: io.TextIOBase | None = None
+        self._wire_fh: io.BufferedIOBase | None = None
         if self.out_dir is not None:
             try:
                 self.out_dir.mkdir(parents=True, exist_ok=True)
                 self._events_fh = open(self.out_dir / EVENTS_FILENAME, "a", encoding="utf-8")
-                self._wire_fh = open(
-                    self.out_dir / WIRE_LOG_FILENAME, "a", encoding="utf-8", errors="replace"
-                )
+                self._wire_fh = open(self.out_dir / WIRE_LOG_FILENAME, "ab")
             except OSError as exc:
                 self._degrade(exc)
 
@@ -116,23 +114,17 @@ class TelemetrySink:
             logger.error("telemetry storage failed, continuing in memory only: %s", exc)
         self.degraded = True
 
-    def _write_event(self, event: dict) -> None:
-        if self._events_fh is None or self.degraded:
+    def _write(self, fh, data) -> None:
+        if fh is None or self.degraded:
             return
         try:
-            self._events_fh.write(json.dumps(event, sort_keys=True) + "\n")
-            self._events_fh.flush()
+            fh.write(data)
+            fh.flush()
         except OSError as exc:
             self._degrade(exc)
 
-    def _write_wire(self, text: str) -> None:
-        if self._wire_fh is None or self.degraded:
-            return
-        try:
-            self._wire_fh.write(text)
-            self._wire_fh.flush()
-        except OSError as exc:
-            self._degrade(exc)
+    def _write_event(self, event: dict) -> None:
+        self._write(self._events_fh, json.dumps(event, sort_keys=True) + "\n")
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start_monotonic
@@ -146,43 +138,54 @@ class TelemetrySink:
             )
 
     def record_exchange(self, exchange: HttpExchange, context: ExchangeContext) -> None:
-        response_class = classify_status(exchange.status, self.error_classes)
+        """Append the exchange to the timeline, ``events.jsonl`` and
+        ``wire.log``, flushing both files.
+
+        The response bytes are built once, and the event line is encoded
+        with the default encoder over keys written in sorted order, which
+        gives the bytes ``sort_keys=True`` gives. Both are encoded before
+        the lock is taken.
+        """
+        status = exchange.status
+        response_class = self._classes[status]
         point = TimelinePoint(
             elapsed=self.elapsed(),
             test_index=context.test_index,
             sequence_length=context.sequence_length,
             step_index=context.step_index,
             template_id=context.template_id,
-            status=exchange.status,
+            status=status,
             response_class=response_class,
         )
-        response_blob = exchange.response_head() + exchange.body
+        response = exchange.response_head() + exchange.body
+        line = json.dumps(
+            {
+                "duration": exchange.duration,
+                "elapsed": point.elapsed,
+                "reason": exchange.reason,
+                "rendering_index": context.rendering_index,
+                "request_b64": base64.b64encode(exchange.request).decode("ascii"),
+                "response_b64": base64.b64encode(response).decode("ascii"),
+                "response_class": response_class,
+                "sequence_length": context.sequence_length,
+                "status": status,
+                "step_index": context.step_index,
+                "template_id": context.template_id,
+                "test_index": context.test_index,
+                "type": "exchange",
+            }
+        )
+        wire = b"Sending: %s\n\nReceived: %s\n\n" % (
+            self._wire_text(exchange.request),
+            self._wire_text(response),
+        )
         with self._lock:
             self.timeline.append(point)
-            self.class_totals[response_class] += 1
-            self.status_group_totals[status_class_label(exchange.status)] += 1
-            self._write_event(
-                {
-                    "type": "exchange",
-                    "elapsed": point.elapsed,
-                    "test_index": context.test_index,
-                    "sequence_length": context.sequence_length,
-                    "step_index": context.step_index,
-                    "template_id": context.template_id,
-                    "rendering_index": context.rendering_index,
-                    "status": exchange.status,
-                    "reason": exchange.reason,
-                    "response_class": response_class,
-                    "duration": exchange.duration,
-                    "request_b64": base64.b64encode(exchange.request).decode("ascii"),
-                    "response_b64": base64.b64encode(response_blob).decode("ascii"),
-                }
-            )
-            self._write_wire(self._format_wire(exchange))
+            self._write(self._events_fh, line + "\n")
+            self._write(self._wire_fh, wire)
 
     def record_failure(self, context: ExchangeContext, phase: str, detail: str) -> None:
         with self._lock:
-            self.failures += 1
             self._write_event(
                 {
                     "type": "transport_failure",
@@ -194,7 +197,10 @@ class TelemetrySink:
                     "detail": detail,
                 }
             )
-            self._write_wire(f"Transport failure ({phase}): {detail}\n\n")
+            self._write(
+                self._wire_fh,
+                f"Transport failure ({phase}): {detail}\n\n".encode("utf-8", "replace"),
+            )
 
     def record_length_stats(self, row: PerLengthRow) -> None:
         with self._lock:
@@ -218,7 +224,6 @@ class TelemetrySink:
             "created": created,
         }
         with self._lock:
-            self.bucket_events.append(event)
             self._write_event(event)
 
     def record_run_end(self, reason: str, report: dict | None = None) -> None:
@@ -241,14 +246,16 @@ class TelemetrySink:
 
     # -- formatting -------------------------------------------------------------
 
-    def _format_wire(self, exchange: HttpExchange) -> str:
-        request = redact_header_value(exchange.request, self.auth_header_name)
-        response = redact_header_value(
-            exchange.response_head() + exchange.body, self.auth_header_name
-        )
-        req_text = request.decode("latin-1").replace("\r\n", "\n").rstrip("\n")
-        resp_text = response.decode("latin-1").replace("\r\n", "\n").rstrip("\n")
-        return f"Sending: {req_text}\n\nReceived: {resp_text}\n\n"
+    def _wire_text(self, message: bytes) -> bytes:
+        """``message`` as ``wire.log`` shows it: auth value redacted, bare
+        newlines, no trailing ones, each byte read as latin-1 and written as
+        UTF-8."""
+        head_end = message.find(b"\r\n\r\n")
+        head = message if head_end < 0 else message[:head_end]
+        if self._auth_needle in head.lower():
+            message = redact_header_value(message, self.auth_header_name)
+        text = message.replace(b"\r\n", b"\n").rstrip(b"\n")
+        return text if text.isascii() else text.decode("latin-1").encode("utf-8")
 
 
 # ------------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 
+import restfuzz.compiler as compiler
+from restfuzz.blogserver import bundled_spec_path
 from restfuzz.compiler import (
     AnnotationOverrides,
     MalformedDocument,
@@ -530,6 +533,41 @@ def test_malformed_documents():
         parse_spec("{broken json")
     with pytest.raises(MalformedDocument):
         parse_spec('{"swagger": "2.0", "paths": []}')
+
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize(
+    "path", [bundled_spec_path(), DATA / "minimal_post.yaml"], ids=lambda p: p.name
+)
+def test_yaml_loaders_agree(path):
+    text = path.read_text()
+    docs = [yaml.load(text, Loader=loader) for loader in YAML_LOADERS]
+    assert all(doc == docs[0] for doc in docs)
+    assert compiler._load_document(text) == docs[0]
+
+
+def test_yaml_documents_go_through_libyaml_when_available(monkeypatch):
+    assert compiler._YAML_LOADER is YAML_LOADERS[-1]
+    used = []
+
+    class Recording(yaml.SafeLoader):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(compiler, "_YAML_LOADER", Recording)
+    parse_spec((DATA / "minimal_post.yaml").read_text())
+    assert len(used) == 1
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_malformed_yaml_raises_malformed_document_with_each_loader(loader, monkeypatch):
+    monkeypatch.setattr(compiler, "_YAML_LOADER", loader)
+    for text in ("paths: [unclosed\n", "swagger: '2.0'\n\tpaths: {}\n", "a: b: c\n"):
+        with pytest.raises(MalformedDocument):
+            parse_spec(text)
 
 
 def test_json_documents_accepted(blog_model):

@@ -667,7 +667,10 @@ class TestAuth:
                 ConnectionConfig("127.0.0.1", port),
                 AuthConfig(token="hunter2"),
             )
-            transport.roundtrip(PLAIN_GET)
+            try:
+                transport.roundtrip(PLAIN_GET)
+            finally:
+                transport.close()
         assert captured[0].endswith(b"PRIVATE-TOKEN: hunter2\r\n\r\n")
 
     def test_token_file_is_reread_each_request(self, tmp_path):
@@ -676,13 +679,20 @@ class TestAuth:
         auth = AuthConfig(header_name="X-Auth", token_file=token_file)
         script = b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"
 
+        def roundtrip_once(port: int) -> None:
+            transport = SocketTransport(ConnectionConfig("127.0.0.1", port), auth)
+            try:
+                transport.roundtrip(PLAIN_GET)
+            finally:
+                transport.close()
+
         with scripted_server(script) as (port, captured):
-            SocketTransport(ConnectionConfig("127.0.0.1", port), auth).roundtrip(PLAIN_GET)
+            roundtrip_once(port)
         assert b"X-Auth: first\r\n" in captured[0]
 
         token_file.write_text("second\n")
         with scripted_server(script) as (port, captured):
-            SocketTransport(ConnectionConfig("127.0.0.1", port), auth).roundtrip(PLAIN_GET)
+            roundtrip_once(port)
         assert b"X-Auth: second\r\n" in captured[0]
 
     def test_no_token_means_no_header(self):
@@ -709,6 +719,33 @@ class TestProbe:
 def rendering_of(grammar, template_id, dictionary, index=0):
     template = grammar.template_by_id(template_id)
     return render_combinations(template, dictionary, cap=index + 1)[index]
+
+
+class StatusTransport:
+    """Answers every request with the status it is set to."""
+
+    status = 200
+
+    def roundtrip(self, request):
+        return HttpExchange(request, self.status, "", (), b"", 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "error_classes",
+    [("5xx",), ("404",), ("4xx", "503"), ("2xx",), ("1XX", "999"), ()],
+    ids=lambda c: ",".join(c) or "none",
+)
+def test_memoized_status_class_matches_classify_status(error_classes):
+    transport = StatusTransport()
+    executor = SequenceExecutor(
+        transport, lambda tid: SimpleNamespace(producers=()), error_classes=error_classes
+    )
+    step = plain_step(b"/")
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for status in range(1000):
+            transport.status = status
+            result = executor.execute_sequence([step])
+            assert result.final_class == classify_status(status, error_classes), status
 
 
 class RecordingSink:

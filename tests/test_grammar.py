@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from restfuzz.grammar import (
     GrammarProgram,
     MissingDictionaryKind,
     ProducerSpec,
+    RenderedRequest,
     RequestTemplate,
     ResourceType,
     StaticSlot,
@@ -170,6 +172,58 @@ class TestAssemble:
         rendered = render_combinations(t, FuzzingDictionary.default())[0]
         with pytest.raises(GrammarError):
             rendered.assemble({})
+
+
+def reference_assemble(rendered: RenderedRequest, consumer_values) -> bytes:
+    """``RenderedRequest.assemble`` as first written: join every part on
+    each call."""
+    filled = []
+    for part in rendered.parts:
+        if isinstance(part, ConsumerSlot):
+            try:
+                filled.append(consumer_values[part.resource])
+            except KeyError:
+                raise GrammarError(f"no value supplied for consumer {part.resource}") from None
+        else:
+            filled.append(part)
+    head = b"".join(filled[: rendered.body_start])
+    body = b"".join(filled[rendered.body_start :])
+    if rendered.has_body:
+        head += b"Content-Length: %d\r\n" % len(body)
+    return head + b"\r\n" + body
+
+
+RESOURCES = [ResourceType(name) for name in ("posts/id", "posts/checksum", "users/id")]
+
+
+@st.composite
+def renderings_and_values(draw):
+    parts = draw(
+        st.lists(st.one_of(st.binary(max_size=8), st.sampled_from(RESOURCES).map(ConsumerSlot)),
+                 min_size=1, max_size=10)
+    )
+    body_start = draw(st.integers(0, len(parts)))
+    rendered = RenderedRequest("T /x", "GET", 0, tuple(parts), body_start)
+    values = draw(st.dictionaries(st.sampled_from(RESOURCES), st.binary(max_size=6)))
+    return rendered, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(renderings_and_values())
+def test_assemble_matches_the_reference_join(case):
+    rendered, values = case
+    try:
+        expected = reference_assemble(rendered, values)
+    except GrammarError as exc:
+        with pytest.raises(GrammarError, match=re.escape(str(exc))):
+            rendered.assemble(values)
+    else:
+        assert rendered.assemble(values) == expected
+        assert rendered.assemble(values) == expected  # and again, from what is kept
+        if not rendered.consumer_resources():
+            assert rendered.assemble({}) is rendered.assemble(values)  # built once
+    consumed = [p.resource for p in rendered.parts if isinstance(p, ConsumerSlot)]
+    assert rendered.consumer_resources() == tuple(dict.fromkeys(consumed))
 
 
 class TestProgram:

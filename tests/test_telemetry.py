@@ -11,10 +11,20 @@ from __future__ import annotations
 import base64
 import csv
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from restfuzz.executor import ExchangeContext, HttpExchange
+from restfuzz.executor import (
+    ExchangeContext,
+    HttpExchange,
+    classify_status,
+    redact_header_value,
+    status_class_label,
+)
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
     WIRE_LOG_FILENAME,
@@ -52,31 +62,42 @@ def ctx(test_index=0, length=1, step=0, template="POST /x", rendering=0):
 
 
 # --------------------------------------------------------------------------
-# In-memory accounting
+# Accounting, as the event stream records it
 
 
-def test_counters_track_classes_and_status_groups():
-    sink = TelemetrySink()
+def event_counts(tmp_path, type_: str, key) -> Counter:
+    events = load_events(tmp_path / EVENTS_FILENAME)
+    return Counter(key(e) for e in events if e["type"] == type_)
+
+
+def test_counters_track_classes_and_status_groups(tmp_path):
+    sink = TelemetrySink(out_dir=tmp_path)
     sink.record_exchange(make_exchange(200), ctx())
     sink.record_exchange(make_exchange(201), ctx(step=1))
     sink.record_exchange(make_exchange(404), ctx(test_index=1))
     sink.record_exchange(make_exchange(500), ctx(test_index=2))
-    assert sink.class_totals == {"valid": 2, "invalid": 1, "bug": 1}
-    assert sink.status_group_totals == {"2xx": 2, "4xx": 1, "5xx": 1}
+    sink.close()
+    classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
+    groups = event_counts(tmp_path, "exchange", lambda e: status_class_label(e["status"]))
+    assert classes == {"valid": 2, "invalid": 1, "bug": 1}
+    assert groups == {"2xx": 2, "4xx": 1, "5xx": 1}
     assert len(sink.timeline) == 4
 
 
-def test_custom_error_classes_change_the_recorded_class():
-    sink = TelemetrySink(error_classes=("404",))
+def test_custom_error_classes_change_the_recorded_class(tmp_path):
+    sink = TelemetrySink(out_dir=tmp_path, error_classes=("404",))
     sink.record_exchange(make_exchange(404), ctx())
     sink.record_exchange(make_exchange(500), ctx())
-    assert sink.class_totals == {"bug": 1, "invalid": 1}
+    sink.close()
+    classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
+    assert classes == {"bug": 1, "invalid": 1}
 
 
-def test_failures_are_counted():
-    sink = TelemetrySink()
+def test_failures_are_counted(tmp_path):
+    sink = TelemetrySink(out_dir=tmp_path)
     sink.record_failure(ctx(), "connect", "refused")
-    assert sink.failures == 1
+    sink.close()
+    assert event_counts(tmp_path, "transport_failure", lambda e: e["phase"]) == {"connect": 1}
 
 
 # --------------------------------------------------------------------------
@@ -158,6 +179,95 @@ def test_rendering_index_travels_with_the_event(tmp_path):
     assert events[0]["rendering_index"] == 7
 
 
+def reference_records(exchange, context, elapsed, error_classes, auth_header_name):
+    """The ``events.jsonl`` line and ``wire.log`` bytes of one exchange as
+    the sink first wrote them: a ``sort_keys`` dump, the response rebuilt
+    for each use, every message redacted and decoded as latin-1 text that a
+    UTF-8 file (``errors="replace"``) encodes."""
+    response_class = classify_status(exchange.status, error_classes)
+    event = {
+        "type": "exchange",
+        "elapsed": elapsed,
+        "test_index": context.test_index,
+        "sequence_length": context.sequence_length,
+        "step_index": context.step_index,
+        "template_id": context.template_id,
+        "rendering_index": context.rendering_index,
+        "status": exchange.status,
+        "reason": exchange.reason,
+        "response_class": response_class,
+        "duration": exchange.duration,
+        "request_b64": base64.b64encode(exchange.request).decode("ascii"),
+        "response_b64": base64.b64encode(exchange.response_head() + exchange.body).decode("ascii"),
+    }
+    line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+    request = redact_header_value(exchange.request, auth_header_name)
+    response = redact_header_value(exchange.response_head() + exchange.body, auth_header_name)
+    req_text = request.decode("latin-1").replace("\r\n", "\n").rstrip("\n")
+    resp_text = response.decode("latin-1").replace("\r\n", "\n").rstrip("\n")
+    wire = f"Sending: {req_text}\n\nReceived: {resp_text}\n\n".encode("utf-8", "replace")
+    return line, wire
+
+
+header_text = st.text(st.characters(min_codepoint=32, max_codepoint=255), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    request=st.binary(max_size=80),
+    auth_line=st.sampled_from(
+        [b"", b"PRIVATE-TOKEN: hunter2\r\n", b"private-Token:hunter2\r\n", b"X-Key: k\r\n"]
+    ),
+    body=st.binary(max_size=60),
+    status=st.integers(0, 999),
+    reason=header_text,
+    headers=st.lists(st.tuples(header_text, header_text), max_size=3),
+    template_id=st.text(max_size=10),
+    auth_header_name=st.sampled_from(["PRIVATE-TOKEN", "x-key"]),
+    error_classes=st.sampled_from([("5xx",), ("404", "5xx"), ("2xx",)]),
+)
+@example(
+    request=b"POST /x HTTP/1.1\r\nHost: h",
+    auth_line=b"pRiVaTe-ToKeN: hunter2\r\n",
+    body="caf\u00e9 \u00ff".encode("latin-1") + b"\r\nPRIVATE-TOKEN: not-a-header\r\n\r\n",
+    status=500,
+    reason="Erreur \u00e9",
+    headers=[("Private-Token", "echoed"), ("Content-Type", "text/plain; charset=latin-1")],
+    template_id="POST /caf\u00e9",
+    auth_header_name="PRIVATE-TOKEN",
+    error_classes=("5xx",),
+)
+def test_event_and_wire_bytes_match_the_reference_writer(
+    request, auth_line, body, status, reason, headers, template_id, auth_header_name, error_classes
+):
+    head, sep, rest = request.partition(b"\r\n\r\n")
+    request = head + b"\r\n" + auth_line + b"\r\n" + rest if sep else request + auth_line
+    exchange = HttpExchange(
+        request=request,
+        status=status,
+        reason=reason,
+        headers=tuple(headers),
+        body=body,
+        started=0.0,
+        duration=0.0125,
+    )
+    context = ctx(test_index=3, length=2, step=1, template=template_id, rendering=5)
+    with tempfile.TemporaryDirectory() as out:
+        out = Path(out)
+        sink = TelemetrySink(
+            out_dir=out, auth_header_name=auth_header_name, error_classes=error_classes
+        )
+        sink.elapsed = lambda: 1.5
+        sink.record_exchange(exchange, context)
+        sink.record_failure(context, "read", "timed out \u00e9")
+        sink.close()
+        events = (out / EVENTS_FILENAME).read_bytes()
+        wire = (out / WIRE_LOG_FILENAME).read_bytes()
+    line, wire_record = reference_records(exchange, context, 1.5, error_classes, auth_header_name)
+    assert events.startswith(line)
+    assert wire == wire_record + "Transport failure (read): timed out \u00e9\n\n".encode("utf-8")
+
+
 # --------------------------------------------------------------------------
 # Rebuilding from the stream
 
@@ -225,6 +335,7 @@ def test_midstream_write_error_degrades_once(tmp_path):
         def close(self):
             pass
 
+    sink._events_fh.close()
     sink._events_fh = Exploding()
     sink.record_exchange(make_exchange(), ctx())
     assert sink.degraded
