@@ -22,7 +22,6 @@ import logging
 import os
 import signal
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -47,7 +46,7 @@ from .grammar import (
     dump_grammar,
     load_grammar,
 )
-from .telemetry import TelemetrySink, emit_report, load_events, rebuild_from_events
+from .telemetry import TelemetrySink, emit_report
 
 logger = logging.getLogger(__name__)
 
@@ -319,11 +318,7 @@ def cmd_fuzz(args) -> int:
         + "\n"
     )
 
-    sink = TelemetrySink(
-        out_dir,
-        auth_header_name=args.auth_header,
-        error_classes=config.error_status_classes,
-    )
+    sink = TelemetrySink(out_dir, auth_header_name=args.auth_header)
     store = BucketStore(out_dir / "buckets", auth_header_name=args.auth_header)
     engine = FuzzEngine(
         grammar,
@@ -349,7 +344,7 @@ def cmd_fuzz(args) -> int:
             signal.signal(sig, handler)
         sink.close()
 
-    emit_report(out_dir, report.to_dict(), sink.timeline, sink.per_length, report.buckets)
+    emit_report(out_dir)
     print(f"{report.total_tests} tests, max length {report.max_length_reached}, "
           f"stopped: {report.stopped_reason}")
     for name in sorted(report.status_totals):
@@ -412,16 +407,8 @@ def cmd_report(args) -> int:
     events_path = run_dir / "events.jsonl"
     if not events_path.is_file():
         raise ConfigError(f"no events.jsonl under {run_dir}")
-    timeline, per_length, buckets, report = rebuild_from_events(load_events(events_path))
-    if not report:
-        totals = Counter(point.response_class for point in timeline)
-        report = {
-            "total_tests": None,
-            "status_totals": dict(totals),
-            "stopped_reason": "unknown (no run_end event)",
-        }
-    emit_report(run_dir, report, timeline, per_length, buckets)
-    print(f"rebuilt report files in {run_dir} from {len(timeline)} recorded exchanges")
+    exchanges = emit_report(run_dir)
+    print(f"rebuilt report files in {run_dir} from {exchanges} recorded exchanges")
     return EXIT_OK
 
 

@@ -75,9 +75,6 @@ class Schema:
     required: frozenset[str] = frozenset()
     items: "Schema | None" = None
 
-    def property_map(self) -> dict[str, "Schema"]:
-        return dict(self.properties)
-
 
 @dataclass(frozen=True)
 class Parameter:
@@ -132,12 +129,6 @@ class ConsumerBinding:
 class DependencyMap:
     producers: dict[str, tuple[ProducerSpec, ...]]
     consumers: dict[str, tuple[ConsumerBinding, ...]]
-
-    def produced_types(self) -> frozenset[ResourceType]:
-        out: set[ResourceType] = set()
-        for specs in self.producers.values():
-            out |= {p.resource for p in specs}
-        return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -707,7 +707,7 @@ class SequenceExecutor:
             exchanges.append(exchange)
             final_class = self.status_classes[exchange.status]
             if self.sink is not None:
-                self.sink.record_exchange(exchange, context)
+                self.sink.record_exchange(exchange, context, final_class)
 
             if final_class != ResponseClass.VALID:
                 break

@@ -1,19 +1,20 @@
 """Client-side observation of a fuzzing run.
 
-Every request/response pair is recorded three ways:
+The sink appends every request/response pair to two files:
 
-* an in-memory timeline used for live stats and the final report,
 * ``events.jsonl`` — machine-readable, one JSON object per event, request
   and response bytes base64-encoded as they crossed the wire, except that a
   chunked response body is stored de-chunked,
 * ``wire.log`` — human-readable traces ("Sending:" / "Received:" blocks)
   with the auth header value redacted; only this copy is redacted.
 
-``emit_report`` turns the accumulated data into ``status_timeline.csv``
-(cumulative counts per status class over time), ``per_length.csv`` (tests,
-sequence-set size and dynamic objects per sequence length), ``summary.txt``
-and ``report.json``. The ``report`` CLI subcommand can rebuild all of those
-from ``events.jsonl`` alone, so the JSONL file is the durable record.
+It keeps nothing in memory: ``events.jsonl`` is the durable record, and
+``emit_report`` is its one reader. In a single pass over the file it writes
+``status_timeline.csv`` (cumulative counts per response class over time) and
+``per_length.csv`` (tests, sequence-set size and dynamic objects per
+sequence length), then ``summary.txt`` and ``report.json``. ``restfuzz
+fuzz`` calls it when the run ends and ``restfuzz report`` calls it on a
+saved run directory, so both write the same bytes.
 
 CSV schemas:
 
@@ -27,42 +28,22 @@ from __future__ import annotations
 
 import base64
 import csv
-import functools
 import io
 import json
 import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
-from .executor import (
-    DEFAULT_ERROR_STATUS_CLASSES,
-    ExchangeContext,
-    HttpExchange,
-    Memo,
-    classify_status,
-    redact_header_value,
-    status_class_label,
-)
+from .executor import ExchangeContext, HttpExchange, redact_header_value, status_class_label
 
 logger = logging.getLogger(__name__)
 
 EVENTS_FILENAME = "events.jsonl"
 WIRE_LOG_FILENAME = "wire.log"
-
-
-@dataclass(slots=True)
-class TimelinePoint:
-    elapsed: float
-    test_index: int
-    sequence_length: int
-    step_index: int
-    template_id: str
-    status: int
-    response_class: str
 
 
 @dataclass(frozen=True)
@@ -74,44 +55,41 @@ class PerLengthRow:
 
 
 class TelemetrySink:
-    """Collects exchanges; optionally streams them to an output directory.
+    """Appends a run's events to ``events.jsonl`` and ``wire.log`` in
+    ``out_dir``.
 
-    Disk trouble degrades the sink (one error log, in-memory data keeps
-    accumulating) instead of killing the run.
+    Disk trouble degrades the sink instead of killing the run: one error is
+    logged, nothing more is written, and the run continues. ``events.jsonl``
+    and the reports built from it then hold only what came before the
+    failure.
     """
 
-    def __init__(
-        self,
-        out_dir: Path | None = None,
-        auth_header_name: str = "PRIVATE-TOKEN",
-        error_classes: Sequence[str] = DEFAULT_ERROR_STATUS_CLASSES,
-    ):
-        self.out_dir = Path(out_dir) if out_dir is not None else None
+    def __init__(self, out_dir: Path, auth_header_name: str = "PRIVATE-TOKEN"):
         self.auth_header_name = auth_header_name
-        self.error_classes = tuple(error_classes)
-        self.timeline: list[TimelinePoint] = []
-        self.per_length: list[PerLengthRow] = []
         self.degraded = False
-        self._classes = Memo(functools.partial(classify_status, error_classes=self.error_classes))
         self._auth_needle = auth_header_name.lower().encode("latin-1") + b":"
         self._lock = threading.Lock()
         self._start_monotonic = time.monotonic()
         self._start_wall = time.time()
         self._events_fh: io.TextIOBase | None = None
         self._wire_fh: io.BufferedIOBase | None = None
-        if self.out_dir is not None:
-            try:
-                self.out_dir.mkdir(parents=True, exist_ok=True)
-                self._events_fh = open(self.out_dir / EVENTS_FILENAME, "a", encoding="utf-8")
-                self._wire_fh = open(self.out_dir / WIRE_LOG_FILENAME, "ab")
-            except OSError as exc:
-                self._degrade(exc)
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            self._events_fh = open(out_dir / EVENTS_FILENAME, "a", encoding="utf-8")
+            self._wire_fh = open(out_dir / WIRE_LOG_FILENAME, "ab")
+        except OSError as exc:
+            self._degrade(exc)
 
     # -- low-level plumbing --------------------------------------------------
 
     def _degrade(self, exc: OSError) -> None:
         if not self.degraded:
-            logger.error("telemetry storage failed, continuing in memory only: %s", exc)
+            logger.error(
+                "telemetry storage failed; the run continues, but events.jsonl and "
+                "the reports built from it are incomplete: %s",
+                exc,
+            )
         self.degraded = True
 
     def _write(self, fh, data) -> None:
@@ -137,38 +115,29 @@ class TelemetrySink:
                 {"type": "run_start", "wall_time": self._start_wall, "config": config}
             )
 
-    def record_exchange(self, exchange: HttpExchange, context: ExchangeContext) -> None:
-        """Append the exchange to the timeline, ``events.jsonl`` and
-        ``wire.log``, flushing both files.
+    def record_exchange(
+        self, exchange: HttpExchange, context: ExchangeContext, response_class: str
+    ) -> None:
+        """Append the exchange, with the class the executor gave its
+        status, to ``events.jsonl`` and ``wire.log``, flushing both files.
 
         The response bytes are built once, and the event line is encoded
         with the default encoder over keys written in sorted order, which
         gives the bytes ``sort_keys=True`` gives. Both are encoded before
         the lock is taken.
         """
-        status = exchange.status
-        response_class = self._classes[status]
-        point = TimelinePoint(
-            elapsed=self.elapsed(),
-            test_index=context.test_index,
-            sequence_length=context.sequence_length,
-            step_index=context.step_index,
-            template_id=context.template_id,
-            status=status,
-            response_class=response_class,
-        )
         response = exchange.response_head() + exchange.body
         line = json.dumps(
             {
                 "duration": exchange.duration,
-                "elapsed": point.elapsed,
+                "elapsed": self.elapsed(),
                 "reason": exchange.reason,
                 "rendering_index": context.rendering_index,
                 "request_b64": base64.b64encode(exchange.request).decode("ascii"),
                 "response_b64": base64.b64encode(response).decode("ascii"),
                 "response_class": response_class,
                 "sequence_length": context.sequence_length,
-                "status": status,
+                "status": exchange.status,
                 "step_index": context.step_index,
                 "template_id": context.template_id,
                 "test_index": context.test_index,
@@ -180,7 +149,6 @@ class TelemetrySink:
             self._wire_text(response),
         )
         with self._lock:
-            self.timeline.append(point)
             self._write(self._events_fh, line + "\n")
             self._write(self._wire_fh, wire)
 
@@ -204,7 +172,6 @@ class TelemetrySink:
 
     def record_length_stats(self, row: PerLengthRow) -> None:
         with self._lock:
-            self.per_length.append(row)
             self._write_event(
                 {
                     "type": "length_stats",
@@ -259,14 +226,45 @@ class TelemetrySink:
 
 
 # ------------------------------------------------------------------------------
-# Report files
+# The reader and the report files
 
 
-def _write_timeline_csv(path: Path, timeline: Iterable[TimelinePoint]) -> None:
-    cumulative = Counter()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+def iter_events(path: Path) -> Iterator[dict]:
+    """Yield the events of an ``events.jsonl`` in order, one line at a time.
+
+    Blank lines are skipped, and so are lines that are not JSON (a write
+    cut short by a full disk), each with a warning.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                logger.warning("%s:%d: skipping corrupt event: %s", path, line_no, exc)
+                continue
+            yield event
+
+
+def emit_report(run_dir: Path) -> int:
+    """Write the four report files of ``run_dir`` from its ``events.jsonl``;
+    return the number of exchanges it records.
+
+    One pass over the events writes each CSV row as its event is read, so
+    only the cumulative class counts, the bucket tallies and the report are
+    held: memory does not grow with the length of the run. The report is
+    the one the ``run_end`` event carries; a run without one (killed, or
+    its sink degraded) gets a report of the recorded class totals.
+    """
+    run_dir = Path(run_dir)
+    cumulative: Counter[str] = Counter()
+    buckets: dict[str, dict] = {}
+    report: dict = {}
+    with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
+            open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh:
+        timeline = csv.writer(timeline_fh)
+        timeline.writerow(
             [
                 "elapsed_seconds",
                 "test_index",
@@ -280,37 +278,58 @@ def _write_timeline_csv(path: Path, timeline: Iterable[TimelinePoint]) -> None:
                 "cumulative_bug",
             ]
         )
-        for point in timeline:
-            cumulative[point.response_class] += 1
-            writer.writerow(
-                [
-                    f"{point.elapsed:.6f}",
-                    point.test_index,
-                    point.sequence_length,
-                    point.template_id,
-                    point.status,
-                    status_class_label(point.status),
-                    point.response_class,
-                    cumulative["valid"],
-                    cumulative["invalid"],
-                    cumulative["bug"],
-                ]
-            )
+        per_length = csv.writer(per_length_fh)
+        per_length.writerow(["length", "tests", "seqset_size", "dynamic_objects"])
+        for event in iter_events(run_dir / EVENTS_FILENAME):
+            kind = event.get("type")
+            if kind == "exchange":
+                response_class = event["response_class"]
+                cumulative[response_class] += 1
+                timeline.writerow(
+                    [
+                        f"{event['elapsed']:.6f}",
+                        event["test_index"],
+                        event["sequence_length"],
+                        event["template_id"],
+                        event["status"],
+                        status_class_label(event["status"]),
+                        response_class,
+                        cumulative["valid"],
+                        cumulative["invalid"],
+                        cumulative["bug"],
+                    ]
+                )
+            elif kind == "length_stats":
+                per_length.writerow(
+                    [event["length"], event["tests"], event["seqset_size"],
+                     event["dynamic_objects"]]
+                )
+            elif kind == "bucket":
+                entry = buckets.setdefault(
+                    event["bucket_id"],
+                    {
+                        "bucket_id": event["bucket_id"],
+                        "defining_sequence": event["defining_sequence"],
+                        "instances": 0,
+                    },
+                )
+                entry["instances"] += 1
+            elif kind == "run_end" and "report" in event:
+                report = event["report"]
+    if not report:
+        report = {
+            "total_tests": None,
+            "status_totals": dict(cumulative),
+            "stopped_reason": "unknown (no run_end event)",
+        }
+    _write_summary(
+        run_dir / "summary.txt", report, sorted(buckets.values(), key=lambda b: b["bucket_id"])
+    )
+    (run_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return sum(cumulative.values())
 
 
-def _write_per_length_csv(path: Path, rows: Iterable[PerLengthRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["length", "tests", "seqset_size", "dynamic_objects"])
-        for row in rows:
-            writer.writerow([row.length, row.tests, row.seqset_size, row.dynamic_objects])
-
-
-def _write_summary(
-    path: Path,
-    report: dict,
-    buckets: Sequence[dict],
-) -> None:
+def _write_summary(path: Path, report: dict, buckets: Sequence[dict]) -> None:
     lines = ["fuzzing run summary", "===================", ""]
     for key in (
         "strategy",
@@ -332,79 +351,7 @@ def _write_summary(
     lines.append("")
     lines.append(f"bug buckets: {len(buckets)}")
     for bucket in buckets:
-        lines.append(f"  {bucket['bucket_id']} ({bucket.get('instances', '?')} instance(s))")
+        lines.append(f"  {bucket['bucket_id']} ({bucket['instances']} instance(s))")
         for tid in bucket["defining_sequence"]:
             lines.append(f"    {tid}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def emit_report(out_dir: Path, report: dict, timeline: Sequence[TimelinePoint],
-                per_length: Sequence[PerLengthRow], buckets: Sequence[dict]) -> None:
-    """Write the four report files into ``out_dir``."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_timeline_csv(out_dir / "status_timeline.csv", timeline)
-    _write_per_length_csv(out_dir / "per_length.csv", per_length)
-    _write_summary(out_dir / "summary.txt", report, buckets)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def load_events(path: Path) -> list[dict]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                logger.warning("%s:%d: skipping corrupt event: %s", path, line_no, exc)
-    return events
-
-
-def rebuild_from_events(events: Sequence[dict]) -> tuple[
-    list[TimelinePoint], list[PerLengthRow], list[dict], dict
-]:
-    """Reconstruct report inputs from a saved events.jsonl."""
-    timeline: list[TimelinePoint] = []
-    per_length: list[PerLengthRow] = []
-    buckets: dict[str, dict] = {}
-    report: dict = {}
-    for event in events:
-        kind = event.get("type")
-        if kind == "exchange":
-            timeline.append(
-                TimelinePoint(
-                    elapsed=event["elapsed"],
-                    test_index=event["test_index"],
-                    sequence_length=event["sequence_length"],
-                    step_index=event["step_index"],
-                    template_id=event["template_id"],
-                    status=event["status"],
-                    response_class=event.get("response_class")
-                    or classify_status(event["status"]),
-                )
-            )
-        elif kind == "length_stats":
-            per_length.append(
-                PerLengthRow(
-                    length=event["length"],
-                    tests=event["tests"],
-                    seqset_size=event["seqset_size"],
-                    dynamic_objects=event["dynamic_objects"],
-                )
-            )
-        elif kind == "bucket":
-            entry = buckets.setdefault(
-                event["bucket_id"],
-                {
-                    "bucket_id": event["bucket_id"],
-                    "defining_sequence": event["defining_sequence"],
-                    "instances": 0,
-                },
-            )
-            entry["instances"] += 1
-        elif kind == "run_end" and "report" in event:
-            report = event["report"]
-    return timeline, per_length, sorted(buckets.values(), key=lambda b: b["bucket_id"]), report

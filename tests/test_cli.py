@@ -7,6 +7,7 @@ replay and report-parity checks, so the expensive part runs once.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import shutil
 import socket
@@ -25,6 +26,7 @@ from restfuzz.cli import (
 from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import ConfigError
 from restfuzz.grammar import load_grammar
+from restfuzz.telemetry import TelemetrySink
 
 SPEC = str(bundled_spec_path())
 BUCKET_ID = "c46f74afdc64"  # BFS depth 3 finds exactly this one
@@ -307,6 +309,63 @@ class TestReportCommand:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["status_totals"] == {"valid": 1, "bug": 1}
         assert "no run_end" in report["stopped_reason"]
+
+    def test_sink_degraded_mid_run_reports_only_the_record(
+        self, tmp_path, monkeypatch, capsys, caplog
+    ):
+        """The disk fills after ten events: the run still completes and
+        prints the engine's totals, and its report files are exactly what
+        ``restfuzz report`` rebuilds from the incomplete record."""
+
+        class FullDisk:
+            def write(self, _):
+                raise OSError(28, "No space left on device")
+
+        events_written = itertools.count()
+        write = TelemetrySink._write
+
+        def write_until_full(self, fh, data):
+            if fh is self._events_fh and next(events_written) >= 10:
+                fh = FullDisk()
+            write(self, fh, data)
+
+        monkeypatch.setattr(TelemetrySink, "_write", write_until_full)
+        out = tmp_path / "out"
+        handle = serve()
+        try:
+            with caplog.at_level("ERROR"):
+                code = main(
+                    ["fuzz", "--spec", SPEC, "--strategy", "bfs", "--max-length", "3",
+                     "--target", f"127.0.0.1:{handle.port}", "--out", str(out)]
+                )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "41 tests" in stdout
+        assert "  bug: 1\n  invalid: 12\n  valid: 28\n" in stdout
+        assert [r.message for r in caplog.records if r.levelname == "ERROR"] == [
+            "telemetry storage failed; the run continues, but events.jsonl and the "
+            "reports built from it are incomplete: [Errno 28] No space left on device"
+        ]
+
+        written = {
+            name: (out / name).read_bytes()
+            for name in ("status_timeline.csv", "per_length.csv", "summary.txt", "report.json")
+        }
+        for name in written:
+            (out / name).unlink()
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert len(events) == 10
+        recorded = sum(event["type"] == "exchange" for event in events)
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        assert f"from {recorded} recorded exchanges" in capsys.readouterr().out
+        for name, blob in written.items():
+            assert (out / name).read_bytes() == blob, name
+        report = json.loads(written["report.json"])
+        assert report["total_tests"] is None
+        assert report["stopped_reason"] == "unknown (no run_end event)"
+        assert sum(report["status_totals"].values()) == recorded
 
 
 # --------------------------------------------------------------------------

@@ -624,7 +624,7 @@ class TestKeepAlive:
 
     def test_kept_connection_closed_while_idle_is_replaced(self):
         class WaitForHangUp:
-            def record_exchange(self, exchange, context):
+            def record_exchange(self, exchange, context, response_class):
                 assert log.hung_up.wait(5)
 
         with scripted_server(OK_HI, OK_HI, close_after={0}) as (port, log):
@@ -753,7 +753,7 @@ class RecordingSink:
         self.exchanges = []
         self.failures = []
 
-    def record_exchange(self, exchange, context):
+    def record_exchange(self, exchange, context, response_class):
         self.exchanges.append((exchange, context))
 
     def record_failure(self, context, phase, detail):

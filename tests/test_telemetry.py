@@ -2,8 +2,8 @@
 
 The contract under test: events.jsonl is the durable machine record (bytes
 base64'd exactly as sent, auth token included), wire.log is the human copy
-(and the only redacted one), and rebuild_from_events() can reconstruct the
-report inputs from the JSONL alone.
+(and the only redacted one), and emit_report() builds every report file
+from the JSONL alone, in memory that does not grow with the run.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import base64
 import csv
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,19 +23,19 @@ from hypothesis import example, given, settings, strategies as st
 from restfuzz.executor import (
     ExchangeContext,
     HttpExchange,
+    SequenceExecutor,
     classify_status,
     redact_header_value,
     status_class_label,
 )
+from restfuzz.grammar import RenderedRequest
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
     WIRE_LOG_FILENAME,
     PerLengthRow,
     TelemetrySink,
-    TimelinePoint,
     emit_report,
-    load_events,
-    rebuild_from_events,
+    iter_events,
 )
 
 TOKEN_REQUEST = b"POST /x HTTP/1.1\r\nPRIVATE-TOKEN: hunter2\r\nHost: h\r\n\r\npayload"
@@ -61,33 +63,69 @@ def ctx(test_index=0, length=1, step=0, template="POST /x", rendering=0):
     )
 
 
+class StatusTransport:
+    """Answers the requests it is sent with the given statuses, in order."""
+
+    def __init__(self, statuses):
+        self.statuses = iter(statuses)
+
+    def roundtrip(self, request):
+        return make_exchange(next(self.statuses), request=request)
+
+
+STEP = RenderedRequest(
+    template_id="GET /x",
+    method="GET",
+    rendering_index=0,
+    parts=(b"GET /x HTTP/1.1\r\nHost: h\r\n",),
+    body_start=1,
+)
+
+
+def execute_into(sink, sequences, error_classes=("5xx",)):
+    """Run one sequence per list of statuses through an executor that
+    classifies with ``error_classes`` and records into ``sink``."""
+    executor = SequenceExecutor(
+        StatusTransport(status for statuses in sequences for status in statuses),
+        lambda tid: SimpleNamespace(producers=()),
+        error_classes=error_classes,
+        sink=sink,
+    )
+    for test_index, statuses in enumerate(sequences):
+        executor.execute_sequence([STEP] * len(statuses), test_index=test_index)
+
+
+def recorded_events(run_dir):
+    return list(iter_events(run_dir / EVENTS_FILENAME))
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 # --------------------------------------------------------------------------
 # Accounting, as the event stream records it
 
 
 def event_counts(tmp_path, type_: str, key) -> Counter:
-    events = load_events(tmp_path / EVENTS_FILENAME)
-    return Counter(key(e) for e in events if e["type"] == type_)
+    return Counter(key(e) for e in recorded_events(tmp_path) if e["type"] == type_)
 
 
 def test_counters_track_classes_and_status_groups(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_exchange(make_exchange(200), ctx())
-    sink.record_exchange(make_exchange(201), ctx(step=1))
-    sink.record_exchange(make_exchange(404), ctx(test_index=1))
-    sink.record_exchange(make_exchange(500), ctx(test_index=2))
+    execute_into(sink, [[200, 201], [404], [500]])
     sink.close()
     classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
     groups = event_counts(tmp_path, "exchange", lambda e: status_class_label(e["status"]))
     assert classes == {"valid": 2, "invalid": 1, "bug": 1}
     assert groups == {"2xx": 2, "4xx": 1, "5xx": 1}
-    assert len(sink.timeline) == 4
+    assert emit_report(tmp_path) == 4
 
 
 def test_custom_error_classes_change_the_recorded_class(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path, error_classes=("404",))
-    sink.record_exchange(make_exchange(404), ctx())
-    sink.record_exchange(make_exchange(500), ctx())
+    sink = TelemetrySink(out_dir=tmp_path)
+    execute_into(sink, [[404], [500]], error_classes=("404",))
     sink.close()
     classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
     assert classes == {"bug": 1, "invalid": 1}
@@ -107,8 +145,8 @@ def test_failures_are_counted(tmp_path):
 def recorded_sink(tmp_path, **kwargs):
     sink = TelemetrySink(out_dir=tmp_path, **kwargs)
     sink.record_run_start({"strategy": "bfs"})
-    sink.record_exchange(make_exchange(201), ctx())
-    sink.record_exchange(make_exchange(500), ctx(test_index=1, template="PUT /x"))
+    sink.record_exchange(make_exchange(201), ctx(), "valid")
+    sink.record_exchange(make_exchange(500), ctx(test_index=1, template="PUT /x"), "bug")
     sink.record_failure(ctx(test_index=2), "read", "timed out")
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
     sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
@@ -120,7 +158,7 @@ def recorded_sink(tmp_path, **kwargs):
 
 def test_event_stream_structure(tmp_path):
     recorded_sink(tmp_path)
-    events = load_events(tmp_path / EVENTS_FILENAME)
+    events = recorded_events(tmp_path)
     assert [e["type"] for e in events] == [
         "run_start",
         "exchange",
@@ -137,7 +175,7 @@ def test_event_stream_structure(tmp_path):
 
 def test_machine_record_is_byte_identical_and_unredacted(tmp_path):
     recorded_sink(tmp_path)
-    events = load_events(tmp_path / EVENTS_FILENAME)
+    events = recorded_events(tmp_path)
     exchange_event = next(e for e in events if e["type"] == "exchange")
     raw = base64.b64decode(exchange_event["request_b64"])
     assert raw == TOKEN_REQUEST  # token and all
@@ -164,7 +202,7 @@ def test_wire_log_is_the_redacted_human_copy(tmp_path):
 def test_custom_auth_header_redaction(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path, auth_header_name="X-Key")
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
-    sink.record_exchange(make_exchange(request=request), ctx())
+    sink.record_exchange(make_exchange(request=request), ctx(), "valid")
     sink.close()
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
     assert "opensesame" not in wire
@@ -173,9 +211,9 @@ def test_custom_auth_header_redaction(tmp_path):
 
 def test_rendering_index_travels_with_the_event(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_exchange(make_exchange(), ctx(rendering=7))
+    sink.record_exchange(make_exchange(), ctx(rendering=7), "valid")
     sink.close()
-    events = load_events(tmp_path / EVENTS_FILENAME)
+    events = recorded_events(tmp_path)
     assert events[0]["rendering_index"] == 7
 
 
@@ -254,11 +292,9 @@ def test_event_and_wire_bytes_match_the_reference_writer(
     context = ctx(test_index=3, length=2, step=1, template=template_id, rendering=5)
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
-        sink = TelemetrySink(
-            out_dir=out, auth_header_name=auth_header_name, error_classes=error_classes
-        )
+        sink = TelemetrySink(out_dir=out, auth_header_name=auth_header_name)
         sink.elapsed = lambda: 1.5
-        sink.record_exchange(exchange, context)
+        sink.record_exchange(exchange, context, classify_status(status, error_classes))
         sink.record_failure(context, "read", "timed out \u00e9")
         sink.close()
         events = (out / EVENTS_FILENAME).read_bytes()
@@ -269,31 +305,36 @@ def test_event_and_wire_bytes_match_the_reference_writer(
 
 
 # --------------------------------------------------------------------------
-# Rebuilding from the stream
+# Reading the stream back
 
 
-def test_rebuild_matches_the_in_memory_record(tmp_path):
-    sink = recorded_sink(tmp_path)
-    events = load_events(tmp_path / EVENTS_FILENAME)
-    timeline, per_length, buckets, report = rebuild_from_events(events)
-    assert timeline == sink.timeline
-    assert per_length == sink.per_length
-    assert buckets == [
-        {
-            "bucket_id": "abc123def456",
-            "defining_sequence": ["POST /x", "PUT /x"],
-            "instances": 2,
-        }
+def test_report_files_match_the_recorded_stream(tmp_path):
+    recorded_sink(tmp_path)
+    elapsed = [
+        f"{e['elapsed']:.6f}" for e in recorded_events(tmp_path) if e["type"] == "exchange"
     ]
-    assert report == {"total_tests": 2}
+    assert emit_report(tmp_path) == 2
+    assert csv_rows(tmp_path / "status_timeline.csv")[1:] == [
+        [elapsed[0], "0", "1", "POST /x", "201", "2xx", "valid", "1", "0", "0"],
+        [elapsed[1], "1", "1", "PUT /x", "500", "5xx", "bug", "1", "0", "1"],
+    ]
+    assert csv_rows(tmp_path / "per_length.csv")[1:] == [["1", "3", "2", "1"]]
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[-4:] == [
+        "bug buckets: 1",
+        "  abc123def456 (2 instance(s))",
+        "    POST /x",
+        "    PUT /x",
+    ]
+    assert json.loads((tmp_path / "report.json").read_text()) == {"total_tests": 2}
 
 
 def test_rebuild_keeps_custom_response_classes(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path, error_classes=("404",))
-    sink.record_exchange(make_exchange(404), ctx())
+    sink = TelemetrySink(out_dir=tmp_path)
+    execute_into(sink, [[404]], error_classes=("404",))
     sink.close()
-    timeline, _, _, _ = rebuild_from_events(load_events(tmp_path / EVENTS_FILENAME))
-    assert timeline[0].response_class == "bug"
+    emit_report(tmp_path)
+    assert csv_rows(tmp_path / "status_timeline.csv")[1][6] == "bug"
 
 
 def test_corrupt_lines_are_skipped_not_fatal(tmp_path, caplog):
@@ -303,27 +344,52 @@ def test_corrupt_lines_are_skipped_not_fatal(tmp_path, caplog):
         fh.write("{this is not json\n")
         fh.write("\n")  # blank lines are fine
     with caplog.at_level("WARNING"):
-        events = load_events(path)
+        events = recorded_events(tmp_path)
     assert len(events) == 8
     assert any("skipping corrupt event" in r.message for r in caplog.records)
+
+
+def test_report_memory_does_not_grow_with_the_run(tmp_path):
+    """emit_report streams: ten times the exchanges, about the same peak."""
+
+    def peak_bytes(exchanges):
+        run_dir = tmp_path / str(exchanges)
+        sink = TelemetrySink(out_dir=run_dir)
+        sink.record_run_start({"strategy": "bfs"})
+        for test_index in range(exchanges):
+            sink.record_exchange(make_exchange(), ctx(test_index=test_index), "valid")
+        sink.record_length_stats(PerLengthRow(1, exchanges, exchanges, 0))
+        sink.record_bucket("abc123def456", ["POST /x"], created=True)
+        sink.record_run_end("completed", {"total_tests": exchanges})
+        sink.close()
+        tracemalloc.start()
+        try:
+            assert emit_report(run_dir) == exchanges
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(300), peak_bytes(3000)
+    assert large < 1.5 * small, (small, large)
 
 
 # --------------------------------------------------------------------------
 # Degradation
 
 
-def test_unwritable_out_dir_degrades_to_memory(tmp_path):
+def test_unwritable_out_dir_degrades_without_raising(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("in the way")
     sink = TelemetrySink(out_dir=blocker / "sub")
     assert sink.degraded
-    sink.record_exchange(make_exchange(), ctx())  # must not raise
-    assert len(sink.timeline) == 1
+    sink.record_exchange(make_exchange(), ctx(), "valid")  # must not raise
     sink.close()
+    assert not (blocker / "sub").exists()  # nothing was recorded
 
 
-def test_midstream_write_error_degrades_once(tmp_path):
+def test_midstream_write_error_degrades_once(tmp_path, caplog):
     sink = TelemetrySink(out_dir=tmp_path)
+    sink.record_exchange(make_exchange(), ctx(), "valid")
 
     class Exploding:
         def write(self, _):
@@ -337,26 +403,20 @@ def test_midstream_write_error_degrades_once(tmp_path):
 
     sink._events_fh.close()
     sink._events_fh = Exploding()
-    sink.record_exchange(make_exchange(), ctx())
-    assert sink.degraded
-    sink.record_exchange(make_exchange(), ctx())
-    assert len(sink.timeline) == 2
+    with caplog.at_level("ERROR"):
+        sink.record_exchange(make_exchange(), ctx(test_index=1), "valid")
+        assert sink.degraded
+        sink.record_exchange(make_exchange(), ctx(test_index=2), "valid")
     sink.close()
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    # The record, and every report built from it, holds what came before.
+    assert emit_report(tmp_path) == 1
 
 
 # --------------------------------------------------------------------------
 # Report files
 
 
-TIMELINE = [
-    TimelinePoint(0.1, 0, 1, 0, "POST /x", 200, "valid"),
-    TimelinePoint(0.2, 1, 1, 0, "GET /x", 404, "invalid"),
-    TimelinePoint(0.3, 2, 2, 1, "PUT /x", 500, "bug"),
-]
-PER_LENGTH = [PerLengthRow(1, 3, 2, 1), PerLengthRow(2, 8, 6, 8)]
-BUCKETS = [
-    {"bucket_id": "abc123def456", "defining_sequence": ["POST /x", "PUT /x"], "instances": 2}
-]
 REPORT = {
     "strategy": "bfs",
     "max_length_reached": 2,
@@ -366,10 +426,29 @@ REPORT = {
 }
 
 
-def test_timeline_csv_has_cumulative_columns(tmp_path):
-    emit_report(tmp_path, REPORT, TIMELINE, PER_LENGTH, BUCKETS)
-    with open(tmp_path / "status_timeline.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
+@pytest.fixture()
+def report_dir(tmp_path):
+    """A run directory whose stream holds three exchanges at 0.1, 0.2 and
+    0.3 s, two length rows, one bucket seen twice and the run's report,
+    with the report files built from it."""
+    sink = TelemetrySink(out_dir=tmp_path)
+    clock = iter([0.1, 0.2, 0.3])
+    sink.elapsed = lambda: next(clock, 0.4)
+    sink.record_exchange(make_exchange(200), ctx(0, 1, 0, "POST /x"), "valid")
+    sink.record_exchange(make_exchange(404), ctx(1, 1, 0, "GET /x"), "invalid")
+    sink.record_exchange(make_exchange(500), ctx(2, 2, 1, "PUT /x"), "bug")
+    sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
+    sink.record_length_stats(PerLengthRow(2, 8, 6, 8))
+    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
+    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=False)
+    sink.record_run_end("completed", REPORT)
+    sink.close()
+    emit_report(tmp_path)
+    return tmp_path
+
+
+def test_timeline_csv_has_cumulative_columns(report_dir):
+    rows = csv_rows(report_dir / "status_timeline.csv")
     assert rows[0] == [
         "elapsed_seconds",
         "test_index",
@@ -387,25 +466,20 @@ def test_timeline_csv_has_cumulative_columns(tmp_path):
     assert rows[3] == ["0.300000", "2", "2", "PUT /x", "500", "5xx", "bug", "1", "1", "1"]
 
 
-def test_per_length_csv(tmp_path):
-    emit_report(tmp_path, REPORT, TIMELINE, PER_LENGTH, BUCKETS)
-    with open(tmp_path / "per_length.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [
+def test_per_length_csv(report_dir):
+    assert csv_rows(report_dir / "per_length.csv") == [
         ["length", "tests", "seqset_size", "dynamic_objects"],
         ["1", "3", "2", "1"],
         ["2", "8", "6", "8"],
     ]
 
 
-def test_report_json_round_trips(tmp_path):
-    emit_report(tmp_path, REPORT, TIMELINE, PER_LENGTH, BUCKETS)
-    assert json.loads((tmp_path / "report.json").read_text()) == REPORT
+def test_report_json_round_trips(report_dir):
+    assert json.loads((report_dir / "report.json").read_text()) == REPORT
 
 
-def test_summary_mentions_the_essentials(tmp_path):
-    emit_report(tmp_path, REPORT, TIMELINE, PER_LENGTH, BUCKETS)
-    summary = (tmp_path / "summary.txt").read_text()
+def test_summary_mentions_the_essentials(report_dir):
+    summary = (report_dir / "summary.txt").read_text()
     assert "strategy: bfs" in summary
     assert "total_tests: 3" in summary
     assert "bug buckets: 1" in summary
