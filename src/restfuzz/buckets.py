@@ -9,10 +9,13 @@ Renderings and server-assigned values are deliberately ignored, so under
 breadth-first search each bucket is named by the shortest sequence that
 reaches the bug.
 
-On disk each bucket is a directory: a metadata file, one machine-readable
-and one human-readable trace per instance (auth header values replaced by
+In memory the store is only an index: each bucket's id, defining sequence
+and instance count. The instances themselves live only on disk, where each
+bucket is a directory: a metadata file, one machine-readable and one
+human-readable trace per instance (auth header values replaced by
 [FILTERED] — replays re-render from the grammar, so stored bytes are purely
-forensic), and a replay script.
+forensic), and a replay script. A store without a root keeps no instances
+at all, so only a rooted store can replay.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -78,7 +81,7 @@ class BugInstance:
 class BugBucket:
     bucket_id: str
     defining_sequence: tuple[str, ...]
-    instances: list[BugInstance] = field(default_factory=list)
+    instance_count: int
 
 
 def _suffixes_shortest_first(ids: Sequence[str]) -> Iterable[tuple[str, ...]]:
@@ -87,7 +90,7 @@ def _suffixes_shortest_first(ids: Sequence[str]) -> Iterable[tuple[str, ...]]:
 
 
 class BucketStore:
-    """Thread-safe bucket registry with optional on-disk persistence."""
+    """Thread-safe bucket index; instances are written to disk, never kept."""
 
     def __init__(self, root: Path | None = None, auth_header_name: str = "PRIVATE-TOKEN"):
         self.root = Path(root) if root is not None else None
@@ -110,18 +113,18 @@ class BucketStore:
             for suffix in _suffixes_shortest_first(instance.template_ids):
                 bucket = self._by_sequence.get(suffix)
                 if bucket is not None:
-                    bucket.instances.append(instance)
-                    self._persist_instance(bucket, instance, len(bucket.instances))
+                    bucket.instance_count += 1
+                    self._persist_instance(bucket, instance)
                     return bucket, False
             bucket = BugBucket(
                 bucket_id=bucket_id_for(instance.template_ids),
                 defining_sequence=instance.template_ids,
-                instances=[instance],
+                instance_count=1,
             )
             self._by_sequence[bucket.defining_sequence] = bucket
             self._by_id[bucket.bucket_id] = bucket
             self._persist_new_bucket(bucket)
-            self._persist_instance(bucket, instance, 1)
+            self._persist_instance(bucket, instance)
             return bucket, True
 
     # -- lookup ------------------------------------------------------------
@@ -168,14 +171,14 @@ class BucketStore:
             self.storage_errors += 1
             logger.error("could not persist bucket %s: %s", bucket.bucket_id, exc)
 
-    def _persist_instance(self, bucket: BugBucket, instance: BugInstance, ordinal: int) -> None:
+    def _persist_instance(self, bucket: BugBucket, instance: BugInstance) -> None:
         if self.root is None:
             return
         redact = lambda blob: redact_header_value(blob, self.auth_header_name)
         try:
             directory = self._bucket_dir(bucket)
             directory.mkdir(parents=True, exist_ok=True)
-            stem = directory / f"instance-{ordinal:04d}"
+            stem = directory / f"instance-{bucket.instance_count:04d}"
             payload = {
                 "steps": [[tid, idx] for tid, idx in instance.steps],
                 "requests": [base64.b64encode(redact(r)).decode("ascii") for r in instance.requests],
@@ -189,7 +192,7 @@ class BucketStore:
                 "format": _BUCKET_META_FORMAT,
                 "bucket_id": bucket.bucket_id,
                 "defining_sequence": list(bucket.defining_sequence),
-                "instance_count": len(bucket.instances),
+                "instance_count": bucket.instance_count,
             }
             (directory / "bucket.json").write_text(json.dumps(meta, indent=2) + "\n")
         except OSError as exc:
@@ -209,23 +212,34 @@ class BucketStore:
                 bucket = BugBucket(
                     bucket_id=meta["bucket_id"],
                     defining_sequence=tuple(meta["defining_sequence"]),
+                    instance_count=sum(1 for _ in meta_path.parent.glob("instance-*.json")),
                 )
-                for inst_path in sorted(meta_path.parent.glob("instance-*.json")):
-                    data = json.loads(inst_path.read_text())
-                    bucket.instances.append(
-                        BugInstance(
-                            steps=tuple((tid, idx) for tid, idx in data["steps"]),
-                            requests=tuple(base64.b64decode(r) for r in data["requests"]),
-                            responses=tuple(base64.b64decode(r) for r in data["responses"]),
-                            final_status=data["final_status"],
-                            found_at=data["found_at"],
-                        )
-                    )
             except (OSError, KeyError, ValueError) as exc:
                 raise StorageFailure(f"corrupt bucket data under {meta_path.parent}: {exc}") from exc
             store._by_sequence[bucket.defining_sequence] = bucket
             store._by_id[bucket.bucket_id] = bucket
         return store
+
+    def instance(self, bucket_id: str, index: int) -> BugInstance:
+        """Read instance #index (zero-based) of a bucket back from its file."""
+        bucket = self.get(bucket_id)
+        missing = f"bucket {bucket_id} has no instance #{index}"
+        if self.root is None or index < 0:
+            raise BucketError(missing)
+        path = self._bucket_dir(bucket) / f"instance-{index + 1:04d}.json"
+        try:
+            data = json.loads(path.read_text())
+            return BugInstance(
+                steps=tuple((tid, idx) for tid, idx in data["steps"]),
+                requests=tuple(base64.b64decode(r) for r in data["requests"]),
+                responses=tuple(base64.b64decode(r) for r in data["responses"]),
+                final_status=data["final_status"],
+                found_at=data["found_at"],
+            )
+        except FileNotFoundError:
+            raise BucketError(missing) from None
+        except (OSError, KeyError, TypeError, ValueError, BucketError) as exc:
+            raise StorageFailure(f"corrupt bucket data in {path}: {exc}") from exc
 
 
 def format_instance_trace(instance: BugInstance, redact=lambda blob: blob) -> str:
@@ -258,25 +272,21 @@ class ReplayResult:
 
 
 def replay_bucket(
-    bucket: BugBucket,
+    store: BucketStore,
+    bucket_id: str,
     grammar: GrammarProgram,
     dictionary: FuzzingDictionary,
     executor: SequenceExecutor,
     instance_index: int = 0,
 ) -> ReplayResult:
-    """Re-render a stored instance from its rendering indices and re-run it.
+    """Read one stored instance, re-render it from its rendering indices, re-run it.
 
     The stored wire bytes are never resent; rendering the same grammar with
     the same dictionary at the recorded indices reproduces them, and dynamic
     values (fresh ids) are re-resolved live — which is exactly what makes the
     bug reproducible rather than replay-only.
     """
-    try:
-        instance = bucket.instances[instance_index]
-    except IndexError:
-        raise BucketError(
-            f"bucket {bucket.bucket_id} has no instance #{instance_index}"
-        ) from None
+    instance = store.instance(bucket_id, instance_index)
 
     rendered_steps = []
     for template_id, rendering_index in instance.steps:
@@ -299,13 +309,13 @@ def replay_bucket(
         diverged = result.steps_executed
         logger.warning(
             "bucket %s not reproduced: step %d/%d is now %s",
-            bucket.bucket_id,
+            bucket_id,
             diverged,
             len(instance.steps),
             result.final_class,
         )
     return ReplayResult(
-        bucket_id=bucket.bucket_id,
+        bucket_id=bucket_id,
         final_class=result.final_class,
         final_status=final_status,
         diverged_step=diverged,

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .buckets import BucketError, BucketStore, UnknownBucket, replay_bucket
+from .buckets import BucketError, BucketStore, replay_bucket
 from .compiler import AnnotationOverrides, CompileError, compile_grammar, parse_spec
 from .engine import ConfigError, EngineConfig, FuzzEngine, Strategy
 from .executor import (
@@ -243,8 +243,6 @@ def _connection_from_args(args, fallback_host: str | None = None) -> ConnectionC
 
 def cmd_compile(args) -> int:
     model = parse_spec(_read_text(args.spec))
-    for warning in model.warnings:
-        logger.warning("%s", warning)
     grammar = compile_grammar(
         model,
         overrides=_load_overrides(args.annotations),
@@ -263,12 +261,9 @@ def cmd_fuzz(args) -> int:
     dictionary = _load_dictionary(args.dictionary)
     if args.spec is not None:
         model = parse_spec(_read_text(args.spec))
-        for warning in model.warnings:
-            logger.warning("%s", warning)
         grammar = compile_grammar(
             model,
             overrides=_load_overrides(args.annotations),
-            dictionary=dictionary,
             host=args.target,
             include_optional=tuple(args.include_optional),
         )
@@ -276,11 +271,11 @@ def cmd_fuzz(args) -> int:
     else:
         grammar = load_grammar(_read_text(args.grammar))
         fallback = baked_host(grammar)
-        # compile_grammar runs this check on the --spec path: fail early if
-        # the dictionary cannot cover the grammar's fuzzable kinds.
-        for template in grammar.templates:
-            for slot in template.fuzzable_slots():
-                dictionary.candidates(slot.kind)
+    # Fail before anything is written if the dictionary cannot cover the
+    # grammar's fuzzable kinds.
+    for template in grammar.templates:
+        for slot in template.fuzzable_slots():
+            dictionary.candidates(slot.kind)
 
     config = EngineConfig(
         strategy=Strategy.parse(args.strategy),
@@ -383,7 +378,9 @@ def cmd_replay(args) -> int:
         external_values=dict(grammar.external_values),
     )
     try:
-        result = replay_bucket(bucket, grammar, dictionary, executor, instance_index=args.instance)
+        result = replay_bucket(
+            store, bucket.bucket_id, grammar, dictionary, executor, instance_index=args.instance
+        )
     finally:
         executor.close()
     status = f" (status {result.final_status})" if result.final_status is not None else ""

@@ -32,7 +32,6 @@ import yaml
 from .grammar import (
     ConsumerSlot,
     FuzzableSlot,
-    FuzzingDictionary,
     GrammarProgram,
     ProducerSpec,
     RequestTemplate,
@@ -524,7 +523,6 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
 def compile_grammar(
     model: SpecModel,
     overrides: AnnotationOverrides | None = None,
-    dictionary: FuzzingDictionary | None = None,
     host: str | None = None,
     include_optional: tuple[str, ...] = (),
 ) -> GrammarProgram:
@@ -535,7 +533,6 @@ def compile_grammar(
     parameters/fields to fuzz; everything optional is otherwise omitted.
     """
     overrides = overrides or AnnotationOverrides.empty()
-    dictionary = dictionary or FuzzingDictionary.default()
     host_value = host or model.host or DEFAULT_HOST
     include_lc = frozenset(n.lower() for n in include_optional)
     external = overrides.external_values()
@@ -656,12 +653,6 @@ def compile_grammar(
     for t in templates:
         referenced |= {s.resource for s in t.slots if isinstance(s, ConsumerSlot)}
         referenced |= {p.resource for p in t.producers}
-
-    # Validate fuzzable kinds against the dictionary early so a doomed run
-    # fails at compile time rather than mid-campaign.
-    for t in templates:
-        for slot in t.fuzzable_slots():
-            dictionary.candidates(slot.kind)
 
     return GrammarProgram(
         templates=tuple(templates),

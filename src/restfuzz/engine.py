@@ -557,7 +557,7 @@ class FuzzEngine:
             {
                 "bucket_id": bucket.bucket_id,
                 "defining_sequence": list(bucket.defining_sequence),
-                "instances": len(bucket.instances),
+                "instances": bucket.instance_count,
             }
             for bucket in self.bucket_store.buckets()
         ]

@@ -290,12 +290,14 @@ def test_criterion_06_bucketization_oracle(capsys):
     )
     def prop(sequences):
         store = BucketStore()
-        for seq in sequences:
-            store.record(bug_instance(seq))
+        homes = [store.record(bug_instance(seq))[0] for seq in sequences]
         expected = brute_force_bucketize(sequences)
-        got = {b.defining_sequence: [i.template_ids for i in b.instances]
+        got = {b.defining_sequence: [seq for seq, home in zip(sequences, homes) if home is b]
                for b in store.buckets()}
         assert got == {defining: members for defining, members in expected}
+        assert {b.defining_sequence: b.instance_count for b in store.buckets()} == {
+            defining: len(members) for defining, members in expected
+        }
 
     try:
         prop()

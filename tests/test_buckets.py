@@ -12,6 +12,7 @@ import base64
 import json
 import stat
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,7 +64,7 @@ class TestSuffixRule:
         )
         assert not created
         assert bucket.defining_sequence == ("POST /projects", "POST /commits")
-        assert len(bucket.instances) == 2
+        assert bucket.instance_count == 2
         assert len(store) == 1
 
     def test_interleaved_sequence_is_a_different_bug(self):
@@ -88,7 +89,7 @@ class TestSuffixRule:
         store.record(make_instance(["A", "B"], indices=[0, 0]))
         bucket, created = store.record(make_instance(["A", "B"], indices=[3, 7]))
         assert not created
-        assert len(bucket.instances) == 2
+        assert bucket.instance_count == 2
 
 
 def oracle_bucketize(sequences):
@@ -121,8 +122,7 @@ def oracle_bucketize(sequences):
 )
 def test_store_matches_brute_force_oracle(sequences):
     store = BucketStore()
-    for seq in sequences:
-        store.record(make_instance(list(seq)))
+    homes = [store.record(make_instance(list(seq)))[0] for seq in sequences]
     expected = oracle_bucketize(sequences)
 
     got = store.buckets()
@@ -130,7 +130,8 @@ def test_store_matches_brute_force_oracle(sequences):
     by_defining = {b.defining_sequence: b for b in got}
     for defining, members in expected:
         bucket = by_defining[defining]
-        assert [i.template_ids for i in bucket.instances] == members
+        assert [seq for seq, home in zip(sequences, homes) if home is bucket] == members
+        assert bucket.instance_count == len(members)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_concurrent_records_agree_on_one_bucket():
 
     assert len(store) == 1
     assert outcomes.count(True) == 1
-    assert len(store.buckets()[0].instances) == 8
+    assert store.buckets()[0].instance_count == 8
 
 
 # --------------------------------------------------------------------------
@@ -268,13 +269,93 @@ class TestPersistence:
         assert len(loaded) == 2
         assert {b.defining_sequence for b in loaded.buckets()} == {("A", "B"), ("C",)}
         c_bucket = loaded.get(bucket_id_for(["C"]))
-        assert len(c_bucket.instances) == 2
+        assert c_bucket.instance_count == 2
         # Stored bytes come back redacted, as written.
-        assert b"PRIVATE-TOKEN: [FILTERED]" in c_bucket.instances[0].requests[0]
+        assert b"PRIVATE-TOKEN: [FILTERED]" in loaded.instance(c_bucket.bucket_id, 0).requests[0]
 
         # A reloaded store keeps deduplicating against the old buckets.
         _, created = loaded.record(make_instance(["Y", "A", "B"]))
         assert not created
+
+    def test_instance_reads_back_one_file(self, tmp_path):
+        store = BucketStore(root=tmp_path)
+        bucket, _ = store.record(make_instance(["A", "B"], indices=[1, 2], status=503))
+        store.record(make_instance(["X", "A", "B"]))
+
+        first = store.instance(bucket.bucket_id, 0)
+        assert first.steps == (("A", 1), ("B", 2))
+        assert first.final_status == 503
+        assert first.found_at == 1234.5
+        assert first.responses == (b"HTTP/1.1 500 oops\r\n\r\nboom",) * 2
+        assert store.instance(bucket.bucket_id, 1).template_ids == ("X", "A", "B")
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_instance_out_of_range_raises(self, tmp_path, index):
+        store = BucketStore(root=tmp_path)
+        bucket, _ = store.record(make_instance(["A"]))
+        store.record(make_instance(["B", "A"]))
+        with pytest.raises(BucketError, match=f"has no instance #{index}"):
+            store.instance(bucket.bucket_id, index)
+
+    def test_store_without_root_keeps_no_instances(self):
+        store = BucketStore()
+        bucket, _ = store.record(make_instance(["A"]))
+        with pytest.raises(BucketError, match="has no instance #0"):
+            store.instance(bucket.bucket_id, 0)
+
+    def test_instance_of_unknown_bucket_raises(self, tmp_path):
+        with pytest.raises(UnknownBucket):
+            BucketStore(root=tmp_path).instance("nosuch", 0)
+
+    @pytest.mark.parametrize("content", ["{not json", '{"steps": []}', "[]"])
+    def test_corrupt_instance_file_raises_storage_failure(self, tmp_path, content):
+        store = BucketStore(root=tmp_path)
+        bucket, _ = store.record(make_instance(["A"]))
+        (tmp_path / bucket.bucket_id / "instance-0001.json").write_text(content)
+        with pytest.raises(StorageFailure, match="instance-0001.json"):
+            store.instance(bucket.bucket_id, 0)
+
+    def test_load_counts_instance_files(self, tmp_path):
+        store = BucketStore(root=tmp_path)
+        bucket, _ = store.record(make_instance(["A"]))
+        store.record(make_instance(["B", "A"]))
+        store.record(make_instance(["C", "A"]))
+        # The count comes from the files; their contents are not read.
+        (tmp_path / bucket.bucket_id / "instance-0002.json").write_text("{not json")
+
+        loaded = BucketStore.load(tmp_path)
+        assert loaded.get(bucket.bucket_id).instance_count == 3
+        _, created = loaded.record(make_instance(["D", "A"]))
+        assert not created
+        assert (tmp_path / bucket.bucket_id / "instance-0004.json").is_file()
+        meta = json.loads((tmp_path / bucket.bucket_id / "bucket.json").read_text())
+        assert meta["instance_count"] == 4
+
+    def test_memory_does_not_grow_with_recorded_instances(self, tmp_path):
+        body = b"x" * (16 * 1024)
+
+        def peak(count, root):
+            store = BucketStore(root=root)
+            tracemalloc.start()
+            try:
+                for i in range(count):
+                    ids = ["POST /a", "GET /b", f"PUT /c{i % 3}"]
+                    store.record(
+                        BugInstance(
+                            steps=tuple((tid, 0) for tid in ids),
+                            requests=tuple(f"GET /{tid} HTTP/1.1\r\n\r\n".encode() for tid in ids),
+                            responses=tuple(b"HTTP/1.1 500 x\r\n\r\n" + body for _ in ids),
+                            final_status=500,
+                            found_at=float(i),
+                        )
+                    )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(10, tmp_path / "small")
+        large = peak(100, tmp_path / "large")
+        assert large < 1.5 * small, (small, large)
 
     def test_load_missing_directory_raises(self, tmp_path):
         with pytest.raises(StorageFailure):
@@ -338,36 +419,41 @@ def live_executor(blog_conn, blog_grammar):
 
 
 class TestReplay:
-    def test_planted_bug_reproduces(self, blog_grammar, dictionary, live_executor):
-        store = BucketStore()
+    def test_planted_bug_reproduces(self, tmp_path, blog_grammar, dictionary, live_executor):
+        store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST, GET_ONE, PUT_ONE]))
-        result = replay_bucket(bucket, blog_grammar, dictionary, live_executor)
+        result = replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert result.reproduced
         assert result.final_status == 500
         assert result.diverged_step is None
 
     def test_unreproducible_sequence_reports_divergence(
-        self, blog_grammar, dictionary, live_executor
+        self, tmp_path, blog_grammar, dictionary, live_executor
     ):
         # This chain was never a 500; replaying it lands on the 404 at step 3.
-        store = BucketStore()
+        store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST, DELETE_ONE, GET_ONE]))
-        result = replay_bucket(bucket, blog_grammar, dictionary, live_executor)
+        result = replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert not result.reproduced
         assert result.final_class == "invalid"
         assert result.final_status == 404
         assert result.diverged_step == 3
 
     def test_rendering_index_outside_dictionary_is_an_error(
-        self, blog_grammar, dictionary, live_executor
+        self, tmp_path, blog_grammar, dictionary, live_executor
     ):
-        store = BucketStore()
+        store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST], indices=[999]))
         with pytest.raises(BucketError, match="dictionary mismatch"):
-            replay_bucket(bucket, blog_grammar, dictionary, live_executor)
+            replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
 
-    def test_missing_instance_index_is_an_error(self, blog_grammar, dictionary, live_executor):
-        store = BucketStore()
+    def test_missing_instance_index_is_an_error(
+        self, tmp_path, blog_grammar, dictionary, live_executor
+    ):
+        store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST]))
         with pytest.raises(BucketError, match="no instance"):
-            replay_bucket(bucket, blog_grammar, dictionary, live_executor, instance_index=5)
+            replay_bucket(
+                store, bucket.bucket_id, blog_grammar, dictionary, live_executor,
+                instance_index=5,
+            )

@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from restfuzz.blogserver import bundled_spec_path, serve
+from restfuzz.buckets import BucketStore, BugInstance
 from restfuzz.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -163,6 +164,38 @@ class TestCompile:
         capsys.readouterr()
         assert baked_host(load_grammar(out.read_text())) == "10.1.2.3:80"
 
+    @pytest.mark.parametrize("command", ["compile", "fuzz"])
+    def test_spec_warnings_are_logged_once(self, command, tmp_path, capsys, caplog):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(
+            "swagger: '2.0'\n"
+            "info: {title: t, version: '1'}\n"
+            "paths:\n"
+            "  /items:\n"
+            "    x-internal: true\n"
+            "    get:\n"
+            "      parameters:\n"
+            "        - {name: X-Trace, in: header, type: string}\n"
+            "      responses: {'200': {description: ok}}\n"
+        )
+        argv, expected_code = (
+            ["compile", "--spec", str(spec), "--out", str(tmp_path / "grammar.json")], EXIT_OK
+        )
+        if command == "fuzz":
+            argv, expected_code = (
+                ["fuzz", "--spec", str(spec), "--max-length", "1",
+                 "--out", str(tmp_path / "o"), "--target", f"127.0.0.1:{closed_port()}"],
+                EXIT_UNREACHABLE,
+            )
+        with caplog.at_level("WARNING"):
+            assert main(argv) == expected_code
+        capsys.readouterr()
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert sorted(warnings) == [
+            "GET /items: ignoring unsupported parameter location 'header'",
+            "ignoring unsupported construct '/items'.x-internal",
+        ]
+
     def test_compile_missing_spec_file(self, tmp_path, capsys):
         code = main(["compile", "--spec", str(tmp_path / "nope.yaml")])
         assert code == EXIT_CONFIG
@@ -228,6 +261,30 @@ class TestFuzzArtifacts:
         assert "already holds a recorded run" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def two_instance_run(recorded_run, tmp_path_factory):
+    """The recorded run, with a second instance filed under its one bucket."""
+    out = tmp_path_factory.mktemp("cli") / "out"
+    shutil.copytree(recorded_run, out)
+    ids = (
+        "POST /api/blog/posts",
+        "POST /api/blog/posts",
+        "GET /api/blog/posts/{id}",
+        "PUT /api/blog/posts/{id}",
+    )
+    bucket, created = BucketStore.load(out / "buckets").record(
+        BugInstance(
+            steps=tuple((tid, 0) for tid in ids),
+            requests=(b"",) * len(ids),
+            responses=(b"",) * len(ids),
+            final_status=500,
+            found_at=0.0,
+        )
+    )
+    assert (bucket.bucket_id, bucket.instance_count, created) == (BUCKET_ID, 2, False)
+    return out
+
+
 class TestReplayCommand:
     def test_recorded_bucket_reproduces_on_a_fresh_target(self, recorded_run, capsys):
         handle = serve()
@@ -254,6 +311,33 @@ class TestReplayCommand:
             handle.stop()
         assert code == EXIT_CONFIG
         assert "unknown bucket" in capsys.readouterr().err
+
+    def test_instance_selects_the_stored_file(self, two_instance_run, capsys):
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(two_instance_run), "--bucket", BUCKET_ID,
+                 "--instance", "1", "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
+        # instance-0002.json opens with two POSTs; instance-0001.json with one.
+        assert len(handle.store.list_posts()) == 2
+
+    @pytest.mark.parametrize("index", ["5", "-1"])
+    def test_instance_out_of_range_is_a_config_error(self, two_instance_run, index, capsys):
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(two_instance_run), "--bucket", BUCKET_ID,
+                 "--instance", index, "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_CONFIG
+        assert f"no instance #{index}" in capsys.readouterr().err
 
     def test_unreachable_replay_target_is_exit_3(self, recorded_run, capsys):
         code = main(
