@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .executor import ResponseClass, SequenceExecutor, redact_header_value
+from .executor import ResponseClass, SequenceExecutor, human_text, redact_header_value
 from .grammar import FuzzingDictionary, GrammarProgram, render_combinations
 
 logger = logging.getLogger(__name__)
@@ -187,7 +187,7 @@ class BucketStore:
                 "found_at": instance.found_at,
             }
             stem.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
-            stem.with_suffix(".txt").write_text(format_instance_trace(instance, redact))
+            stem.with_suffix(".txt").write_text(format_instance_trace(instance, self.auth_header_name))
             meta = {
                 "format": _BUCKET_META_FORMAT,
                 "bucket_id": bucket.bucket_id,
@@ -200,19 +200,21 @@ class BucketStore:
             logger.error("could not persist bucket %s instance: %s", bucket.bucket_id, exc)
 
     @classmethod
-    def load(cls, root: Path, auth_header_name: str = "PRIVATE-TOKEN") -> "BucketStore":
-        """Rebuild a store from a bucket directory written by a past run."""
-        store = cls(root=root, auth_header_name=auth_header_name)
+    def load(cls, root: Path) -> "BucketStore":
+        """Rebuild a store from a bucket directory written by a past run; a
+        bucket's next instance takes the ordinal after the highest on disk."""
+        store = cls(root=root)
         root = Path(root)
         if not root.is_dir():
             raise StorageFailure(f"no bucket directory at {root}")
         for meta_path in sorted(root.glob("*/bucket.json")):
+            files = meta_path.parent.glob("instance-*.json")
             try:
                 meta = json.loads(meta_path.read_text())
                 bucket = BugBucket(
                     bucket_id=meta["bucket_id"],
                     defining_sequence=tuple(meta["defining_sequence"]),
-                    instance_count=sum(1 for _ in meta_path.parent.glob("instance-*.json")),
+                    instance_count=max((int(f.stem[len("instance-"):]) for f in files), default=0),
                 )
             except (OSError, KeyError, ValueError) as exc:
                 raise StorageFailure(f"corrupt bucket data under {meta_path.parent}: {exc}") from exc
@@ -242,15 +244,15 @@ class BucketStore:
             raise StorageFailure(f"corrupt bucket data in {path}: {exc}") from exc
 
 
-def format_instance_trace(instance: BugInstance, redact=lambda blob: blob) -> str:
+def format_instance_trace(instance: BugInstance, auth_header_name: str = "PRIVATE-TOKEN") -> str:
     """Human-readable trace: numbered requests, then each response."""
     total = len(instance.steps)
     blocks: list[str] = []
     for i, ((_tid, _idx), request, response) in enumerate(
         zip(instance.steps, instance.requests, instance.responses), start=1
     ):
-        req_text = redact(request).decode("latin-1").replace("\r\n", "\n").rstrip("\n")
-        resp_text = redact(response).decode("latin-1").replace("\r\n", "\n").rstrip("\n")
+        req_text = human_text(request, auth_header_name)
+        resp_text = human_text(response, auth_header_name)
         blocks.append(f"{i}/{total}: {req_text}\n\n=> {resp_text}\n")
     return "\n".join(blocks)
 
@@ -272,22 +274,19 @@ class ReplayResult:
 
 
 def replay_bucket(
-    store: BucketStore,
     bucket_id: str,
+    instance: BugInstance,
     grammar: GrammarProgram,
     dictionary: FuzzingDictionary,
     executor: SequenceExecutor,
-    instance_index: int = 0,
 ) -> ReplayResult:
-    """Read one stored instance, re-render it from its rendering indices, re-run it.
+    """Re-render a stored instance from its rendering indices and re-run it.
 
     The stored wire bytes are never resent; rendering the same grammar with
     the same dictionary at the recorded indices reproduces them, and dynamic
     values (fresh ids) are re-resolved live — which is exactly what makes the
     bug reproducible rather than replay-only.
     """
-    instance = store.instance(bucket_id, instance_index)
-
     rendered_steps = []
     for template_id, rendering_index in instance.steps:
         template = grammar.template_by_id(template_id)

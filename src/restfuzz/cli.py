@@ -306,14 +306,14 @@ def cmd_fuzz(args) -> int:
                 "config": config.to_dict(),
                 "target": f"{conn.host}:{conn.port}",
                 "secure": conn.secure,
-                "auth_header": args.auth_header if auth else None,
+                "auth_header": args.auth_header,
             },
             indent=2,
         )
         + "\n"
     )
 
-    sink = TelemetrySink(out_dir, auth_header_name=args.auth_header)
+    sink = TelemetrySink(out_dir)
     store = BucketStore(out_dir / "buckets", auth_header_name=args.auth_header)
     engine = FuzzEngine(
         grammar,
@@ -358,15 +358,14 @@ def cmd_replay(args) -> int:
         run_dir / "dictionary.json" if (run_dir / "dictionary.json").is_file() else None
     )
     error_classes: tuple[str, ...] = ("5xx",)
-    auth_header = args.auth_header
     config_path = run_dir / "config.json"
     if config_path.is_file():
         stored = json.loads(config_path.read_text())
         error_classes = tuple(stored.get("config", {}).get("error_status_classes") or error_classes)
-        auth_header = stored.get("auth_header") or auth_header
 
-    store = BucketStore.load(run_dir / "buckets", auth_header_name=auth_header)
+    store = BucketStore.load(run_dir / "buckets")
     bucket = store.get(args.bucket)
+    instance = store.instance(bucket.bucket_id, args.instance)
 
     conn = _connection_from_args(args, baked_host(grammar))
     probe_target(conn)
@@ -378,9 +377,7 @@ def cmd_replay(args) -> int:
         external_values=dict(grammar.external_values),
     )
     try:
-        result = replay_bucket(
-            store, bucket.bucket_id, grammar, dictionary, executor, instance_index=args.instance
-        )
+        result = replay_bucket(bucket.bucket_id, instance, grammar, dictionary, executor)
     finally:
         executor.close()
     status = f" (status {result.final_status})" if result.final_status is not None else ""

@@ -555,7 +555,8 @@ def compile_grammar(
     }
 
     # Exclude operations whose path parameters nothing can satisfy; iterate,
-    # because dropping an operation drops its producers too.
+    # because dropping an operation drops its producers too. The pass that
+    # changes nothing leaves ``produced`` as what the kept operations produce.
     ops = {op.op_id: op for op in model.operations}
     excluded: dict[str, str] = {}
     unsatisfiable: set[ResourceType] = set()
@@ -585,11 +586,6 @@ def compile_grammar(
                     break
         if not changed:
             break
-
-    produced = set(external)
-    for op_id, specs in producers.items():
-        if op_id not in excluded and op_id in ops:
-            produced |= {p.resource for p in specs}
 
     for op_id, name, resource in overrides.consumers:
         rt = ResourceType(resource)

@@ -211,6 +211,8 @@ def redact_header_value(message: bytes, header_name: str) -> bytes:
     """Replace a header's value with [FILTERED] so secrets never hit disk."""
     head, sep, rest = message.partition(b"\r\n\r\n")
     needle = header_name.lower().encode("latin-1") + b":"
+    if needle not in head.lower():
+        return message
     lines = []
     for line in head.split(b"\r\n"):
         if line.lower().startswith(needle):
@@ -218,6 +220,13 @@ def redact_header_value(message: bytes, header_name: str) -> bytes:
         else:
             lines.append(line)
     return b"\r\n".join(lines) + sep + rest
+
+
+def human_text(message: bytes, header_name: str) -> str:
+    """``message`` as the human-readable traces show it: the header's value
+    redacted, CRLF turned into LF, trailing newlines stripped, read as latin-1."""
+    text = redact_header_value(message, header_name).replace(b"\r\n", b"\n")
+    return text.rstrip(b"\n").decode("latin-1")
 
 
 def probe_target(conn: ConnectionConfig) -> None:

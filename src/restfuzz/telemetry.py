@@ -1,20 +1,19 @@
 """Client-side observation of a fuzzing run.
 
-The sink appends every request/response pair to two files:
+The sink appends every event of a run to one file, ``events.jsonl``: one
+JSON object per line, request and response bytes base64-encoded as they
+crossed the wire (except that a chunked response body is stored de-chunked),
+the auth token included. It keeps nothing in memory.
 
-* ``events.jsonl`` — machine-readable, one JSON object per event, request
-  and response bytes base64-encoded as they crossed the wire, except that a
-  chunked response body is stored de-chunked,
-* ``wire.log`` — human-readable traces ("Sending:" / "Received:" blocks)
-  with the auth header value redacted; only this copy is redacted.
-
-It keeps nothing in memory: ``events.jsonl`` is the durable record, and
-``emit_report`` is its one reader. In a single pass over the file it writes
-``status_timeline.csv`` (cumulative counts per response class over time) and
-``per_length.csv`` (tests, sequence-set size and dynamic objects per
-sequence length), then ``summary.txt`` and ``report.json``. ``restfuzz
-fuzz`` calls it when the run ends and ``restfuzz report`` calls it on a
-saved run directory, so both write the same bytes.
+``events.jsonl`` is the durable record, and ``emit_report`` is its one
+reader. In a single pass over the file it writes ``status_timeline.csv``
+(cumulative counts per response class over time), ``per_length.csv`` (tests,
+sequence-set size and dynamic objects per sequence length) and ``wire.log``
+(human-readable "Sending:" / "Received:" blocks with the auth header value
+redacted; the header is the one ``config.json`` names), then ``summary.txt``
+and ``report.json``. ``restfuzz fuzz`` calls it when the run ends and
+``restfuzz report`` calls it on a saved run directory, so both write the
+same bytes.
 
 CSV schemas:
 
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .executor import ExchangeContext, HttpExchange, redact_header_value, status_class_label
+from .executor import DEFAULT_AUTH_HEADER, ExchangeContext, HttpExchange, human_text, status_class_label
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +54,7 @@ class PerLengthRow:
 
 
 class TelemetrySink:
-    """Appends a run's events to ``events.jsonl`` and ``wire.log`` in
-    ``out_dir``.
+    """Appends a run's events to ``events.jsonl`` in ``out_dir``.
 
     Disk trouble degrades the sink instead of killing the run: one error is
     logged, nothing more is written, and the run continues. ``events.jsonl``
@@ -64,20 +62,16 @@ class TelemetrySink:
     failure.
     """
 
-    def __init__(self, out_dir: Path, auth_header_name: str = "PRIVATE-TOKEN"):
-        self.auth_header_name = auth_header_name
+    def __init__(self, out_dir: Path):
         self.degraded = False
-        self._auth_needle = auth_header_name.lower().encode("latin-1") + b":"
         self._lock = threading.Lock()
         self._start_monotonic = time.monotonic()
         self._start_wall = time.time()
         self._events_fh: io.TextIOBase | None = None
-        self._wire_fh: io.BufferedIOBase | None = None
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             self._events_fh = open(out_dir / EVENTS_FILENAME, "a", encoding="utf-8")
-            self._wire_fh = open(out_dir / WIRE_LOG_FILENAME, "ab")
         except OSError as exc:
             self._degrade(exc)
 
@@ -92,17 +86,17 @@ class TelemetrySink:
             )
         self.degraded = True
 
-    def _write(self, fh, data) -> None:
-        if fh is None or self.degraded:
+    def _write(self, line: str) -> None:
+        if self._events_fh is None or self.degraded:
             return
         try:
-            fh.write(data)
-            fh.flush()
+            self._events_fh.write(line)
+            self._events_fh.flush()
         except OSError as exc:
             self._degrade(exc)
 
     def _write_event(self, event: dict) -> None:
-        self._write(self._events_fh, json.dumps(event, sort_keys=True) + "\n")
+        self._write(json.dumps(event, sort_keys=True) + "\n")
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start_monotonic
@@ -119,12 +113,11 @@ class TelemetrySink:
         self, exchange: HttpExchange, context: ExchangeContext, response_class: str
     ) -> None:
         """Append the exchange, with the class the executor gave its
-        status, to ``events.jsonl`` and ``wire.log``, flushing both files.
+        status, to ``events.jsonl`` and flush it.
 
-        The response bytes are built once, and the event line is encoded
-        with the default encoder over keys written in sorted order, which
-        gives the bytes ``sort_keys=True`` gives. Both are encoded before
-        the lock is taken.
+        The event line is encoded before the lock is taken, with the default
+        encoder over keys written in sorted order, which gives the bytes
+        ``sort_keys=True`` gives.
         """
         response = exchange.response_head() + exchange.body
         line = json.dumps(
@@ -144,13 +137,8 @@ class TelemetrySink:
                 "type": "exchange",
             }
         )
-        wire = b"Sending: %s\n\nReceived: %s\n\n" % (
-            self._wire_text(exchange.request),
-            self._wire_text(response),
-        )
         with self._lock:
-            self._write(self._events_fh, line + "\n")
-            self._write(self._wire_fh, wire)
+            self._write(line + "\n")
 
     def record_failure(self, context: ExchangeContext, phase: str, detail: str) -> None:
         with self._lock:
@@ -164,10 +152,6 @@ class TelemetrySink:
                     "phase": phase,
                     "detail": detail,
                 }
-            )
-            self._write(
-                self._wire_fh,
-                f"Transport failure ({phase}): {detail}\n\n".encode("utf-8", "replace"),
             )
 
     def record_length_stats(self, row: PerLengthRow) -> None:
@@ -202,27 +186,12 @@ class TelemetrySink:
 
     def close(self) -> None:
         with self._lock:
-            for fh in (self._events_fh, self._wire_fh):
-                if fh is not None:
-                    try:
-                        fh.close()
-                    except OSError:
-                        pass
+            if self._events_fh is not None:
+                try:
+                    self._events_fh.close()
+                except OSError:
+                    pass
             self._events_fh = None
-            self._wire_fh = None
-
-    # -- formatting -------------------------------------------------------------
-
-    def _wire_text(self, message: bytes) -> bytes:
-        """``message`` as ``wire.log`` shows it: auth value redacted, bare
-        newlines, no trailing ones, each byte read as latin-1 and written as
-        UTF-8."""
-        head_end = message.find(b"\r\n\r\n")
-        head = message if head_end < 0 else message[:head_end]
-        if self._auth_needle in head.lower():
-            message = redact_header_value(message, self.auth_header_name)
-        text = message.replace(b"\r\n", b"\n").rstrip(b"\n")
-        return text if text.isascii() else text.decode("latin-1").encode("utf-8")
 
 
 # ------------------------------------------------------------------------------
@@ -248,21 +217,28 @@ def iter_events(path: Path) -> Iterator[dict]:
 
 
 def emit_report(run_dir: Path) -> int:
-    """Write the four report files of ``run_dir`` from its ``events.jsonl``;
+    """Write the five report files of ``run_dir`` from its ``events.jsonl``;
     return the number of exchanges it records.
 
-    One pass over the events writes each CSV row as its event is read, so
-    only the cumulative class counts, the bucket tallies and the report are
-    held: memory does not grow with the length of the run. The report is
-    the one the ``run_end`` event carries; a run without one (killed, or
-    its sink degraded) gets a report of the recorded class totals.
+    One pass over the events writes each CSV row and each ``wire.log``
+    block as its event is read, so only the cumulative class counts, the
+    bucket tallies and the report are held: memory does not grow with the
+    length of the run. The report is the one the ``run_end`` event carries;
+    a run without one (killed, or its sink degraded) gets a report of the
+    recorded class totals.
     """
     run_dir = Path(run_dir)
+    # A directory only a sink wrote has no config.json; an older run's may name no header.
+    config_path = run_dir / "config.json"
+    config = json.loads(config_path.read_text()) if config_path.is_file() else {}
+    auth_header = config.get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
     buckets: dict[str, dict] = {}
     report: dict = {}
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
-            open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh:
+            open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh, \
+            open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",
+                 errors="replace") as wire:
         timeline = csv.writer(timeline_fh)
         timeline.writerow(
             [
@@ -299,6 +275,14 @@ def emit_report(run_dir: Path) -> int:
                         cumulative["bug"],
                     ]
                 )
+                request = base64.b64decode(event["request_b64"])
+                response = base64.b64decode(event["response_b64"])
+                wire.write(
+                    f"Sending: {human_text(request, auth_header)}\n\n"
+                    f"Received: {human_text(response, auth_header)}\n\n"
+                )
+            elif kind == "transport_failure":
+                wire.write(f"Transport failure ({event['phase']}): {event['detail']}\n\n")
             elif kind == "length_stats":
                 per_length.writerow(
                     [event["length"], event["tests"], event["seqset_size"],

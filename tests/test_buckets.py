@@ -13,6 +13,7 @@ import json
 import stat
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -331,6 +332,34 @@ class TestPersistence:
         meta = json.loads((tmp_path / bucket.bucket_id / "bucket.json").read_text())
         assert meta["instance_count"] == 4
 
+    def test_load_continues_after_the_highest_ordinal(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+
+        def full_disk_for_0002(path, *args, **kwargs):
+            if path.name == "instance-0002.json":
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        store = BucketStore(root=tmp_path)
+        monkeypatch.setattr(Path, "write_text", full_disk_for_0002)
+        bucket, _ = store.record(make_instance(["A"]))
+        store.record(make_instance(["B", "A"]))
+        store.record(make_instance(["C", "A"]))
+        monkeypatch.undo()
+        directory = tmp_path / bucket.bucket_id
+        assert store.storage_errors == 1
+        assert sorted(p.name for p in directory.glob("instance-*.json")) == [
+            "instance-0001.json",
+            "instance-0003.json",
+        ]
+        newest = (directory / "instance-0003.json").read_bytes()
+
+        loaded = BucketStore.load(tmp_path)
+        assert loaded.get(bucket.bucket_id).instance_count == 3
+        loaded.record(make_instance(["D", "A"]))
+        assert (directory / "instance-0003.json").read_bytes() == newest
+        assert loaded.instance(bucket.bucket_id, 3).template_ids == ("D", "A")
+
     def test_memory_does_not_grow_with_recorded_instances(self, tmp_path):
         body = b"x" * (16 * 1024)
 
@@ -418,11 +447,17 @@ def live_executor(blog_conn, blog_grammar):
     executor.close()
 
 
+def replay_stored(store, bucket_id, grammar, dictionary, executor, index=0):
+    """Replay instance #index of a bucket as read back from the store."""
+    instance = store.instance(bucket_id, index)
+    return replay_bucket(bucket_id, instance, grammar, dictionary, executor)
+
+
 class TestReplay:
     def test_planted_bug_reproduces(self, tmp_path, blog_grammar, dictionary, live_executor):
         store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST, GET_ONE, PUT_ONE]))
-        result = replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        result = replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert result.reproduced
         assert result.final_status == 500
         assert result.diverged_step is None
@@ -433,7 +468,7 @@ class TestReplay:
         # This chain was never a 500; replaying it lands on the 404 at step 3.
         store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST, DELETE_ONE, GET_ONE]))
-        result = replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        result = replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert not result.reproduced
         assert result.final_class == "invalid"
         assert result.final_status == 404
@@ -445,7 +480,7 @@ class TestReplay:
         store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST], indices=[999]))
         with pytest.raises(BucketError, match="dictionary mismatch"):
-            replay_bucket(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+            replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
 
     def test_missing_instance_index_is_an_error(
         self, tmp_path, blog_grammar, dictionary, live_executor
@@ -453,7 +488,6 @@ class TestReplay:
         store = BucketStore(root=tmp_path)
         bucket, _ = store.record(make_instance([POST]))
         with pytest.raises(BucketError, match="no instance"):
-            replay_bucket(
-                store, bucket.bucket_id, blog_grammar, dictionary, live_executor,
-                instance_index=5,
+            replay_stored(
+                store, bucket.bucket_id, blog_grammar, dictionary, live_executor, index=5
             )

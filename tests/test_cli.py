@@ -328,15 +328,22 @@ class TestReplayCommand:
 
     @pytest.mark.parametrize("index", ["5", "-1"])
     def test_instance_out_of_range_is_a_config_error(self, two_instance_run, index, capsys):
+        def replay(port):
+            return main(
+                ["replay", "--out", str(two_instance_run), "--bucket", BUCKET_ID,
+                 "--instance", index, "--target", f"127.0.0.1:{port}"]
+            )
+
         handle = serve()
         try:
-            code = main(
-                ["replay", "--out", str(two_instance_run), "--bucket", BUCKET_ID,
-                 "--instance", index, "--target", f"127.0.0.1:{handle.port}"]
-            )
+            code = replay(handle.port)
         finally:
             handle.stop()
         assert code == EXIT_CONFIG
+        assert f"no instance #{index}" in capsys.readouterr().err
+        # The instance is read before the target is probed, so a bad index
+        # is reported as such when nothing listens, too.
+        assert replay(closed_port()) == EXIT_CONFIG
         assert f"no instance #{index}" in capsys.readouterr().err
 
     def test_unreachable_replay_target_is_exit_3(self, recorded_run, capsys):
@@ -356,7 +363,9 @@ class TestReportCommand:
         shutil.copytree(recorded_run, clone)
         originals = {
             name: (clone / name).read_bytes()
-            for name in ("status_timeline.csv", "per_length.csv", "summary.txt", "report.json")
+            for name in (
+                "status_timeline.csv", "per_length.csv", "wire.log", "summary.txt", "report.json"
+            )
         }
         for name in originals:
             (clone / name).unlink()
@@ -378,11 +387,15 @@ class TestReportCommand:
                 "type": "exchange", "elapsed": 0.1, "test_index": 0,
                 "sequence_length": 1, "step_index": 0, "template_id": "GET /x",
                 "status": 200, "response_class": "valid",
+                "request_b64": base64.b64encode(b"GET /x HTTP/1.1\r\n\r\n").decode(),
+                "response_b64": base64.b64encode(b"HTTP/1.1 200 OK\r\n\r\n").decode(),
             },
             {
                 "type": "exchange", "elapsed": 0.2, "test_index": 1,
                 "sequence_length": 1, "step_index": 0, "template_id": "GET /x",
                 "status": 500, "response_class": "bug",
+                "request_b64": base64.b64encode(b"GET /x HTTP/1.1\r\n\r\n").decode(),
+                "response_b64": base64.b64encode(b"HTTP/1.1 500 Oops\r\n\r\n").decode(),
             },
         ]
         (run_dir / "events.jsonl").write_text(
@@ -405,13 +418,17 @@ class TestReportCommand:
             def write(self, _):
                 raise OSError(28, "No space left on device")
 
+            def close(self):
+                pass
+
         events_written = itertools.count()
         write = TelemetrySink._write
 
-        def write_until_full(self, fh, data):
-            if fh is self._events_fh and next(events_written) >= 10:
-                fh = FullDisk()
-            write(self, fh, data)
+        def write_until_full(self, line):
+            if next(events_written) == 10:
+                self._events_fh.close()
+                self._events_fh = FullDisk()
+            write(self, line)
 
         monkeypatch.setattr(TelemetrySink, "_write", write_until_full)
         out = tmp_path / "out"

@@ -1,9 +1,10 @@
 """Telemetry tests: event stream fidelity, wire log redaction, CSV reports.
 
-The contract under test: events.jsonl is the durable machine record (bytes
-base64'd exactly as sent, auth token included), wire.log is the human copy
-(and the only redacted one), and emit_report() builds every report file
-from the JSONL alone, in memory that does not grow with the run.
+The contract under test: the sink writes one file, events.jsonl, the
+durable machine record (bytes base64'd exactly as sent, auth token
+included); emit_report() builds every report file from it alone, in memory
+that does not grow with the run, among them wire.log, the human copy with
+the auth value of the header config.json names redacted.
 """
 
 from __future__ import annotations
@@ -184,8 +185,14 @@ def test_machine_record_is_byte_identical_and_unredacted(tmp_path):
     assert response.endswith(b'{"ok": 1}')
 
 
+def test_sink_writes_only_the_event_stream(tmp_path):
+    recorded_sink(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [EVENTS_FILENAME]
+
+
 def test_wire_log_is_the_redacted_human_copy(tmp_path):
     recorded_sink(tmp_path)
+    emit_report(tmp_path)
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
     assert "Sending: POST /x HTTP/1.1" in wire
     assert "Received: HTTP/1.1 201" in wire
@@ -199,14 +206,29 @@ def test_wire_log_is_the_redacted_human_copy(tmp_path):
     assert base64.b64encode(TOKEN_REQUEST).decode() in events_text
 
 
+def write_config(run_dir, auth_header_name):
+    (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header_name}))
+
+
 def test_custom_auth_header_redaction(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path, auth_header_name="X-Key")
+    write_config(tmp_path, "X-Key")
+    sink = TelemetrySink(out_dir=tmp_path)
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
     sink.record_exchange(make_exchange(request=request), ctx(), "valid")
     sink.close()
+    emit_report(tmp_path)
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
     assert "opensesame" not in wire
     assert "X-Key: [FILTERED]" in wire
+
+
+def test_config_without_an_auth_header_redacts_the_default_one(tmp_path):
+    write_config(tmp_path, None)
+    recorded_sink(tmp_path)
+    emit_report(tmp_path)
+    wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
+    assert "hunter2" not in wire
+    assert "PRIVATE-TOKEN: [FILTERED]" in wire
 
 
 def test_rendering_index_travels_with_the_event(tmp_path):
@@ -292,11 +314,13 @@ def test_event_and_wire_bytes_match_the_reference_writer(
     context = ctx(test_index=3, length=2, step=1, template=template_id, rendering=5)
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
-        sink = TelemetrySink(out_dir=out, auth_header_name=auth_header_name)
+        write_config(out, auth_header_name)
+        sink = TelemetrySink(out_dir=out)
         sink.elapsed = lambda: 1.5
         sink.record_exchange(exchange, context, classify_status(status, error_classes))
         sink.record_failure(context, "read", "timed out \u00e9")
         sink.close()
+        emit_report(out)
         events = (out / EVENTS_FILENAME).read_bytes()
         wire = (out / WIRE_LOG_FILENAME).read_bytes()
     line, wire_record = reference_records(exchange, context, 1.5, error_classes, auth_header_name)
