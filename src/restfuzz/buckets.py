@@ -25,7 +25,6 @@ import hashlib
 import json
 import logging
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -139,10 +138,6 @@ class BucketStore:
     def buckets(self) -> list[BugBucket]:
         with self._lock:
             return sorted(self._by_id.values(), key=lambda b: b.bucket_id)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_id)
 
     # -- persistence -------------------------------------------------------
 

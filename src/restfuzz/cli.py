@@ -374,7 +374,7 @@ def cmd_replay(args) -> int:
         transport=SocketTransport(conn, auth),
         template_lookup=grammar.template_by_id,
         error_classes=error_classes,
-        external_values=dict(grammar.external_values),
+        external_values=grammar.external_values,
     )
     try:
         result = replay_bucket(bucket.bucket_id, instance, grammar, dictionary, executor)

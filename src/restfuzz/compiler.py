@@ -141,10 +141,6 @@ class AnnotationOverrides:
     external: tuple[tuple[str, str], ...] = ()  # (resource, constant value)
 
     @classmethod
-    def empty(cls) -> "AnnotationOverrides":
-        return cls()
-
-    @classmethod
     def from_json(cls, text: str) -> "AnnotationOverrides":
         try:
             raw = json.loads(text)
@@ -532,7 +528,7 @@ def compile_grammar(
     field, then a localhost default). ``include_optional`` names optional
     parameters/fields to fuzz; everything optional is otherwise omitted.
     """
-    overrides = overrides or AnnotationOverrides.empty()
+    overrides = overrides or AnnotationOverrides()
     host_value = host or model.host or DEFAULT_HOST
     include_lc = frozenset(n.lower() for n in include_optional)
     external = overrides.external_values()

@@ -12,6 +12,10 @@ it was 2xx; after any other final class, or a transport failure, the next
 candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
 connection when it returns or raises.
 
+The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
+of a finished test's exchanges: it counts the report's totals, hands the
+exchanges and any transport failure to the sink, and files a bug.
+
 Strategies differ only in the extension step:
 
 * BFS: every (sequence, template) pair with satisfied dependencies, in
@@ -36,7 +40,7 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .buckets import BucketStore, BugInstance
@@ -264,12 +268,12 @@ class _Budget:
         return self._deadline is not None and time.monotonic() >= self._deadline
 
 
-@dataclass
-class _ValidationOutcome:
+class _Validation(NamedTuple):
+    """Sequences kept, tests run and objects extracted: one candidate's or one iteration's."""
+
     retained: list[RenderedSteps]
     tests: int
     extracted: int
-    stopped_early: bool
 
 
 # ----------------------------------------------------------------------------
@@ -336,27 +340,43 @@ class FuzzEngine:
             transport=self.transport_factory(),
             template_lookup=self.grammar.template_by_id,
             error_classes=self.config.error_status_classes,
-            external_values={
-                r: v for r, v in self.grammar.external_values.items()
-            },
-            sink=self.sink,
+            external_values=self.grammar.external_values,
         )
 
-    def _note_result(self, steps: RenderedSteps, result: ExecutionResult) -> None:
+    def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> None:
+        """Count a finished test, hand it to the sink, and file it when its
+        final response was a bug; each response is built once, for both.
+
+        The exchange of each step but the last executed one was Valid, since
+        execution stops at the first step that is not.
+        """
+        last = result.steps_executed - 1
+        is_bug = result.final_class == ResponseClass.BUG
+        behaviors: list[tuple[str, str]] = []
+        responses: list[bytes] = []
+        for index, exchange in enumerate(result.exchanges):
+            behaviors.append((steps[index].template_id, self._status_labels[exchange.status]))
+            if self.sink is not None or is_bug:
+                responses.append(exchange.response_head() + exchange.body)
+            if self.sink is not None:
+                response_class = result.final_class if index == last else ResponseClass.VALID
+                self.sink.record_exchange(
+                    test_index, steps, index, exchange, responses[index], response_class
+                )
+        if self.sink is not None and result.failure is not None:
+            self.sink.record_failure(test_index, steps, last, result.failure)
         with self._stats_lock:
             self._status_totals[result.final_class] += 1
-            self._transport_failures += 1 if result.failure else 0
-            for step, exchange in zip(steps, result.exchanges):
-                label = self._status_labels[exchange.status]
-                self._status_group_totals[label] += 1
-                self._behaviors.add((step.template_id, label))
-
-    def _record_bug(self, steps: RenderedSteps, result: ExecutionResult) -> None:
-        executed = steps[: len(result.exchanges)]
+            self._transport_failures += result.failure is not None
+            for behavior in behaviors:
+                self._status_group_totals[behavior[1]] += 1
+                self._behaviors.add(behavior)
+        if not is_bug:
+            return
         instance = BugInstance(
-            steps=tuple((s.template_id, s.rendering_index) for s in executed),
+            steps=steps[: len(result.exchanges)],
             requests=tuple(ex.request for ex in result.exchanges),
-            responses=tuple(ex.response_head() + ex.body for ex in result.exchanges),
+            responses=tuple(responses),
             final_status=result.exchanges[-1].status,
             found_at=time.time(),
         )
@@ -378,7 +398,7 @@ class FuzzEngine:
         candidates: Sequence[CandidateExtension],
         executors: Sequence[SequenceExecutor],
         budget: _Budget,
-    ) -> _ValidationOutcome:
+    ) -> _Validation:
         """Render and run every candidate, preserving candidate order.
 
         Test indices are assigned up front from the rendering counts, so
@@ -391,9 +411,7 @@ class FuzzEngine:
             plans.append((position, next_index, renderings))
             next_index += len(renderings)
 
-        retained_per_candidate: dict[int, list[RenderedSteps]] = {}
-        tests_per_candidate: dict[int, int] = {}
-        extracted_per_candidate: dict[int, int] = {}
+        results: list[_Validation | None] = [None] * len(candidates)
         stop_flag = threading.Event()
 
         def run_partition(worker_id: int) -> None:
@@ -413,14 +431,10 @@ class FuzzEngine:
                     steps = candidate.prefix + (
                         SequenceStep(candidate.template_id, last_rendering.rendering_index),
                     )
-                    result = executor.execute_sequence(
-                        prefix + [last_rendering], test_index=first_index + offset
-                    )
+                    result = executor.execute_sequence(prefix + [last_rendering])
                     tests += 1
-                    self._note_result(steps, result)
+                    self._record_test(first_index + offset, steps, result)
                     extracted += result.extracted
-                    if result.final_class == ResponseClass.BUG:
-                        self._record_bug(steps, result)
                     if result.final_class == ResponseClass.VALID or self.config.no_feedback:
                         retained.append(steps)
                     elif result.exchanges and logger.isEnabledFor(logging.DEBUG):
@@ -429,9 +443,7 @@ class FuzzEngine:
                             " -> ".join(s.template_id for s in steps),
                             result.exchanges[-1].status,
                         )
-                retained_per_candidate[position] = retained
-                tests_per_candidate[position] = tests
-                extracted_per_candidate[position] = extracted
+                results[position] = _Validation(retained, tests, extracted)
                 if stop_flag.is_set():
                     break
 
@@ -458,24 +470,17 @@ class FuzzEngine:
             if errors:
                 raise errors[0]
 
+        ran = [result for result in results if result is not None]
         merged: list[RenderedSteps] = []
         seen: set[RenderedSteps] = set()
-        tests = 0
-        extracted = 0
-        for position in range(len(candidates)):
-            tests += tests_per_candidate.get(position, 0)
-            extracted += extracted_per_candidate.get(position, 0)
-            for steps in retained_per_candidate.get(position, []):
+        for result in ran:
+            for steps in result.retained:
                 if steps not in seen:  # uniqueness by (template, rendering) ids
                     seen.add(steps)
                     merged.append(steps)
+        tests = sum(result.tests for result in ran)
         self._test_counter += tests
-        return _ValidationOutcome(
-            retained=merged,
-            tests=tests,
-            extracted=extracted,
-            stopped_early=stop_flag.is_set(),
-        )
+        return _Validation(merged, tests, sum(result.extracted for result in ran))
 
     # -- main loop ---------------------------------------------------------
 
@@ -501,6 +506,7 @@ class FuzzEngine:
 
         try:
             while True:
+                # Also where an iteration that a stop cut short ends the run.
                 if budget.expired() or self.stop_requested.is_set():
                     stopped_reason = (
                         "interrupted" if self.stop_requested.is_set() else "time_budget"
@@ -543,11 +549,6 @@ class FuzzEngine:
                 if seq_set:
                     max_reached = max(max_reached, length)
                     progressed_since_restart = True
-                if outcome.stopped_early:
-                    stopped_reason = (
-                        "interrupted" if self.stop_requested.is_set() else "time_budget"
-                    )
-                    break
         finally:
             for executor in executors:
                 executor.close()

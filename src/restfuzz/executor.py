@@ -20,6 +20,10 @@ DynamicObjectPool private to that one execution. Consumers receive values in
 production order; once every value of a type has been consumed, later
 consumers reuse the most recent one, which is how destroyed-object reuse
 turns into an observable 4xx instead of a dead end.
+
+The executor only runs sequences and records nothing: an execution returns
+its exchanges, final class and transport failure, if any, and the engine
+records the finished test.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ import select
 import socket
 import ssl
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .grammar import ProducerSpec, RenderedRequest, RequestTemplate, ResourceType
 
@@ -183,13 +187,6 @@ class HttpExchange:
     started: float
     duration: float
     version: str = "HTTP/1.1"
-
-    def header(self, name: str) -> str | None:
-        lowered = name.lower()
-        for key, value in self.headers:
-            if key.lower() == lowered:
-                return value
-        return None
 
     def response_head(self) -> bytes:
         lines = [f"{self.version} {self.status} {self.reason}".encode("utf-8")]
@@ -525,7 +522,7 @@ class DynamicObjectPool:
 
     def __init__(self, external_values: Mapping[ResourceType, str] | None = None):
         self._values: dict[ResourceType, list[_PoolEntry]] = {}
-        self._external = dict(external_values or {})
+        self._external = external_values or {}
 
     def add(self, resource: ResourceType, value: object) -> None:
         self._values.setdefault(resource, []).append(_PoolEntry(value))
@@ -603,23 +600,17 @@ def extract_objects(
 
 @dataclass
 class ExecutionResult:
+    """One sequence execution. ``final_class`` is the last executed step's
+    class. A step that failed below HTTP has no exchange, and ``failure`` is
+    its TransportFailure; a step with an unresolvable consumer has none
+    either, but sent nothing, so it ends the sequence Invalid without one.
+    """
+
     exchanges: list[HttpExchange]
     final_class: str
     steps_executed: int
     extracted: int = 0
-    failure: str | None = None
-
-
-@dataclass(slots=True)
-class ExchangeContext:
-    """What the telemetry sink is told alongside each exchange; built only
-    when a sink is attached (0.61 us slotted, 1.67 us frozen, 2-vCPU VM)."""
-
-    test_index: int
-    sequence_length: int
-    step_index: int
-    template_id: str
-    rendering_index: int = 0
+    failure: TransportFailure | None = None
 
 
 class SequenceExecutor:
@@ -631,34 +622,29 @@ class SequenceExecutor:
         template_lookup: Callable[[str], RequestTemplate],
         error_classes: Sequence[str] = DEFAULT_ERROR_STATUS_CLASSES,
         external_values: Mapping[ResourceType, str] | None = None,
-        sink=None,
     ):
         self.transport = transport
         self.template_lookup = template_lookup
         self.error_classes = tuple(error_classes)
-        self.external_values = dict(external_values or {})
-        self.sink = sink
+        self.external_values = external_values or {}
         self.status_classes = Memo(
             functools.partial(classify_status, error_classes=self.error_classes)
         )
         # Producers whose missing extraction path was already logged.
         self.warned_missing_paths: set[tuple[str, str]] = set()
 
-    def execute_sequence(
-        self,
-        steps: Sequence[RenderedRequest],
-        test_index: int = 0,
-    ) -> ExecutionResult:
+    def execute_sequence(self, steps: Sequence[RenderedRequest]) -> ExecutionResult:
         """Run the steps in order with a fresh pool.
 
         Execution stops at the first non-2xx step; the returned class is the
         last executed step's class (an empty sequence is trivially valid).
-        Transport failures are recorded and reported as Invalid. The
-        transport's connection carries on into the next sequence only when
-        this one ended Valid; otherwise, or when this raises, it is closed.
+        A transport failure is logged and returned, and the sequence ends
+        Invalid. The transport's connection carries on into the next
+        sequence only when this one ended Valid; otherwise, or when this
+        raises, it is closed.
         """
         try:
-            result = self._execute(steps, test_index)
+            result = self._execute(steps)
         except BaseException:
             self.close()
             raise
@@ -672,13 +658,13 @@ class SequenceExecutor:
         if close is not None:
             close()
 
-    def _execute(self, steps: Sequence[RenderedRequest], test_index: int) -> ExecutionResult:
+    def _execute(self, steps: Sequence[RenderedRequest]) -> ExecutionResult:
         pool = DynamicObjectPool(self.external_values)
         exchanges: list[HttpExchange] = []
         extracted = 0
         attempted = 0
         final_class = ResponseClass.VALID
-        failure: str | None = None
+        failure: TransportFailure | None = None
 
         for step_index, rendered in enumerate(steps):
             attempted += 1
@@ -689,35 +675,21 @@ class SequenceExecutor:
             except UnresolvableConsumer as exc:
                 # Dependency checking should make this impossible; if it
                 # happens anyway the run must not crash mid-campaign.
-                failure = f"step {step_index + 1}: {exc}"
-                logger.error("%s", failure)
+                logger.error("step %d: %s", step_index + 1, exc)
                 final_class = ResponseClass.INVALID
                 break
             request = rendered.assemble(values)
 
-            if self.sink is not None:
-                context = ExchangeContext(
-                    test_index=test_index,
-                    sequence_length=len(steps),
-                    step_index=step_index,
-                    template_id=rendered.template_id,
-                    rendering_index=rendered.rendering_index,
-                )
             try:
                 exchange = self.transport.roundtrip(request)
             except TransportFailure as exc:
-                failure = f"step {step_index + 1} {exc.phase} failure: {exc}"
-                logger.warning("%s", failure)
+                logger.warning("step %d %s failure: %s", step_index + 1, exc.phase, exc)
+                failure = exc
                 final_class = ResponseClass.INVALID
-                if self.sink is not None:
-                    self.sink.record_failure(context, exc.phase, str(exc))
                 break
 
             exchanges.append(exchange)
             final_class = self.status_classes[exchange.status]
-            if self.sink is not None:
-                self.sink.record_exchange(exchange, context, final_class)
-
             if final_class != ResponseClass.VALID:
                 break
 

@@ -235,7 +235,6 @@ class RenderedRequest:
     """
 
     template_id: str
-    method: str
     rendering_index: int
     parts: tuple[Union[bytes, ConsumerSlot], ...]
     body_start: int
@@ -332,7 +331,6 @@ def render_combinations(
         rendered.append(
             RenderedRequest(
                 template_id=template.id,
-                method=template.method,
                 rendering_index=index,
                 parts=tuple(parts),
                 body_start=template.body_start,

@@ -3,7 +3,11 @@
 The sink appends every event of a run to one file, ``events.jsonl``: one
 JSON object per line, request and response bytes base64-encoded as they
 crossed the wire (except that a chunked response body is stored de-chunked),
-the auth token included. It keeps nothing in memory.
+the auth token included. It keeps nothing in memory. The engine is its only
+caller: it hands over each finished test's exchanges and transport failure,
+in the order the worker ran them, and the run's start, per-length rows,
+buckets and end. An exchange's ``elapsed`` is when its response arrived,
+taken from the exchange's own start and duration.
 
 ``events.jsonl`` is the durable record, and ``emit_report`` is its one
 reader. In a single pass over the file it writes ``status_timeline.csv``
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .executor import DEFAULT_AUTH_HEADER, ExchangeContext, HttpExchange, human_text, status_class_label
+from .executor import DEFAULT_AUTH_HEADER, HttpExchange, TransportFailure, human_text, status_class_label
 
 logger = logging.getLogger(__name__)
 
@@ -110,47 +114,59 @@ class TelemetrySink:
             )
 
     def record_exchange(
-        self, exchange: HttpExchange, context: ExchangeContext, response_class: str
+        self,
+        test_index: int,
+        steps: Sequence[tuple[str, int]],
+        step_index: int,
+        exchange: HttpExchange,
+        response: bytes,
+        response_class: str,
     ) -> None:
-        """Append the exchange, with the class the executor gave its
-        status, to ``events.jsonl`` and flush it.
+        """Append the exchange of step ``step_index`` of test ``test_index``,
+        whose steps are (template id, rendering index) pairs, and flush it.
 
         The event line is encoded before the lock is taken, with the default
         encoder over keys written in sorted order, which gives the bytes
         ``sort_keys=True`` gives.
         """
-        response = exchange.response_head() + exchange.body
+        template_id, rendering_index = steps[step_index]
         line = json.dumps(
             {
                 "duration": exchange.duration,
-                "elapsed": self.elapsed(),
+                "elapsed": exchange.started + exchange.duration - self._start_wall,
                 "reason": exchange.reason,
-                "rendering_index": context.rendering_index,
+                "rendering_index": rendering_index,
                 "request_b64": base64.b64encode(exchange.request).decode("ascii"),
                 "response_b64": base64.b64encode(response).decode("ascii"),
                 "response_class": response_class,
-                "sequence_length": context.sequence_length,
+                "sequence_length": len(steps),
                 "status": exchange.status,
-                "step_index": context.step_index,
-                "template_id": context.template_id,
-                "test_index": context.test_index,
+                "step_index": step_index,
+                "template_id": template_id,
+                "test_index": test_index,
                 "type": "exchange",
             }
         )
         with self._lock:
             self._write(line + "\n")
 
-    def record_failure(self, context: ExchangeContext, phase: str, detail: str) -> None:
+    def record_failure(
+        self,
+        test_index: int,
+        steps: Sequence[tuple[str, int]],
+        step_index: int,
+        failure: TransportFailure,
+    ) -> None:
         with self._lock:
             self._write_event(
                 {
                     "type": "transport_failure",
                     "elapsed": self.elapsed(),
-                    "test_index": context.test_index,
-                    "template_id": context.template_id,
-                    "step_index": context.step_index,
-                    "phase": phase,
-                    "detail": detail,
+                    "test_index": test_index,
+                    "template_id": steps[step_index][0],
+                    "step_index": step_index,
+                    "phase": failure.phase,
+                    "detail": str(failure),
                 }
             )
 

@@ -55,7 +55,7 @@ class TestSuffixRule:
         bucket, created = store.record(make_instance(["POST /projects", "POST /commits"]))
         assert created
         assert bucket.defining_sequence == ("POST /projects", "POST /commits")
-        assert len(store) == 1
+        assert len(store.buckets()) == 1
 
     def test_longer_sequence_ending_the_same_way_is_absorbed(self):
         store = BucketStore()
@@ -66,7 +66,7 @@ class TestSuffixRule:
         assert not created
         assert bucket.defining_sequence == ("POST /projects", "POST /commits")
         assert bucket.instance_count == 2
-        assert len(store) == 1
+        assert len(store.buckets()) == 1
 
     def test_interleaved_sequence_is_a_different_bug(self):
         store = BucketStore()
@@ -75,7 +75,7 @@ class TestSuffixRule:
         # No suffix of A;B;X;C equals B;C, so this founds its own bucket.
         assert created
         assert bucket.defining_sequence == ("A", "B", "X", "C")
-        assert len(store) == 2
+        assert len(store.buckets()) == 2
 
     def test_shortest_suffix_wins_when_several_would_match(self):
         store = BucketStore()
@@ -203,7 +203,7 @@ def test_concurrent_records_agree_on_one_bucket():
     for t in threads:
         t.join()
 
-    assert len(store) == 1
+    assert len(store.buckets()) == 1
     assert outcomes.count(True) == 1
     assert store.buckets()[0].instance_count == 8
 
@@ -267,7 +267,7 @@ class TestPersistence:
         store.record(make_instance(["X", "C"]))
 
         loaded = BucketStore.load(tmp_path)
-        assert len(loaded) == 2
+        assert len(loaded.buckets()) == 2
         assert {b.defining_sequence for b in loaded.buckets()} == {("A", "B"), ("C",)}
         c_bucket = loaded.get(bucket_id_for(["C"]))
         assert c_bucket.instance_count == 2

@@ -4,12 +4,17 @@ Strategy semantics are pinned three ways: worked examples on the blog
 grammar, a hypothesis property over randomly generated abstract grammars
 (BFS-Fast must cover exactly the satisfiable templates, once each, with the
 first satisfying prefix), and full campaigns against the live service whose
-counts were frozen from hand-simulated runs.
+counts were frozen from hand-simulated runs. Campaigns recorded through a
+real telemetry sink check that the event stream names each test's steps as
+the engine ran them and adds up to the report.
 """
 
 from __future__ import annotations
 
+import base64
 import random
+import time
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +32,13 @@ from restfuzz.engine import (
     extend,
     sequence_produces,
 )
-from restfuzz.executor import ConnectionConfig, SocketTransport
+from restfuzz.executor import (
+    ConnectionConfig,
+    HttpExchange,
+    SocketTransport,
+    TransportFailure,
+    status_class_label,
+)
 from restfuzz.grammar import (
     ConsumerSlot,
     FuzzingDictionary,
@@ -37,6 +48,7 @@ from restfuzz.grammar import (
     ResourceType,
     StaticSlot,
 )
+from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, iter_events
 
 GET_COLL = "GET /api/blog/posts"
 POST = "POST /api/blog/posts"
@@ -521,3 +533,160 @@ class TestDeterminism:
             blog_model, strategy=Strategy.BFS, max_length=3, worker_count=2
         )
         assert duo.fingerprint() == solo.fingerprint()
+
+
+# --------------------------------------------------------------------------
+# The record of each finished test
+
+
+def recorded_campaign(grammar, transport_factory, run_dir, **config_kwargs):
+    """Run a campaign into a real sink in ``run_dir``; return its report,
+    its events and, by test index, the steps the engine ran and the
+    statuses of their exchanges."""
+    sink = TelemetrySink(run_dir)
+    engine = FuzzEngine(
+        grammar,
+        FuzzingDictionary.default(),
+        EngineConfig(**config_kwargs),
+        transport_factory=transport_factory,
+        sink=sink,
+    )
+    tests = {}
+    record_test = engine._record_test
+
+    def keep(test_index, steps, result):
+        tests[test_index] = (steps, [exchange.status for exchange in result.exchanges])
+        record_test(test_index, steps, result)
+
+    engine._record_test = keep
+    try:
+        report = engine.run()
+    finally:
+        sink.close()
+    return report, list(iter_events(run_dir / EVENTS_FILENAME)), tests
+
+
+def assert_stream_adds_up_to(report, events):
+    """Each test's final class is that of its last exchange event, or
+    Invalid after a transport failure; the event classes sum to the
+    report's totals."""
+    finals = {}
+    for event in events:
+        if event["type"] == "exchange":
+            finals[event["test_index"]] = event["response_class"]
+        elif event["type"] == "transport_failure":
+            finals[event["test_index"]] = "invalid"
+    assert sorted(finals) == list(range(report.total_tests))
+    assert Counter(finals.values()) == report.status_totals
+    groups = Counter(
+        status_class_label(event["status"]) for event in events if event["type"] == "exchange"
+    )
+    assert groups == report.status_group_totals
+    failures = [event for event in events if event["type"] == "transport_failure"]
+    assert len(failures) == report.transport_failures
+
+
+class FailingFetch(SocketTransport):
+    """A socket transport whose fetches of one post time out unsent."""
+
+    def roundtrip(self, request):
+        if request.startswith(b"GET /api/blog/posts/"):
+            raise TransportFailure("read", "timed out waiting for response")
+        return super().roundtrip(request)
+
+
+class EmptyObjectStub:
+    """Answers every request 200 with ``{}``: nothing is ever produced."""
+
+    def roundtrip(self, request):
+        return HttpExchange(request, 200, "OK", (("Content-Length", "2"),), b"{}", time.time(), 0.0)
+
+
+class TestRecording:
+    def test_sink_sees_every_exchange_with_context(self, blog_server, blog_model, tmp_path):
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        report, events, tests = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            lambda: SocketTransport(conn),
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=3,
+        )
+        assert report.total_tests == 41
+        by_test = defaultdict(list)
+        for event in events:
+            if event["type"] == "exchange":
+                by_test[event["test_index"]].append(event)
+        assert sorted(by_test) == sorted(tests) == list(range(41))
+        end = next(event["elapsed"] for event in events if event["type"] == "run_end")
+        for test_index, (steps, statuses) in tests.items():
+            recorded = by_test[test_index]
+            assert [e["step_index"] for e in recorded] == list(range(len(statuses)))
+            assert all(e["sequence_length"] == len(steps) for e in recorded)
+            assert [(e["template_id"], e["rendering_index"]) for e in recorded] == list(
+                steps[: len(statuses)]
+            )
+            assert [e["status"] for e in recorded] == statuses
+            for event in recorded:
+                method = event["template_id"].split(" ")[0].encode()
+                assert base64.b64decode(event["request_b64"]).startswith(method + b" ")
+            # Each response arrived after the one before it, within the run.
+            arrivals = [e["elapsed"] for e in recorded]
+            assert arrivals == sorted(arrivals)
+            assert 0 < arrivals[0] and arrivals[-1] < end
+        assert_stream_adds_up_to(report, events)
+
+    def test_transport_failure_reports_invalid_and_hits_sink(
+        self, blog_server, blog_model, tmp_path
+    ):
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        report, events, tests = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            lambda: FailingFetch(conn),
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=2,
+        )
+        failures = [event for event in events if event["type"] == "transport_failure"]
+        assert report.transport_failures == len(failures) > 0
+        for failure in failures:
+            steps, statuses = tests[failure["test_index"]]
+            assert (failure["phase"], failure["step_index"]) == ("read", 1)
+            assert failure["template_id"] == steps[1].template_id == GET_ONE
+            assert failure["detail"] == "read: timed out waiting for response"
+            assert statuses == [201]  # the create before it was sent and recorded
+        assert report.status_totals["invalid"] >= len(failures)
+        assert_stream_adds_up_to(report, events)
+
+    def test_two_workers_record_what_they_report(self, blog_server, blog_model, tmp_path):
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        report, events, _ = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            lambda: FailingFetch(conn),
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=3,
+            worker_count=2,
+        )
+        assert report.transport_failures > 0
+        assert_stream_adds_up_to(report, events)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unresolvable_consumer_is_not_a_transport_failure(
+        self, pure_grammar, tmp_path, workers
+    ):
+        # Nothing is extracted from {}, so each fetch of one post consumes
+        # an id nobody produced: the test ends Invalid with nothing sent.
+        report, events, tests = recorded_campaign(
+            pure_grammar,
+            EmptyObjectStub,
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=2,
+            worker_count=workers,
+        )
+        assert report.transport_failures == 0
+        assert report.status_totals == {"valid": 12, "invalid": 4}
+        assert not [event for event in events if event["type"] == "transport_failure"]
+        unsent = [steps for steps, statuses in tests.values() if len(statuses) < len(steps)]
+        assert len(unsent) == 4

@@ -203,7 +203,7 @@ def renderings_and_values(draw):
                  min_size=1, max_size=10)
     )
     body_start = draw(st.integers(0, len(parts)))
-    rendered = RenderedRequest("T /x", "GET", 0, tuple(parts), body_start)
+    rendered = RenderedRequest("T /x", 0, tuple(parts), body_start)
     values = draw(st.dictionaries(st.sampled_from(RESOURCES), st.binary(max_size=6)))
     return rendered, values
 

@@ -4,7 +4,9 @@ The contract under test: the sink writes one file, events.jsonl, the
 durable machine record (bytes base64'd exactly as sent, auth token
 included); emit_report() builds every report file from it alone, in memory
 that does not grow with the run, among them wire.log, the human copy with
-the auth value of the header config.json names redacted.
+the auth value of the header config.json names redacted. The engine's
+side of the stream (which test, step and class each event names) is
+checked in test_engine.py.
 """
 
 from __future__ import annotations
@@ -13,23 +15,23 @@ import base64
 import csv
 import json
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from restfuzz.engine import EngineConfig, FuzzEngine, Strategy
 from restfuzz.executor import (
-    ExchangeContext,
     HttpExchange,
-    SequenceExecutor,
+    TransportFailure,
     classify_status,
     redact_header_value,
     status_class_label,
 )
-from restfuzz.grammar import RenderedRequest
+from restfuzz.grammar import FuzzingDictionary, GrammarProgram, RequestTemplate, StaticSlot
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
     WIRE_LOG_FILENAME,
@@ -42,58 +44,64 @@ from restfuzz.telemetry import (
 TOKEN_REQUEST = b"POST /x HTTP/1.1\r\nPRIVATE-TOKEN: hunter2\r\nHost: h\r\n\r\npayload"
 
 
-def make_exchange(status=200, request=TOKEN_REQUEST, body=b'{"ok": 1}'):
+def make_exchange(status=200, request=TOKEN_REQUEST, body=b'{"ok": 1}', started=0.0):
     return HttpExchange(
         request=request,
         status=status,
         reason="OK" if status == 200 else "NO",
         headers=(("Content-Type", "application/json"),),
         body=body,
-        started=0.0,
+        started=started,
         duration=0.001,
     )
 
 
-def ctx(test_index=0, length=1, step=0, template="POST /x", rendering=0):
-    return ExchangeContext(
-        test_index=test_index,
-        sequence_length=length,
-        step_index=step,
-        template_id=template,
-        rendering_index=rendering,
-    )
+def exchange_at(sink, elapsed, status=200, **kwargs):
+    """An exchange whose response arrived ``elapsed`` seconds into the
+    sink's run."""
+    exchange = make_exchange(status, **kwargs)
+    exchange.started = sink._start_wall + elapsed - exchange.duration
+    return exchange
+
+
+def record(sink, exchange, response_class, test_index=0, length=1, step=0,
+           template="POST /x", rendering=0):
+    """Hand ``exchange`` to the sink as step ``step`` of a test of
+    ``length`` steps, each (``template``, ``rendering``)."""
+    steps = ((template, rendering),) * length
+    response = exchange.response_head() + exchange.body
+    sink.record_exchange(test_index, steps, step, exchange, response, response_class)
+
+
+def record_failure(sink, phase, detail, test_index=0, template="POST /x"):
+    sink.record_failure(test_index, ((template, 0),), 0, TransportFailure(phase, detail))
 
 
 class StatusTransport:
-    """Answers the requests it is sent with the given statuses, in order."""
-
-    def __init__(self, statuses):
-        self.statuses = iter(statuses)
+    """Answers ``GET /<status>`` with that status."""
 
     def roundtrip(self, request):
-        return make_exchange(next(self.statuses), request=request)
+        status = int(request.split(b" ")[1][1:])
+        return make_exchange(status, request=request, started=time.time())
 
 
-STEP = RenderedRequest(
-    template_id="GET /x",
-    method="GET",
-    rendering_index=0,
-    parts=(b"GET /x HTTP/1.1\r\nHost: h\r\n",),
-    body_start=1,
-)
-
-
-def execute_into(sink, sequences, error_classes=("5xx",)):
-    """Run one sequence per list of statuses through an executor that
-    classifies with ``error_classes`` and records into ``sink``."""
-    executor = SequenceExecutor(
-        StatusTransport(status for statuses in sequences for status in statuses),
-        lambda tid: SimpleNamespace(producers=()),
-        error_classes=error_classes,
-        sink=sink,
+def run_into(sink, statuses, error_classes=("5xx",)):
+    """Run one single-request test per status, ``GET /<status>``, through
+    an engine that classifies with ``error_classes`` and records into
+    ``sink``."""
+    grammar = GrammarProgram(
+        templates=tuple(
+            RequestTemplate(
+                id=f"GET /{status}",
+                method="GET",
+                slots=(StaticSlot(f"GET /{status} HTTP/1.1\r\nHost: h\r\n".encode()),),
+                declaration_index=index,
+            )
+            for index, status in enumerate(statuses)
+        )
     )
-    for test_index, statuses in enumerate(sequences):
-        executor.execute_sequence([STEP] * len(statuses), test_index=test_index)
+    config = EngineConfig(strategy=Strategy.BFS, max_length=1, error_status_classes=error_classes)
+    FuzzEngine(grammar, FuzzingDictionary.default(), config, StatusTransport, sink=sink).run()
 
 
 def recorded_events(run_dir):
@@ -115,7 +123,7 @@ def event_counts(tmp_path, type_: str, key) -> Counter:
 
 def test_counters_track_classes_and_status_groups(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    execute_into(sink, [[200, 201], [404], [500]])
+    run_into(sink, [200, 201, 404, 500])
     sink.close()
     classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
     groups = event_counts(tmp_path, "exchange", lambda e: status_class_label(e["status"]))
@@ -126,7 +134,7 @@ def test_counters_track_classes_and_status_groups(tmp_path):
 
 def test_custom_error_classes_change_the_recorded_class(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    execute_into(sink, [[404], [500]], error_classes=("404",))
+    run_into(sink, [404, 500], error_classes=("404",))
     sink.close()
     classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
     assert classes == {"bug": 1, "invalid": 1}
@@ -134,7 +142,7 @@ def test_custom_error_classes_change_the_recorded_class(tmp_path):
 
 def test_failures_are_counted(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_failure(ctx(), "connect", "refused")
+    record_failure(sink, "connect", "refused")
     sink.close()
     assert event_counts(tmp_path, "transport_failure", lambda e: e["phase"]) == {"connect": 1}
 
@@ -146,9 +154,9 @@ def test_failures_are_counted(tmp_path):
 def recorded_sink(tmp_path, **kwargs):
     sink = TelemetrySink(out_dir=tmp_path, **kwargs)
     sink.record_run_start({"strategy": "bfs"})
-    sink.record_exchange(make_exchange(201), ctx(), "valid")
-    sink.record_exchange(make_exchange(500), ctx(test_index=1, template="PUT /x"), "bug")
-    sink.record_failure(ctx(test_index=2), "read", "timed out")
+    record(sink, make_exchange(201), "valid")
+    record(sink, make_exchange(500), "bug", test_index=1, template="PUT /x")
+    record_failure(sink, "read", "timed out", test_index=2)
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
     sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
     sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=False)
@@ -196,7 +204,7 @@ def test_wire_log_is_the_redacted_human_copy(tmp_path):
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
     assert "Sending: POST /x HTTP/1.1" in wire
     assert "Received: HTTP/1.1 201" in wire
-    assert "Transport failure (read): timed out" in wire
+    assert "Transport failure (read): read: timed out" in wire
     assert "hunter2" not in wire
     assert "PRIVATE-TOKEN: [FILTERED]" in wire
     # ... while the machine copy does carry the token (checked above), so
@@ -214,7 +222,7 @@ def test_custom_auth_header_redaction(tmp_path):
     write_config(tmp_path, "X-Key")
     sink = TelemetrySink(out_dir=tmp_path)
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
-    sink.record_exchange(make_exchange(request=request), ctx(), "valid")
+    record(sink, make_exchange(request=request), "valid")
     sink.close()
     emit_report(tmp_path)
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
@@ -233,13 +241,15 @@ def test_config_without_an_auth_header_redacts_the_default_one(tmp_path):
 
 def test_rendering_index_travels_with_the_event(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_exchange(make_exchange(), ctx(rendering=7), "valid")
+    record(sink, make_exchange(), "valid", rendering=7)
     sink.close()
     events = recorded_events(tmp_path)
     assert events[0]["rendering_index"] == 7
 
 
-def reference_records(exchange, context, elapsed, error_classes, auth_header_name):
+def reference_records(
+    exchange, test_index, steps, step_index, elapsed, error_classes, auth_header_name
+):
     """The ``events.jsonl`` line and ``wire.log`` bytes of one exchange as
     the sink first wrote them: a ``sort_keys`` dump, the response rebuilt
     for each use, every message redacted and decoded as latin-1 text that a
@@ -248,11 +258,11 @@ def reference_records(exchange, context, elapsed, error_classes, auth_header_nam
     event = {
         "type": "exchange",
         "elapsed": elapsed,
-        "test_index": context.test_index,
-        "sequence_length": context.sequence_length,
-        "step_index": context.step_index,
-        "template_id": context.template_id,
-        "rendering_index": context.rendering_index,
+        "test_index": test_index,
+        "sequence_length": len(steps),
+        "step_index": step_index,
+        "template_id": steps[step_index][0],
+        "rendering_index": steps[step_index][1],
         "status": exchange.status,
         "reason": exchange.reason,
         "response_class": response_class,
@@ -302,30 +312,36 @@ def test_event_and_wire_bytes_match_the_reference_writer(
 ):
     head, sep, rest = request.partition(b"\r\n\r\n")
     request = head + b"\r\n" + auth_line + b"\r\n" + rest if sep else request + auth_line
-    exchange = HttpExchange(
-        request=request,
-        status=status,
-        reason=reason,
-        headers=tuple(headers),
-        body=body,
-        started=0.0,
-        duration=0.0125,
-    )
-    context = ctx(test_index=3, length=2, step=1, template=template_id, rendering=5)
+    steps = ((template_id, 5),) * 2
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
         write_config(out, auth_header_name)
         sink = TelemetrySink(out_dir=out)
-        sink.elapsed = lambda: 1.5
-        sink.record_exchange(exchange, context, classify_status(status, error_classes))
-        sink.record_failure(context, "read", "timed out \u00e9")
+        exchange = HttpExchange(
+            request=request,
+            status=status,
+            reason=reason,
+            headers=tuple(headers),
+            body=body,
+            started=sink._start_wall + 1.5,
+            duration=0.0125,
+        )
+        sink.record_exchange(
+            3, steps, 1, exchange, exchange.response_head() + exchange.body,
+            classify_status(status, error_classes),
+        )
+        sink.record_failure(3, steps, 1, TransportFailure("read", "timed out \u00e9"))
         sink.close()
         emit_report(out)
         events = (out / EVENTS_FILENAME).read_bytes()
         wire = (out / WIRE_LOG_FILENAME).read_bytes()
-    line, wire_record = reference_records(exchange, context, 1.5, error_classes, auth_header_name)
+    elapsed = exchange.started + exchange.duration - sink._start_wall
+    line, wire_record = reference_records(
+        exchange, 3, steps, 1, elapsed, error_classes, auth_header_name
+    )
     assert events.startswith(line)
-    assert wire == wire_record + "Transport failure (read): timed out \u00e9\n\n".encode("utf-8")
+    failure = "Transport failure (read): read: timed out \u00e9\n\n"
+    assert wire == wire_record + failure.encode("utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def test_report_files_match_the_recorded_stream(tmp_path):
 
 def test_rebuild_keeps_custom_response_classes(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    execute_into(sink, [[404]], error_classes=("404",))
+    run_into(sink, [404], error_classes=("404",))
     sink.close()
     emit_report(tmp_path)
     assert csv_rows(tmp_path / "status_timeline.csv")[1][6] == "bug"
@@ -381,7 +397,7 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
         sink = TelemetrySink(out_dir=run_dir)
         sink.record_run_start({"strategy": "bfs"})
         for test_index in range(exchanges):
-            sink.record_exchange(make_exchange(), ctx(test_index=test_index), "valid")
+            record(sink, make_exchange(), "valid", test_index=test_index)
         sink.record_length_stats(PerLengthRow(1, exchanges, exchanges, 0))
         sink.record_bucket("abc123def456", ["POST /x"], created=True)
         sink.record_run_end("completed", {"total_tests": exchanges})
@@ -406,14 +422,14 @@ def test_unwritable_out_dir_degrades_without_raising(tmp_path):
     blocker.write_text("in the way")
     sink = TelemetrySink(out_dir=blocker / "sub")
     assert sink.degraded
-    sink.record_exchange(make_exchange(), ctx(), "valid")  # must not raise
+    record(sink, make_exchange(), "valid")  # must not raise
     sink.close()
     assert not (blocker / "sub").exists()  # nothing was recorded
 
 
 def test_midstream_write_error_degrades_once(tmp_path, caplog):
     sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_exchange(make_exchange(), ctx(), "valid")
+    record(sink, make_exchange(), "valid")
 
     class Exploding:
         def write(self, _):
@@ -428,9 +444,9 @@ def test_midstream_write_error_degrades_once(tmp_path, caplog):
     sink._events_fh.close()
     sink._events_fh = Exploding()
     with caplog.at_level("ERROR"):
-        sink.record_exchange(make_exchange(), ctx(test_index=1), "valid")
+        record(sink, make_exchange(), "valid", test_index=1)
         assert sink.degraded
-        sink.record_exchange(make_exchange(), ctx(test_index=2), "valid")
+        record(sink, make_exchange(), "valid", test_index=2)
     sink.close()
     assert [r.levelname for r in caplog.records] == ["ERROR"]
     # The record, and every report built from it, holds what came before.
@@ -456,11 +472,10 @@ def report_dir(tmp_path):
     0.3 s, two length rows, one bucket seen twice and the run's report,
     with the report files built from it."""
     sink = TelemetrySink(out_dir=tmp_path)
-    clock = iter([0.1, 0.2, 0.3])
-    sink.elapsed = lambda: next(clock, 0.4)
-    sink.record_exchange(make_exchange(200), ctx(0, 1, 0, "POST /x"), "valid")
-    sink.record_exchange(make_exchange(404), ctx(1, 1, 0, "GET /x"), "invalid")
-    sink.record_exchange(make_exchange(500), ctx(2, 2, 1, "PUT /x"), "bug")
+    record(sink, exchange_at(sink, 0.1, 200), "valid", template="POST /x")
+    record(sink, exchange_at(sink, 0.2, 404), "invalid", test_index=1, template="GET /x")
+    record(sink, exchange_at(sink, 0.3, 500), "bug", test_index=2, length=2, step=1,
+           template="PUT /x")
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
     sink.record_length_stats(PerLengthRow(2, 8, 6, 8))
     sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
