@@ -1,4 +1,4 @@
-"""Bug deduplication by request-type suffix, plus replayable bucket storage.
+"""Bug deduplication by request-type suffix, and replay of a recorded bug.
 
 Every bug is a request sequence whose final response matched a bug status
 class. Two bugs are "the same" when one's type-level sequence ends with the
@@ -9,33 +9,31 @@ Renderings and server-assigned values are deliberately ignored, so under
 breadth-first search each bucket is named by the shortest sequence that
 reaches the bug.
 
-In memory the store is only an index: each bucket's id, defining sequence
-and instance count. The instances themselves live only on disk, where each
-bucket is a directory: a metadata file, one machine-readable and one
-human-readable trace per instance (auth header values replaced by
-[FILTERED] — replays re-render from the grammar, so stored bytes are purely
-forensic), and a replay script. A store without a root keeps no instances
-at all, so only a rooted store can replay.
+The store is only that suffix index: each bucket's id, defining sequence
+and instance count. It writes nothing. A bug instance is recorded once, in
+``events.jsonl``: the engine's ``bucket`` event names the test whose
+exchanges hit the bug, its (template id, rendering index) steps and its
+final status. ``telemetry.emit_report`` writes the bucket directory from
+those events, and ``recorded_instance`` reads one back for replay, so a run
+that was killed before its reports were written still replays.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import logging
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .executor import ResponseClass, SequenceExecutor, human_text, redact_header_value
+from .executor import ResponseClass, SequenceExecutor
 from .grammar import FuzzingDictionary, GrammarProgram, render_combinations
+from .telemetry import iter_events
 
 logger = logging.getLogger(__name__)
 
 BUCKET_ID_HEX_DIGITS = 12
-_BUCKET_META_FORMAT = "restfuzz-bucket/1"
 
 
 class BucketError(Exception):
@@ -43,11 +41,7 @@ class BucketError(Exception):
 
 
 class UnknownBucket(BucketError):
-    """Lookup of a bucket id that the store has never seen."""
-
-
-class StorageFailure(BucketError):
-    """Bucket data on disk is missing, unreadable, or corrupt."""
+    """Lookup of a bucket id that the store, or the record, has never seen."""
 
 
 def bucket_id_for(template_ids: Sequence[str]) -> str:
@@ -57,19 +51,14 @@ def bucket_id_for(template_ids: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class BugInstance:
-    """One concrete bug occurrence: the full rendered sequence that hit it."""
+    """One concrete bug occurrence: the rendered steps that hit it."""
 
     steps: tuple[tuple[str, int], ...]  # (template id, rendering index) per step
-    requests: tuple[bytes, ...]
-    responses: tuple[bytes, ...]
     final_status: int
-    found_at: float
 
     def __post_init__(self):
         if not self.steps:
             raise BucketError("a bug instance needs at least one step")
-        if not (len(self.steps) == len(self.requests) == len(self.responses)):
-            raise BucketError("steps, requests and responses must align")
 
     @property
     def template_ids(self) -> tuple[str, ...]:
@@ -89,17 +78,12 @@ def _suffixes_shortest_first(ids: Sequence[str]) -> Iterable[tuple[str, ...]]:
 
 
 class BucketStore:
-    """Thread-safe bucket index; instances are written to disk, never kept."""
+    """Thread-safe suffix index of the buckets; instances are not kept."""
 
-    def __init__(self, root: Path | None = None, auth_header_name: str = "PRIVATE-TOKEN"):
-        self.root = Path(root) if root is not None else None
-        self.auth_header_name = auth_header_name
+    def __init__(self):
         self._lock = threading.Lock()
         self._by_sequence: dict[tuple[str, ...], BugBucket] = {}
         self._by_id: dict[str, BugBucket] = {}
-        self.storage_errors = 0
-
-    # -- recording ---------------------------------------------------------
 
     def record(self, instance: BugInstance) -> tuple[BugBucket, bool]:
         """File the instance under the first suffix-matching bucket.
@@ -113,7 +97,6 @@ class BucketStore:
                 bucket = self._by_sequence.get(suffix)
                 if bucket is not None:
                     bucket.instance_count += 1
-                    self._persist_instance(bucket, instance)
                     return bucket, False
             bucket = BugBucket(
                 bucket_id=bucket_id_for(instance.template_ids),
@@ -122,11 +105,7 @@ class BucketStore:
             )
             self._by_sequence[bucket.defining_sequence] = bucket
             self._by_id[bucket.bucket_id] = bucket
-            self._persist_new_bucket(bucket)
-            self._persist_instance(bucket, instance)
             return bucket, True
-
-    # -- lookup ------------------------------------------------------------
 
     def get(self, bucket_id: str) -> BugBucket:
         with self._lock:
@@ -139,117 +118,31 @@ class BucketStore:
         with self._lock:
             return sorted(self._by_id.values(), key=lambda b: b.bucket_id)
 
-    # -- persistence -------------------------------------------------------
 
-    def _bucket_dir(self, bucket: BugBucket) -> Path:
-        assert self.root is not None
-        return self.root / bucket.bucket_id
-
-    def _persist_new_bucket(self, bucket: BugBucket) -> None:
-        if self.root is None:
-            return
-        try:
-            directory = self._bucket_dir(bucket)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / "defining_sequence.txt").write_text(
-                "".join(f"{tid}\n" for tid in bucket.defining_sequence)
-            )
-            script = directory / "replay.sh"
-            script.write_text(
-                "#!/bin/sh\n"
-                '# Replay this bug bucket against a live target: replay.sh HOST:PORT\n'
-                'exec restfuzz replay --out "$(dirname "$0")/../.." '
-                f'--bucket {bucket.bucket_id} --target "${{1:?usage: replay.sh host:port}}"\n'
-            )
-            script.chmod(0o755)
-        except OSError as exc:
-            self.storage_errors += 1
-            logger.error("could not persist bucket %s: %s", bucket.bucket_id, exc)
-
-    def _persist_instance(self, bucket: BugBucket, instance: BugInstance) -> None:
-        if self.root is None:
-            return
-        redact = lambda blob: redact_header_value(blob, self.auth_header_name)
-        try:
-            directory = self._bucket_dir(bucket)
-            directory.mkdir(parents=True, exist_ok=True)
-            stem = directory / f"instance-{bucket.instance_count:04d}"
-            payload = {
-                "steps": [[tid, idx] for tid, idx in instance.steps],
-                "requests": [base64.b64encode(redact(r)).decode("ascii") for r in instance.requests],
-                "responses": [base64.b64encode(redact(r)).decode("ascii") for r in instance.responses],
-                "final_status": instance.final_status,
-                "found_at": instance.found_at,
-            }
-            stem.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
-            stem.with_suffix(".txt").write_text(format_instance_trace(instance, self.auth_header_name))
-            meta = {
-                "format": _BUCKET_META_FORMAT,
-                "bucket_id": bucket.bucket_id,
-                "defining_sequence": list(bucket.defining_sequence),
-                "instance_count": bucket.instance_count,
-            }
-            (directory / "bucket.json").write_text(json.dumps(meta, indent=2) + "\n")
-        except OSError as exc:
-            self.storage_errors += 1
-            logger.error("could not persist bucket %s instance: %s", bucket.bucket_id, exc)
-
-    @classmethod
-    def load(cls, root: Path) -> "BucketStore":
-        """Rebuild a store from a bucket directory written by a past run; a
-        bucket's next instance takes the ordinal after the highest on disk."""
-        store = cls(root=root)
-        root = Path(root)
-        if not root.is_dir():
-            raise StorageFailure(f"no bucket directory at {root}")
-        for meta_path in sorted(root.glob("*/bucket.json")):
-            files = meta_path.parent.glob("instance-*.json")
+def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInstance:
+    """Instance #index (zero-based) of a bucket: the steps and final status
+    of the (index + 1)-th ``bucket`` event of that id in ``events_path``."""
+    seen = 0
+    for event in iter_events(events_path):
+        if event.get("type") != "bucket" or event.get("bucket_id") != bucket_id:
+            continue
+        if seen == index:
             try:
-                meta = json.loads(meta_path.read_text())
-                bucket = BugBucket(
-                    bucket_id=meta["bucket_id"],
-                    defining_sequence=tuple(meta["defining_sequence"]),
-                    instance_count=max((int(f.stem[len("instance-"):]) for f in files), default=0),
-                )
-            except (OSError, KeyError, ValueError) as exc:
-                raise StorageFailure(f"corrupt bucket data under {meta_path.parent}: {exc}") from exc
-            store._by_sequence[bucket.defining_sequence] = bucket
-            store._by_id[bucket.bucket_id] = bucket
-        return store
-
-    def instance(self, bucket_id: str, index: int) -> BugInstance:
-        """Read instance #index (zero-based) of a bucket back from its file."""
-        bucket = self.get(bucket_id)
-        missing = f"bucket {bucket_id} has no instance #{index}"
-        if self.root is None or index < 0:
-            raise BucketError(missing)
-        path = self._bucket_dir(bucket) / f"instance-{index + 1:04d}.json"
-        try:
-            data = json.loads(path.read_text())
-            return BugInstance(
-                steps=tuple((tid, idx) for tid, idx in data["steps"]),
-                requests=tuple(base64.b64decode(r) for r in data["requests"]),
-                responses=tuple(base64.b64decode(r) for r in data["responses"]),
-                final_status=data["final_status"],
-                found_at=data["found_at"],
-            )
-        except FileNotFoundError:
-            raise BucketError(missing) from None
-        except (OSError, KeyError, TypeError, ValueError, BucketError) as exc:
-            raise StorageFailure(f"corrupt bucket data in {path}: {exc}") from exc
-
-
-def format_instance_trace(instance: BugInstance, auth_header_name: str = "PRIVATE-TOKEN") -> str:
-    """Human-readable trace: numbered requests, then each response."""
-    total = len(instance.steps)
-    blocks: list[str] = []
-    for i, ((_tid, _idx), request, response) in enumerate(
-        zip(instance.steps, instance.requests, instance.responses), start=1
-    ):
-        req_text = human_text(request, auth_header_name)
-        resp_text = human_text(response, auth_header_name)
-        blocks.append(f"{i}/{total}: {req_text}\n\n=> {resp_text}\n")
-    return "\n".join(blocks)
+                steps = tuple((tid, rendering) for tid, rendering in event["steps"])
+                return BugInstance(steps=steps, final_status=event["final_status"])
+            except KeyError as exc:
+                raise BucketError(
+                    f"instance #{index} of bucket {bucket_id} cannot be replayed: its "
+                    f"bucket event has no {exc.args[0]!r} field (recorded by an older version)"
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise BucketError(
+                    f"instance #{index} of bucket {bucket_id} has malformed steps: {exc}"
+                ) from None
+        seen += 1
+    if not seen:
+        raise UnknownBucket(f"unknown bucket id {bucket_id!r}")
+    raise BucketError(f"bucket {bucket_id} has no instance #{index}")
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +168,9 @@ def replay_bucket(
     dictionary: FuzzingDictionary,
     executor: SequenceExecutor,
 ) -> ReplayResult:
-    """Re-render a stored instance from its rendering indices and re-run it.
+    """Re-render a recorded instance from its rendering indices and re-run it.
 
-    The stored wire bytes are never resent; rendering the same grammar with
+    The recorded wire bytes are never resent; rendering the same grammar with
     the same dictionary at the recorded indices reproduces them, and dynamic
     values (fresh ids) are re-resolved live — which is exactly what makes the
     bug reproducible rather than replay-only.

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .buckets import BucketError, BucketStore, replay_bucket
+from .buckets import BucketError, recorded_instance, replay_bucket
 from .compiler import AnnotationOverrides, CompileError, compile_grammar, parse_spec
 from .engine import ConfigError, EngineConfig, FuzzEngine, Strategy
 from .executor import (
@@ -46,7 +46,7 @@ from .grammar import (
     dump_grammar,
     load_grammar,
 )
-from .telemetry import TelemetrySink, emit_report
+from .telemetry import EVENTS_FILENAME, TelemetrySink, emit_report
 
 logger = logging.getLogger(__name__)
 
@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--out", type=Path, required=True, metavar="DIR",
                           help="output directory of the recording run")
     p_replay.add_argument("--bucket", required=True, metavar="ID")
-    p_replay.add_argument("--instance", type=int, default=0, metavar="N")
+    p_replay.add_argument("--instance", type=int, default=0, metavar="N",
+                          help="zero-based instance of the bucket in events.jsonl (default 0)")
     _add_target_options(p_replay)
     _add_auth_options(p_replay)
     p_replay.set_defaults(func=cmd_replay)
@@ -293,7 +294,7 @@ def cmd_fuzz(args) -> int:
     auth = _auth_from_args(args)
 
     out_dir: Path = args.out
-    if (out_dir / "events.jsonl").exists():
+    if (out_dir / EVENTS_FILENAME).exists():
         raise ConfigError(
             f"{out_dir} already holds a recorded run; pick a fresh output directory"
         )
@@ -314,14 +315,12 @@ def cmd_fuzz(args) -> int:
     )
 
     sink = TelemetrySink(out_dir)
-    store = BucketStore(out_dir / "buckets", auth_header_name=args.auth_header)
     engine = FuzzEngine(
         grammar,
         dictionary,
         config,
         transport_factory=lambda: SocketTransport(conn, auth),
         sink=sink,
-        bucket_store=store,
         probe=lambda: probe_target(conn),
     )
 
@@ -363,9 +362,10 @@ def cmd_replay(args) -> int:
         stored = json.loads(config_path.read_text())
         error_classes = tuple(stored.get("config", {}).get("error_status_classes") or error_classes)
 
-    store = BucketStore.load(run_dir / "buckets")
-    bucket = store.get(args.bucket)
-    instance = store.instance(bucket.bucket_id, args.instance)
+    events_path = run_dir / EVENTS_FILENAME
+    if not events_path.is_file():
+        raise ConfigError(f"no {EVENTS_FILENAME} under {run_dir}")
+    instance = recorded_instance(events_path, args.bucket, args.instance)
 
     conn = _connection_from_args(args, baked_host(grammar))
     probe_target(conn)
@@ -377,20 +377,20 @@ def cmd_replay(args) -> int:
         external_values=grammar.external_values,
     )
     try:
-        result = replay_bucket(bucket.bucket_id, instance, grammar, dictionary, executor)
+        result = replay_bucket(args.bucket, instance, grammar, dictionary, executor)
     finally:
         executor.close()
     status = f" (status {result.final_status})" if result.final_status is not None else ""
     if result.reproduced:
-        print(f"bucket {bucket.bucket_id}: reproduced — final class bug{status}")
+        print(f"bucket {args.bucket}: reproduced — final class bug{status}")
     else:
         diverged = (
-            f" — diverged at step {result.diverged_step}/{len(bucket.defining_sequence)}"
+            f" — diverged at step {result.diverged_step}/{len(instance.steps)}"
             if result.diverged_step is not None
             else ""
         )
         print(
-            f"bucket {bucket.bucket_id}: not reproduced — final class "
+            f"bucket {args.bucket}: not reproduced — final class "
             f"{result.final_class}{status}{diverged}"
         )
     return EXIT_OK
@@ -398,9 +398,8 @@ def cmd_replay(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir: Path = args.out
-    events_path = run_dir / "events.jsonl"
-    if not events_path.is_file():
-        raise ConfigError(f"no events.jsonl under {run_dir}")
+    if not (run_dir / EVENTS_FILENAME).is_file():
+        raise ConfigError(f"no {EVENTS_FILENAME} under {run_dir}")
     exchanges = emit_report(run_dir)
     print(f"rebuilt report files in {run_dir} from {exchanges} recorded exchanges")
     return EXIT_OK

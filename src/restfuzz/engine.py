@@ -5,8 +5,8 @@ The search keeps a set of valid rendered sequences of uniform length n
 sequences by one request whose dependencies are satisfied, renders the new
 last request every way the dictionary allows (capped), executes each
 candidate front to back on its worker's connection, and keeps the renderings
-whose final response was 2xx. Bug-class finals go to the bucket store;
-nothing non-2xx is extended further unless feedback is disabled. A worker's
+whose final response was 2xx. Bug-class finals are filed in the bucket
+index; nothing non-2xx is extended further unless feedback is disabled. A worker's
 connection carries on into its next candidate only while every response on
 it was 2xx; after any other final class, or a transport failure, the next
 candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
@@ -14,7 +14,9 @@ connection when it returns or raises.
 
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
 of a finished test's exchanges: it counts the report's totals, hands the
-exchanges and any transport failure to the sink, and files a bug.
+exchanges and any transport failure or unresolvable consumer to the sink,
+and files a bug in the bucket index, whose ``bucket`` event in the sink's
+stream is the only record of the instance.
 
 Strategies differ only in the extension step:
 
@@ -281,7 +283,7 @@ class _Validation(NamedTuple):
 
 
 class FuzzEngine:
-    """Wires the search loop to executors, the bucket store and telemetry.
+    """Wires the search loop to executors, the bucket index and telemetry.
 
     ``transport_factory`` is called once per worker so each worker owns its
     own connection handling; with the default single worker everything runs
@@ -299,7 +301,6 @@ class FuzzEngine:
         config: EngineConfig,
         transport_factory: Callable[[], Transport],
         sink: TelemetrySink | None = None,
-        bucket_store: BucketStore | None = None,
         probe: Callable[[], None] | None = None,
     ):
         config.validate()
@@ -308,7 +309,7 @@ class FuzzEngine:
         self.config = config
         self.transport_factory = transport_factory
         self.sink = sink
-        self.bucket_store = bucket_store if bucket_store is not None else BucketStore()
+        self.bucket_store = BucketStore()
         self.probe = probe
         self.stop_requested = threading.Event()
         self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}
@@ -345,40 +346,33 @@ class FuzzEngine:
 
     def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> None:
         """Count a finished test, hand it to the sink, and file it when its
-        final response was a bug; each response is built once, for both.
+        final response was a bug.
 
         The exchange of each step but the last executed one was Valid, since
         execution stops at the first step that is not.
         """
         last = result.steps_executed - 1
-        is_bug = result.final_class == ResponseClass.BUG
         behaviors: list[tuple[str, str]] = []
-        responses: list[bytes] = []
         for index, exchange in enumerate(result.exchanges):
             behaviors.append((steps[index].template_id, self._status_labels[exchange.status]))
-            if self.sink is not None or is_bug:
-                responses.append(exchange.response_head() + exchange.body)
             if self.sink is not None:
                 response_class = result.final_class if index == last else ResponseClass.VALID
-                self.sink.record_exchange(
-                    test_index, steps, index, exchange, responses[index], response_class
-                )
-        if self.sink is not None and result.failure is not None:
-            self.sink.record_failure(test_index, steps, last, result.failure)
+                self.sink.record_exchange(test_index, steps, index, exchange, response_class)
+        if self.sink is not None:
+            if result.failure is not None:
+                self.sink.record_failure(test_index, steps, last, result.failure)
+            if result.unresolved is not None:
+                self.sink.record_unresolvable(test_index, steps, last, result.unresolved)
         with self._stats_lock:
             self._status_totals[result.final_class] += 1
             self._transport_failures += result.failure is not None
             for behavior in behaviors:
                 self._status_group_totals[behavior[1]] += 1
                 self._behaviors.add(behavior)
-        if not is_bug:
+        if result.final_class != ResponseClass.BUG:
             return
         instance = BugInstance(
-            steps=steps[: len(result.exchanges)],
-            requests=tuple(ex.request for ex in result.exchanges),
-            responses=tuple(responses),
-            final_status=result.exchanges[-1].status,
-            found_at=time.time(),
+            steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
         )
         bucket, created = self.bucket_store.record(instance)
         logger.info(
@@ -389,7 +383,7 @@ class FuzzEngine:
             " -> ".join(instance.template_ids),
         )
         if self.sink is not None:
-            self.sink.record_bucket(bucket.bucket_id, bucket.defining_sequence, created)
+            self.sink.record_bucket(test_index, instance, bucket, created)
 
     # -- validation --------------------------------------------------------
 

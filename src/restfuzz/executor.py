@@ -22,8 +22,8 @@ consumers reuse the most recent one, which is how destroyed-object reuse
 turns into an observable 4xx instead of a dead end.
 
 The executor only runs sequences and records nothing: an execution returns
-its exchanges, final class and transport failure, if any, and the engine
-records the finished test.
+its exchanges, its final class and the transport failure or unresolvable
+consumer that ended it, if any, and the engine records the finished test.
 """
 
 from __future__ import annotations
@@ -603,7 +603,8 @@ class ExecutionResult:
     """One sequence execution. ``final_class`` is the last executed step's
     class. A step that failed below HTTP has no exchange, and ``failure`` is
     its TransportFailure; a step with an unresolvable consumer has none
-    either, but sent nothing, so it ends the sequence Invalid without one.
+    either, but sent nothing, so it ends the sequence Invalid without a
+    failure, and ``unresolved`` is the resource type nothing produced.
     """
 
     exchanges: list[HttpExchange]
@@ -611,6 +612,7 @@ class ExecutionResult:
     steps_executed: int
     extracted: int = 0
     failure: TransportFailure | None = None
+    unresolved: ResourceType | None = None
 
 
 class SequenceExecutor:
@@ -665,6 +667,7 @@ class SequenceExecutor:
         attempted = 0
         final_class = ResponseClass.VALID
         failure: TransportFailure | None = None
+        unresolved: ResourceType | None = None
 
         for step_index, rendered in enumerate(steps):
             attempted += 1
@@ -676,6 +679,7 @@ class SequenceExecutor:
                 # Dependency checking should make this impossible; if it
                 # happens anyway the run must not crash mid-campaign.
                 logger.error("step %d: %s", step_index + 1, exc)
+                unresolved = resource
                 final_class = ResponseClass.INVALID
                 break
             request = rendered.assemble(values)
@@ -710,4 +714,5 @@ class SequenceExecutor:
             steps_executed=attempted,
             extracted=extracted,
             failure=failure,
+            unresolved=unresolved,
         )

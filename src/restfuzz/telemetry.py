@@ -4,20 +4,22 @@ The sink appends every event of a run to one file, ``events.jsonl``: one
 JSON object per line, request and response bytes base64-encoded as they
 crossed the wire (except that a chunked response body is stored de-chunked),
 the auth token included. It keeps nothing in memory. The engine is its only
-caller: it hands over each finished test's exchanges and transport failure,
-in the order the worker ran them, and the run's start, per-length rows,
-buckets and end. An exchange's ``elapsed`` is when its response arrived,
-taken from the exchange's own start and duration.
+caller: it hands over each finished test's exchanges and its transport
+failure or unresolvable consumer, in the order the worker ran them, then a
+``bucket`` event when the test hit a bug, and the run's start, per-length
+rows and end. An exchange's ``elapsed`` is when its response arrived, taken
+from the exchange's own start and duration.
 
-``events.jsonl`` is the durable record, and ``emit_report`` is its one
-reader. In a single pass over the file it writes ``status_timeline.csv``
-(cumulative counts per response class over time), ``per_length.csv`` (tests,
-sequence-set size and dynamic objects per sequence length) and ``wire.log``
-(human-readable "Sending:" / "Received:" blocks with the auth header value
-redacted; the header is the one ``config.json`` names), then ``summary.txt``
-and ``report.json``. ``restfuzz fuzz`` calls it when the run ends and
-``restfuzz report`` calls it on a saved run directory, so both write the
-same bytes.
+``events.jsonl`` is the durable record, and the only record of a bug
+instance. ``emit_report`` is its one reader. In a single pass over the file
+it writes ``status_timeline.csv`` (cumulative counts per response class over
+time), ``per_length.csv`` (tests, sequence-set size and dynamic objects per
+sequence length), ``wire.log`` (human-readable "Sending:" / "Received:"
+blocks with the auth header value redacted; the header is the one
+``config.json`` names) and each bug instance's trace in the bucket
+directory, then each bucket's metadata, ``summary.txt`` and ``report.json``.
+``restfuzz fuzz`` calls it when the run ends and ``restfuzz report`` calls
+it on a saved run directory, so both write the same bytes.
 
 CSV schemas:
 
@@ -25,6 +27,11 @@ CSV schemas:
   template_id, status, status_class, response_class, cumulative_valid,
   cumulative_invalid, cumulative_bug
 * per_length.csv: length, tests, seqset_size, dynamic_objects
+
+Bucket directory, ``buckets/<id>/``: ``bucket.json`` (id, defining sequence,
+instance count), ``defining_sequence.txt``, ``replay.sh`` and one
+``instance-NNNN.txt`` per instance, numbered in the order of the ``bucket``
+events, each a numbered request/response trace redacted as ``wire.log`` is.
 """
 
 from __future__ import annotations
@@ -39,14 +46,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .executor import DEFAULT_AUTH_HEADER, HttpExchange, TransportFailure, human_text, status_class_label
+
+if TYPE_CHECKING:
+    from .buckets import BugBucket, BugInstance
+    from .grammar import ResourceType
 
 logger = logging.getLogger(__name__)
 
 EVENTS_FILENAME = "events.jsonl"
 WIRE_LOG_FILENAME = "wire.log"
+BUCKETS_DIRNAME = "buckets"
+_BUCKET_META_FORMAT = "restfuzz-bucket/1"
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,6 @@ class TelemetrySink:
         steps: Sequence[tuple[str, int]],
         step_index: int,
         exchange: HttpExchange,
-        response: bytes,
         response_class: str,
     ) -> None:
         """Append the exchange of step ``step_index`` of test ``test_index``,
@@ -137,7 +149,9 @@ class TelemetrySink:
                 "reason": exchange.reason,
                 "rendering_index": rendering_index,
                 "request_b64": base64.b64encode(exchange.request).decode("ascii"),
-                "response_b64": base64.b64encode(response).decode("ascii"),
+                "response_b64": base64.b64encode(
+                    exchange.response_head() + exchange.body
+                ).decode("ascii"),
                 "response_class": response_class,
                 "sequence_length": len(steps),
                 "status": exchange.status,
@@ -157,16 +171,37 @@ class TelemetrySink:
         step_index: int,
         failure: TransportFailure,
     ) -> None:
+        self._record_step_event(
+            "transport_failure", test_index, steps, step_index,
+            phase=failure.phase, detail=str(failure),
+        )
+
+    def record_unresolvable(
+        self,
+        test_index: int,
+        steps: Sequence[tuple[str, int]],
+        step_index: int,
+        resource: ResourceType,
+    ) -> None:
+        """Step ``step_index`` consumes ``resource``, which nothing produced,
+        so it was not sent and the test ended Invalid."""
+        self._record_step_event(
+            "unresolvable_consumer", test_index, steps, step_index, resource=str(resource)
+        )
+
+    def _record_step_event(
+        self, kind: str, test_index: int, steps: Sequence[tuple[str, int]], step_index: int,
+        **fields,
+    ) -> None:
         with self._lock:
             self._write_event(
                 {
-                    "type": "transport_failure",
+                    "type": kind,
                     "elapsed": self.elapsed(),
                     "test_index": test_index,
                     "template_id": steps[step_index][0],
                     "step_index": step_index,
-                    "phase": failure.phase,
-                    "detail": str(failure),
+                    **fields,
                 }
             )
 
@@ -182,13 +217,19 @@ class TelemetrySink:
                 }
             )
 
-    def record_bucket(self, bucket_id: str, defining_sequence: Sequence[str], created: bool) -> None:
+    def record_bucket(
+        self, test_index: int, instance: BugInstance, bucket: BugBucket, created: bool
+    ) -> None:
+        """Test ``test_index`` hit a bug, ``instance``, filed under ``bucket``."""
         event = {
             "type": "bucket",
             "elapsed": self.elapsed(),
-            "bucket_id": bucket_id,
-            "defining_sequence": list(defining_sequence),
+            "bucket_id": bucket.bucket_id,
+            "defining_sequence": list(bucket.defining_sequence),
             "created": created,
+            "test_index": test_index,
+            "steps": [list(step) for step in instance.steps],
+            "final_status": instance.final_status,
         }
         with self._lock:
             self._write_event(event)
@@ -233,15 +274,19 @@ def iter_events(path: Path) -> Iterator[dict]:
 
 
 def emit_report(run_dir: Path) -> int:
-    """Write the five report files of ``run_dir`` from its ``events.jsonl``;
-    return the number of exchanges it records.
+    """Write the report files and the bucket directory of ``run_dir`` from
+    its ``events.jsonl``; return the number of exchanges it records.
 
-    One pass over the events writes each CSV row and each ``wire.log``
-    block as its event is read, so only the cumulative class counts, the
+    One pass over the events writes each CSV row, each ``wire.log`` block
+    and each bug instance's trace as its event is read. Workers interleave
+    their lines, so the human text of each test still in flight is held,
+    by test index, until its last event: the exchange that ends it, its
+    transport failure or unresolvable consumer, or, for a bug, its
+    ``bucket`` event. Beyond those, only the cumulative class counts, the
     bucket tallies and the report are held: memory does not grow with the
-    length of the run. The report is the one the ``run_end`` event carries;
-    a run without one (killed, or its sink degraded) gets a report of the
-    recorded class totals.
+    length of the run. The report is the one the ``run_end`` event
+    carries; a run without one (killed, or its sink degraded) gets a report
+    of the recorded class totals.
     """
     run_dir = Path(run_dir)
     # A directory only a sink wrote has no config.json; an older run's may name no header.
@@ -249,6 +294,7 @@ def emit_report(run_dir: Path) -> int:
     config = json.loads(config_path.read_text()) if config_path.is_file() else {}
     auth_header = config.get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
+    in_flight: dict[int, list[tuple[str, str]]] = {}  # test index -> (request, response) texts
     buckets: dict[str, dict] = {}
     report: dict = {}
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
@@ -291,14 +337,24 @@ def emit_report(run_dir: Path) -> int:
                         cumulative["bug"],
                     ]
                 )
-                request = base64.b64decode(event["request_b64"])
-                response = base64.b64decode(event["response_b64"])
-                wire.write(
-                    f"Sending: {human_text(request, auth_header)}\n\n"
-                    f"Received: {human_text(response, auth_header)}\n\n"
-                )
+                request = human_text(base64.b64decode(event["request_b64"]), auth_header)
+                response = human_text(base64.b64decode(event["response_b64"]), auth_header)
+                wire.write(f"Sending: {request}\n\nReceived: {response}\n\n")
+                in_flight.setdefault(event["test_index"], []).append((request, response))
+                # A bug's test ends at its bucket event; any other test at
+                # its first exchange that is not Valid, or at its last step.
+                last_step = event["step_index"] == event["sequence_length"] - 1
+                if response_class != "bug" and (response_class != "valid" or last_step):
+                    del in_flight[event["test_index"]]
             elif kind == "transport_failure":
                 wire.write(f"Transport failure ({event['phase']}): {event['detail']}\n\n")
+                in_flight.pop(event["test_index"], None)
+            elif kind == "unresolvable_consumer":
+                wire.write(
+                    f"Unresolvable consumer ({event['resource']}): step {event['step_index'] + 1} "
+                    f"{event['template_id']} not sent\n\n"
+                )
+                in_flight.pop(event["test_index"], None)
             elif kind == "length_stats":
                 per_length.writerow(
                     [event["length"], event["tests"], event["seqset_size"],
@@ -314,6 +370,14 @@ def emit_report(run_dir: Path) -> int:
                     },
                 )
                 entry["instances"] += 1
+                # An older run's bucket events name no test; its traces are already on disk.
+                texts = in_flight.pop(event.get("test_index"), None)
+                if texts is not None:
+                    directory = run_dir / BUCKETS_DIRNAME / entry["bucket_id"]
+                    directory.mkdir(parents=True, exist_ok=True)
+                    (directory / f"instance-{entry['instances']:04d}.txt").write_text(
+                        _instance_trace(texts), encoding="utf-8"
+                    )
             elif kind == "run_end" and "report" in event:
                 report = event["report"]
     if not report:
@@ -322,11 +386,43 @@ def emit_report(run_dir: Path) -> int:
             "status_totals": dict(cumulative),
             "stopped_reason": "unknown (no run_end event)",
         }
-    _write_summary(
-        run_dir / "summary.txt", report, sorted(buckets.values(), key=lambda b: b["bucket_id"])
-    )
+    ordered = sorted(buckets.values(), key=lambda b: b["bucket_id"])
+    for bucket in ordered:
+        _write_bucket(run_dir / BUCKETS_DIRNAME / bucket["bucket_id"], bucket)
+    _write_summary(run_dir / "summary.txt", report, ordered)
     (run_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return sum(cumulative.values())
+
+
+def _instance_trace(texts: Sequence[tuple[str, str]]) -> str:
+    """A bug instance's trace: each request, numbered, then its response."""
+    return "\n".join(
+        f"{number}/{len(texts)}: {request}\n\n=> {response}\n"
+        for number, (request, response) in enumerate(texts, start=1)
+    )
+
+
+def _write_bucket(directory: Path, bucket: dict) -> None:
+    """A bucket's metadata, defining sequence and replay script."""
+    directory.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "format": _BUCKET_META_FORMAT,
+        "bucket_id": bucket["bucket_id"],
+        "defining_sequence": bucket["defining_sequence"],
+        "instance_count": bucket["instances"],
+    }
+    (directory / "bucket.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (directory / "defining_sequence.txt").write_text(
+        "".join(f"{tid}\n" for tid in bucket["defining_sequence"]), encoding="utf-8"
+    )
+    script = directory / "replay.sh"
+    script.write_text(
+        "#!/bin/sh\n"
+        "# Replay this bug bucket against a live target: replay.sh HOST:PORT\n"
+        'exec restfuzz replay --out "$(dirname "$0")/../.." '
+        f'--bucket {bucket["bucket_id"]} --target "${{1:?usage: replay.sh host:port}}"\n'
+    )
+    script.chmod(0o755)
 
 
 def _write_summary(path: Path, report: dict, buckets: Sequence[dict]) -> None:

@@ -40,7 +40,7 @@ def blog_conn(blog_server):
 def run_campaign(blog_server, blog_model, dictionary):
     """Run one engine campaign against the fixture service; returns the report."""
 
-    def _run(sink=None, bucket_store=None, **config_kwargs):
+    def _run(sink=None, **config_kwargs):
         grammar = compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}")
         conn = ConnectionConfig("127.0.0.1", blog_server.port)
         engine = FuzzEngine(
@@ -49,7 +49,6 @@ def run_campaign(blog_server, blog_model, dictionary):
             config=EngineConfig(**config_kwargs),
             transport_factory=lambda: SocketTransport(conn),
             sink=sink,
-            bucket_store=bucket_store,
             probe=lambda: probe_target(conn),
         )
         return engine.run()

@@ -270,13 +270,7 @@ def brute_force_bucketize(sequences):
 
 
 def bug_instance(ids):
-    return BugInstance(
-        steps=tuple((tid, 0) for tid in ids),
-        requests=tuple(b"GET / HTTP/1.1\r\n\r\n" for _ in ids),
-        responses=tuple(b"HTTP/1.1 500 x\r\n\r\n" for _ in ids),
-        final_status=500,
-        found_at=0.0,
-    )
+    return BugInstance(steps=tuple((tid, 0) for tid in ids), final_status=500)
 
 
 def test_criterion_06_bucketization_oracle(capsys):

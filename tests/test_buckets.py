@@ -1,19 +1,22 @@
-"""Bucketization and replay tests.
+"""Bucketization, bucket directory and replay tests.
 
 The suffix rule is checked two ways: worked examples frozen by hand, and a
 hypothesis property comparing BucketStore against oracle_bucketize(), a
 deliberately naive reimplementation kept free of the store's data
-structures so the two can only agree by computing the same thing.
+structures so the two can only agree by computing the same thing. Bug
+instances are recorded as the engine records them, through a real sink, so
+the bucket directory and replay are checked against the event record alone.
 """
 
 from __future__ import annotations
 
-import base64
+import gc
 import json
+import shutil
 import stat
 import threading
+import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,27 +25,68 @@ from restfuzz.buckets import (
     BucketError,
     BucketStore,
     BugInstance,
-    StorageFailure,
     UnknownBucket,
     bucket_id_for,
-    format_instance_trace,
+    recorded_instance,
     replay_bucket,
 )
-from restfuzz.executor import SequenceExecutor, SocketTransport
-from restfuzz.grammar import FuzzingDictionary
+from restfuzz.executor import HttpExchange, SequenceExecutor, SocketTransport
+from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report
 
 
 def make_instance(ids, indices=None, status=500):
     indices = indices or [0] * len(ids)
-    return BugInstance(
-        steps=tuple(zip(ids, indices)),
-        requests=tuple(
-            f"GET /{tid} HTTP/1.1\r\nPRIVATE-TOKEN: secret\r\n\r\n".encode() for tid in ids
-        ),
-        responses=tuple(b"HTTP/1.1 500 oops\r\n\r\nboom" for _ in ids),
-        final_status=status,
-        found_at=1234.5,
-    )
+    return BugInstance(steps=tuple(zip(ids, indices)), final_status=status)
+
+
+class RecordedRun:
+    """A run directory whose bugs are recorded as the engine records them:
+    each step's exchange, then the instance filed in a store and its
+    ``bucket`` event. Every request carries ``auth_header: secret``; every
+    response but the last is a bodiless 200, the last one ``status oops``
+    with body ``boom``."""
+
+    def __init__(self, run_dir, auth_header="PRIVATE-TOKEN"):
+        self.dir = run_dir
+        self.auth_header = auth_header
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header}))
+        self.sink = TelemetrySink(run_dir)
+        self.store = BucketStore()
+        self.tests = 0
+
+    def bug(self, ids, indices=None, status=500, requests=None, responses=None):
+        instance = make_instance(ids, indices, status)
+        for step_index, tid in enumerate(ids):
+            final = step_index == len(ids) - 1
+            request = f"GET /{tid} HTTP/1.1\r\n{self.auth_header}: secret\r\n\r\n".encode()
+            exchange = HttpExchange(
+                request=request if requests is None else requests[step_index],
+                status=status if final else 200,
+                reason="oops" if final else "OK",
+                headers=(),
+                body=b"boom" if final else b"",
+                started=time.time(),
+                duration=0.0,
+            )
+            if responses is not None:
+                exchange.status, exchange.reason = responses[step_index]
+            self.sink.record_exchange(
+                self.tests, instance.steps, step_index, exchange, "bug" if final else "valid"
+            )
+        bucket, created = self.store.record(instance)
+        self.sink.record_bucket(self.tests, instance, bucket, created)
+        self.tests += 1
+        return bucket
+
+    def close(self):
+        """End the run and write its report files and bucket directory."""
+        self.sink.close()
+        emit_report(self.dir)
+        return self.dir
+
+    def instance(self, bucket_id, index):
+        return recorded_instance(self.dir / EVENTS_FILENAME, bucket_id, index)
 
 
 # --------------------------------------------------------------------------
@@ -170,17 +214,7 @@ class TestIdentity:
 class TestInstanceValidation:
     def test_empty_instance_rejected(self):
         with pytest.raises(BucketError):
-            BugInstance(steps=(), requests=(), responses=(), final_status=500, found_at=0.0)
-
-    def test_misaligned_instance_rejected(self):
-        with pytest.raises(BucketError):
-            BugInstance(
-                steps=(("A", 0),),
-                requests=(b"r", b"extra"),
-                responses=(b"s",),
-                final_status=500,
-                found_at=0.0,
-            )
+            BugInstance(steps=(), final_status=500)
 
 
 # --------------------------------------------------------------------------
@@ -209,15 +243,18 @@ def test_concurrent_records_agree_on_one_bucket():
 
 
 # --------------------------------------------------------------------------
-# Persistence
+# The record of each instance, and the bucket directory built from it
 
 
 class TestPersistence:
     def test_on_disk_layout(self, tmp_path):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["POST /a", "PUT /b"]))
-        store.record(make_instance(["X", "POST /a", "PUT /b"]))
-        directory = tmp_path / bucket.bucket_id
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["POST /a", "PUT /b"])
+        run.bug(["X", "POST /a", "PUT /b"])
+        # Nothing is written under buckets/ while the run records.
+        assert not (tmp_path / "buckets").exists()
+        run.close()
+        directory = tmp_path / "buckets" / bucket.bucket_id
 
         meta = json.loads((directory / "bucket.json").read_text())
         assert meta["bucket_id"] == bucket.bucket_id
@@ -225,201 +262,162 @@ class TestPersistence:
         assert meta["instance_count"] == 2
 
         assert (directory / "defining_sequence.txt").read_text() == "POST /a\nPUT /b\n"
-        for name in ("instance-0001.json", "instance-0001.txt",
-                     "instance-0002.json", "instance-0002.txt"):
-            assert (directory / name).is_file()
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "bucket.json",
+            "defining_sequence.txt",
+            "instance-0001.txt",
+            "instance-0002.txt",
+            "replay.sh",
+        ]
+        assert (directory / "instance-0002.txt").read_text().startswith("1/3: GET /X HTTP/1.1\n")
 
         script = directory / "replay.sh"
         assert script.stat().st_mode & stat.S_IXUSR
         assert bucket.bucket_id in script.read_text()
 
     def test_auth_value_never_reaches_disk(self, tmp_path):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["POST /a"]))
-        directory = tmp_path / bucket.bucket_id
+        """... of the bucket directory: events.jsonl alone keeps the token."""
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["POST /a"])
+        run.close()
+        directory = tmp_path / "buckets" / bucket.bucket_id
 
         human = (directory / "instance-0001.txt").read_text()
-        assert "secret" not in human
         assert "PRIVATE-TOKEN: [FILTERED]" in human
-
-        machine = json.loads((directory / "instance-0001.json").read_text())
-        raw = base64.b64decode(machine["requests"][0])
-        assert b"secret" not in raw
-        assert b"PRIVATE-TOKEN: [FILTERED]" in raw
+        for path in directory.iterdir():
+            assert b"secret" not in path.read_bytes(), path.name
 
     def test_custom_auth_header_is_redacted(self, tmp_path):
-        store = BucketStore(root=tmp_path, auth_header_name="X-Api-Key")
-        inst = BugInstance(
-            steps=(("A", 0),),
-            requests=(b"GET / HTTP/1.1\r\nX-Api-Key: topsecret\r\n\r\n",),
-            responses=(b"HTTP/1.1 500 x\r\n\r\n",),
-            final_status=500,
-            found_at=0.0,
-        )
-        bucket, _ = store.record(inst)
-        human = (tmp_path / bucket.bucket_id / "instance-0001.txt").read_text()
-        assert "topsecret" not in human
+        run = RecordedRun(tmp_path, auth_header="X-Api-Key")
+        bucket = run.bug(["A"])
+        run.close()
+        human = (tmp_path / "buckets" / bucket.bucket_id / "instance-0001.txt").read_text()
+        assert "secret" not in human
+        assert "X-Api-Key: [FILTERED]" in human
 
     def test_load_round_trips(self, tmp_path):
-        store = BucketStore(root=tmp_path)
-        store.record(make_instance(["A", "B"]))
-        store.record(make_instance(["C"]))
-        store.record(make_instance(["X", "C"]))
+        """The bucket directory is a view of the record: rebuilt from
+        events.jsonl alone, it is the same, byte for byte."""
+        run = RecordedRun(tmp_path / "run")
+        run.bug(["A", "B"])
+        run.bug(["C"])
+        run.bug(["X", "C"])
+        run_dir = run.close()
+        written = {p.relative_to(run_dir): p.read_bytes() for p in run_dir.glob("buckets/*/*")}
+        assert len(written) == 2 * 3 + 3
 
-        loaded = BucketStore.load(tmp_path)
-        assert len(loaded.buckets()) == 2
-        assert {b.defining_sequence for b in loaded.buckets()} == {("A", "B"), ("C",)}
-        c_bucket = loaded.get(bucket_id_for(["C"]))
-        assert c_bucket.instance_count == 2
-        # Stored bytes come back redacted, as written.
-        assert b"PRIVATE-TOKEN: [FILTERED]" in loaded.instance(c_bucket.bucket_id, 0).requests[0]
-
-        # A reloaded store keeps deduplicating against the old buckets.
-        _, created = loaded.record(make_instance(["Y", "A", "B"]))
-        assert not created
+        shutil.rmtree(run_dir / "buckets")
+        emit_report(run_dir)
+        assert {
+            p.relative_to(run_dir): p.read_bytes() for p in run_dir.glob("buckets/*/*")
+        } == written
+        c_dir = run_dir / "buckets" / bucket_id_for(["C"])
+        assert json.loads((c_dir / "bucket.json").read_text())["instance_count"] == 2
 
     def test_instance_reads_back_one_file(self, tmp_path):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["A", "B"], indices=[1, 2], status=503))
-        store.record(make_instance(["X", "A", "B"]))
+        """An instance is read back from its bucket event in events.jsonl,
+        with or without a bucket directory."""
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["A", "B"], indices=[1, 2], status=503)
+        run.bug(["X", "A", "B"])
+        run.sink.close()
 
-        first = store.instance(bucket.bucket_id, 0)
-        assert first.steps == (("A", 1), ("B", 2))
-        assert first.final_status == 503
-        assert first.found_at == 1234.5
-        assert first.responses == (b"HTTP/1.1 500 oops\r\n\r\nboom",) * 2
-        assert store.instance(bucket.bucket_id, 1).template_ids == ("X", "A", "B")
+        first = run.instance(bucket.bucket_id, 0)
+        assert first == BugInstance(steps=(("A", 1), ("B", 2)), final_status=503)
+        assert run.instance(bucket.bucket_id, 1).template_ids == ("X", "A", "B")
+        assert not (tmp_path / "buckets").exists()
 
     @pytest.mark.parametrize("index", [2, -1])
     def test_instance_out_of_range_raises(self, tmp_path, index):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["A"]))
-        store.record(make_instance(["B", "A"]))
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["A"])
+        run.bug(["B", "A"])
+        run.close()
         with pytest.raises(BucketError, match=f"has no instance #{index}"):
-            store.instance(bucket.bucket_id, index)
-
-    def test_store_without_root_keeps_no_instances(self):
-        store = BucketStore()
-        bucket, _ = store.record(make_instance(["A"]))
-        with pytest.raises(BucketError, match="has no instance #0"):
-            store.instance(bucket.bucket_id, 0)
+            run.instance(bucket.bucket_id, index)
 
     def test_instance_of_unknown_bucket_raises(self, tmp_path):
-        with pytest.raises(UnknownBucket):
-            BucketStore(root=tmp_path).instance("nosuch", 0)
+        run = RecordedRun(tmp_path)
+        run.bug(["A"])
+        run.close()
+        with pytest.raises(UnknownBucket, match="nosuch"):
+            run.instance("nosuch", 0)
 
-    @pytest.mark.parametrize("content", ["{not json", '{"steps": []}', "[]"])
-    def test_corrupt_instance_file_raises_storage_failure(self, tmp_path, content):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["A"]))
-        (tmp_path / bucket.bucket_id / "instance-0001.json").write_text(content)
-        with pytest.raises(StorageFailure, match="instance-0001.json"):
-            store.instance(bucket.bucket_id, 0)
+    @pytest.mark.parametrize(
+        "drop, replace, message",
+        [
+            ("steps", {}, "has no 'steps' field"),
+            ("final_status", {}, "has no 'final_status' field"),
+            (None, {"steps": [["A"]]}, "malformed steps"),
+            (None, {"steps": []}, "at least one step"),
+        ],
+        ids=["no-steps", "no-final-status", "short-step", "empty-steps"],
+    )
+    def test_unreplayable_bucket_event_is_an_error(self, tmp_path, drop, replace, message):
+        """A bucket event without a usable instance, such as one recorded
+        before events carried instances, is named in the error."""
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["A"])
+        run.close()
+        path = tmp_path / EVENTS_FILENAME
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            if event["type"] == "bucket":
+                event.pop(drop, None)
+                event.update(replace)
+        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+        with pytest.raises(BucketError, match=message):
+            run.instance(bucket.bucket_id, 0)
 
-    def test_load_counts_instance_files(self, tmp_path):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance(["A"]))
-        store.record(make_instance(["B", "A"]))
-        store.record(make_instance(["C", "A"]))
-        # The count comes from the files; their contents are not read.
-        (tmp_path / bucket.bucket_id / "instance-0002.json").write_text("{not json")
+    def test_memory_does_not_grow_with_recorded_instances(self):
+        """The store holds its index, not the instances it filed."""
 
-        loaded = BucketStore.load(tmp_path)
-        assert loaded.get(bucket.bucket_id).instance_count == 3
-        _, created = loaded.record(make_instance(["D", "A"]))
-        assert not created
-        assert (tmp_path / bucket.bucket_id / "instance-0004.json").is_file()
-        meta = json.loads((tmp_path / bucket.bucket_id / "bucket.json").read_text())
-        assert meta["instance_count"] == 4
-
-    def test_load_continues_after_the_highest_ordinal(self, tmp_path, monkeypatch):
-        write_text = Path.write_text
-
-        def full_disk_for_0002(path, *args, **kwargs):
-            if path.name == "instance-0002.json":
-                raise OSError(28, "No space left on device")
-            return write_text(path, *args, **kwargs)
-
-        store = BucketStore(root=tmp_path)
-        monkeypatch.setattr(Path, "write_text", full_disk_for_0002)
-        bucket, _ = store.record(make_instance(["A"]))
-        store.record(make_instance(["B", "A"]))
-        store.record(make_instance(["C", "A"]))
-        monkeypatch.undo()
-        directory = tmp_path / bucket.bucket_id
-        assert store.storage_errors == 1
-        assert sorted(p.name for p in directory.glob("instance-*.json")) == [
-            "instance-0001.json",
-            "instance-0003.json",
-        ]
-        newest = (directory / "instance-0003.json").read_bytes()
-
-        loaded = BucketStore.load(tmp_path)
-        assert loaded.get(bucket.bucket_id).instance_count == 3
-        loaded.record(make_instance(["D", "A"]))
-        assert (directory / "instance-0003.json").read_bytes() == newest
-        assert loaded.instance(bucket.bucket_id, 3).template_ids == ("D", "A")
-
-    def test_memory_does_not_grow_with_recorded_instances(self, tmp_path):
-        body = b"x" * (16 * 1024)
-
-        def peak(count, root):
-            store = BucketStore(root=root)
+        def held(count):
+            instances = [
+                make_instance(["POST /a", "GET /b", f"PUT /c{i % 3}"]) for i in range(count)
+            ]
             tracemalloc.start()
             try:
-                for i in range(count):
-                    ids = ["POST /a", "GET /b", f"PUT /c{i % 3}"]
-                    store.record(
-                        BugInstance(
-                            steps=tuple((tid, 0) for tid in ids),
-                            requests=tuple(f"GET /{tid} HTTP/1.1\r\n\r\n".encode() for tid in ids),
-                            responses=tuple(b"HTTP/1.1 500 x\r\n\r\n" + body for _ in ids),
-                            final_status=500,
-                            found_at=float(i),
-                        )
-                    )
-                return tracemalloc.get_traced_memory()[1]
+                store = BucketStore()
+                for instance in instances:
+                    store.record(instance)
+                del instances
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
-        small = peak(10, tmp_path / "small")
-        large = peak(100, tmp_path / "large")
+        small = held(10)
+        large = held(1000)
         assert large < 1.5 * small, (small, large)
 
-    def test_load_missing_directory_raises(self, tmp_path):
-        with pytest.raises(StorageFailure):
-            BucketStore.load(tmp_path / "never-written")
-
-    def test_load_corrupt_metadata_raises(self, tmp_path):
-        bad = tmp_path / "deadbeef0000"
-        bad.mkdir()
-        (bad / "bucket.json").write_text("{not json")
-        with pytest.raises(StorageFailure):
-            BucketStore.load(tmp_path)
-
     def test_write_errors_degrade_without_crashing(self, tmp_path):
-        blocker = tmp_path / "occupied"
-        blocker.write_text("a file where the store wants a directory")
-        store = BucketStore(root=blocker)
-        bucket, created = store.record(make_instance(["A"]))
-        assert created
+        """The campaign writes no bucket files, so a bucket directory that
+        cannot be made does not stop it; only the report fails."""
+        (tmp_path / "buckets").write_text("a file where the bucket directory goes")
+        run = RecordedRun(tmp_path)
+        bucket = run.bug(["A"])
         assert bucket.defining_sequence == ("A",)
-        assert store.storage_errors > 0
+        run.sink.close()
+        assert run.instance(bucket.bucket_id, 0).template_ids == ("A",)
+        with pytest.raises(OSError):
+            emit_report(tmp_path)
 
 
 # --------------------------------------------------------------------------
 # Human-readable trace
 
 
-def test_trace_format_is_numbered_requests_then_responses():
-    inst = BugInstance(
-        steps=(("POST /a", 0), ("GET /b", 1)),
-        requests=(b"POST /a HTTP/1.1\r\nHost: h\r\n\r\n", b"GET /b HTTP/1.1\r\n\r\n"),
-        responses=(b"HTTP/1.1 200 OK\r\n\r\n", b"HTTP/1.1 500 boom\r\n\r\n"),
-        final_status=500,
-        found_at=0.0,
+def test_trace_format_is_numbered_requests_then_responses(tmp_path):
+    run = RecordedRun(tmp_path)
+    bucket = run.bug(
+        ["POST /a", "GET /b"],
+        indices=[0, 1],
+        requests=[b"POST /a HTTP/1.1\r\nHost: h\r\n\r\n", b"GET /b HTTP/1.1\r\n\r\n"],
+        responses=[(200, "OK"), (500, "boom")],
     )
-    assert format_instance_trace(inst) == (
+    run.close()
+    assert (tmp_path / "buckets" / bucket.bucket_id / "instance-0001.txt").read_text() == (
         "1/2: POST /a HTTP/1.1\nHost: h\n"
         "\n"
         "=> HTTP/1.1 200 OK\n"
@@ -427,6 +425,8 @@ def test_trace_format_is_numbered_requests_then_responses():
         "2/2: GET /b HTTP/1.1\n"
         "\n"
         "=> HTTP/1.1 500 boom\n"
+        "\n"
+        "boom\n"
     )
 
 
@@ -447,17 +447,17 @@ def live_executor(blog_conn, blog_grammar):
     executor.close()
 
 
-def replay_stored(store, bucket_id, grammar, dictionary, executor, index=0):
-    """Replay instance #index of a bucket as read back from the store."""
-    instance = store.instance(bucket_id, index)
-    return replay_bucket(bucket_id, instance, grammar, dictionary, executor)
+def replay_stored(run, bucket_id, grammar, dictionary, executor, index=0):
+    """Replay instance #index of a bucket as read back from the record."""
+    return replay_bucket(bucket_id, run.instance(bucket_id, index), grammar, dictionary, executor)
 
 
 class TestReplay:
     def test_planted_bug_reproduces(self, tmp_path, blog_grammar, dictionary, live_executor):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance([POST, GET_ONE, PUT_ONE]))
-        result = replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        run = RecordedRun(tmp_path)
+        bucket = run.bug([POST, GET_ONE, PUT_ONE])
+        run.close()
+        result = replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert result.reproduced
         assert result.final_status == 500
         assert result.diverged_step is None
@@ -466,9 +466,10 @@ class TestReplay:
         self, tmp_path, blog_grammar, dictionary, live_executor
     ):
         # This chain was never a 500; replaying it lands on the 404 at step 3.
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance([POST, DELETE_ONE, GET_ONE]))
-        result = replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        run = RecordedRun(tmp_path)
+        bucket = run.bug([POST, DELETE_ONE, GET_ONE])
+        run.close()
+        result = replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
         assert not result.reproduced
         assert result.final_class == "invalid"
         assert result.final_status == 404
@@ -477,17 +478,19 @@ class TestReplay:
     def test_rendering_index_outside_dictionary_is_an_error(
         self, tmp_path, blog_grammar, dictionary, live_executor
     ):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance([POST], indices=[999]))
+        run = RecordedRun(tmp_path)
+        bucket = run.bug([POST], indices=[999])
+        run.close()
         with pytest.raises(BucketError, match="dictionary mismatch"):
-            replay_stored(store, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+            replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
 
     def test_missing_instance_index_is_an_error(
         self, tmp_path, blog_grammar, dictionary, live_executor
     ):
-        store = BucketStore(root=tmp_path)
-        bucket, _ = store.record(make_instance([POST]))
+        run = RecordedRun(tmp_path)
+        bucket = run.bug([POST])
+        run.close()
         with pytest.raises(BucketError, match="no instance"):
             replay_stored(
-                store, bucket.bucket_id, blog_grammar, dictionary, live_executor, index=5
+                run, bucket.bucket_id, blog_grammar, dictionary, live_executor, index=5
             )

@@ -15,7 +15,6 @@ import socket
 import pytest
 
 from restfuzz.blogserver import bundled_spec_path, serve
-from restfuzz.buckets import BucketStore, BugInstance
 from restfuzz.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -27,7 +26,7 @@ from restfuzz.cli import (
 from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import ConfigError
 from restfuzz.grammar import load_grammar
-from restfuzz.telemetry import TelemetrySink
+from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink
 
 SPEC = str(bundled_spec_path())
 BUCKET_ID = "c46f74afdc64"  # BFS depth 3 finds exactly this one
@@ -261,28 +260,43 @@ class TestFuzzArtifacts:
         assert "already holds a recorded run" in capsys.readouterr().err
 
 
+def copy_run(run_dir, dest, rewrite=None):
+    """Copy a run directory; ``rewrite(events)`` may edit its event list."""
+    shutil.copytree(run_dir, dest)
+    if rewrite is not None:
+        path = dest / EVENTS_FILENAME
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in rewrite(events)))
+    return dest
+
+
+def with_instance(template_ids):
+    """An event rewrite that files one more instance under BUCKET_ID, as a
+    bucket event whose test left no exchanges in the record."""
+
+    def rewrite(events):
+        bucket = next(e for e in events if e["type"] == "bucket")
+        extra = dict(
+            bucket,
+            created=False,
+            test_index=10**6,
+            steps=[[tid, 0] for tid in template_ids],
+        )
+        return events + [extra]
+
+    return rewrite
+
+
 @pytest.fixture(scope="module")
 def two_instance_run(recorded_run, tmp_path_factory):
     """The recorded run, with a second instance filed under its one bucket."""
-    out = tmp_path_factory.mktemp("cli") / "out"
-    shutil.copytree(recorded_run, out)
     ids = (
         "POST /api/blog/posts",
         "POST /api/blog/posts",
         "GET /api/blog/posts/{id}",
         "PUT /api/blog/posts/{id}",
     )
-    bucket, created = BucketStore.load(out / "buckets").record(
-        BugInstance(
-            steps=tuple((tid, 0) for tid in ids),
-            requests=(b"",) * len(ids),
-            responses=(b"",) * len(ids),
-            final_status=500,
-            found_at=0.0,
-        )
-    )
-    assert (bucket.bucket_id, bucket.instance_count, created) == (BUCKET_ID, 2, False)
-    return out
+    return copy_run(recorded_run, tmp_path_factory.mktemp("cli") / "out", with_instance(ids))
 
 
 class TestReplayCommand:
@@ -323,7 +337,7 @@ class TestReplayCommand:
             handle.stop()
         assert code == EXIT_OK
         assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
-        # instance-0002.json opens with two POSTs; instance-0001.json with one.
+        # Instance #1 opens with two POSTs; instance #0 with one.
         assert len(handle.store.list_posts()) == 2
 
     @pytest.mark.parametrize("index", ["5", "-1"])
@@ -346,6 +360,72 @@ class TestReplayCommand:
         assert replay(closed_port()) == EXIT_CONFIG
         assert f"no instance #{index}" in capsys.readouterr().err
 
+    def test_divergence_names_the_step_of_the_instance(self, recorded_run, tmp_path, capsys):
+        """A 4-step instance of the 3-step bucket that no longer reaches
+        the bug: its fetch of a deleted post is a 404 at step 3 of 4."""
+        ids = (
+            "POST /api/blog/posts",
+            "DELETE /api/blog/posts/{id}",
+            "GET /api/blog/posts/{id}",
+            "PUT /api/blog/posts/{id}",
+        )
+        run = copy_run(recorded_run, tmp_path / "run", with_instance(ids))
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID, "--instance", "1",
+                 "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"bucket {BUCKET_ID}: not reproduced — final class invalid (status 404)"
+            " — diverged at step 3/4\n"
+        )
+
+    def test_killed_run_replays_from_its_events_alone(self, recorded_run, tmp_path, capsys):
+        """No bucket directory and no run_end event: the record is enough."""
+        run = copy_run(recorded_run, tmp_path / "run", lambda events: events[:-1])
+        assert "run_end" not in (run / EVENTS_FILENAME).read_text()
+        shutil.rmtree(run / "buckets")
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+                 "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
+
+    def test_run_recorded_before_instances_were_events(self, recorded_run, tmp_path, capsys):
+        """Older bucket events name no test, steps or status: the reports
+        are still rebuilt, and replay says which field is missing."""
+        fields = ("test_index", "steps", "final_status")
+
+        def strip(events):
+            return [
+                {k: v for k, v in e.items() if e["type"] != "bucket" or k not in fields}
+                for e in events
+            ]
+
+        run = copy_run(recorded_run, tmp_path / "run", strip)
+        written = {name: (run / name).read_bytes() for name in REPORT_FILES}
+        for name in REPORT_FILES:
+            (run / name).unlink()
+        assert main(["report", "--out", str(run)]) == EXIT_OK
+        for name, blob in written.items():
+            assert (run / name).read_bytes() == blob, name
+        capsys.readouterr()
+        code = main(
+            ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+             "--target", f"127.0.0.1:{closed_port()}"]
+        )
+        assert code == EXIT_CONFIG
+        assert "has no 'steps' field" in capsys.readouterr().err
+
     def test_unreachable_replay_target_is_exit_3(self, recorded_run, capsys):
         code = main(
             ["replay", "--out", str(recorded_run), "--bucket", BUCKET_ID,
@@ -355,18 +435,20 @@ class TestReplayCommand:
         capsys.readouterr()
 
 
+REPORT_FILES = ("status_timeline.csv", "per_length.csv", "wire.log", "summary.txt", "report.json")
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestReportCommand:
     def test_rebuild_reproduces_the_report_files_byte_for_byte(
         self, recorded_run, tmp_path, capsys
     ):
         clone = tmp_path / "clone"
         shutil.copytree(recorded_run, clone)
-        originals = {
-            name: (clone / name).read_bytes()
-            for name in (
-                "status_timeline.csv", "per_length.csv", "wire.log", "summary.txt", "report.json"
-            )
-        }
+        originals = {name: (clone / name).read_bytes() for name in REPORT_FILES}
         for name in originals:
             (clone / name).unlink()
 
@@ -374,6 +456,36 @@ class TestReportCommand:
         capsys.readouterr()
         for name, blob in originals.items():
             assert (clone / name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rebuild_reproduces_the_bucket_directory_byte_for_byte(
+        self, workers, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        handle = serve()
+        try:
+            code = main(
+                ["fuzz", "--spec", SPEC, "--strategy", "bfs", "--max-length", "4",
+                 "--workers", workers, "--target", f"127.0.0.1:{handle.port}",
+                 "--out", str(out)]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        buckets = tree_bytes(out / "buckets")
+        names = {path.name for path in buckets}
+        assert {"bucket.json", "defining_sequence.txt", "replay.sh", "instance-0002.txt"} <= names
+        assert not [name for name in names if name.endswith(".json") and "instance" in name]
+
+        clone = shutil.copytree(out, tmp_path / "clone")
+        shutil.rmtree(clone / "buckets")
+        assert main(["report", "--out", str(clone)]) == EXIT_OK
+        capsys.readouterr()
+        assert tree_bytes(clone / "buckets") == buckets
+        assert all(
+            (clone / "buckets" / path).stat().st_mode & 0o777 == 0o755
+            for path in buckets if path.name == "replay.sh"
+        )
 
     def test_missing_events_file(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG

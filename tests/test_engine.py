@@ -568,13 +568,13 @@ def recorded_campaign(grammar, transport_factory, run_dir, **config_kwargs):
 
 def assert_stream_adds_up_to(report, events):
     """Each test's final class is that of its last exchange event, or
-    Invalid after a transport failure; the event classes sum to the
-    report's totals."""
+    Invalid after a transport failure or an unresolvable consumer; the
+    event classes sum to the report's totals."""
     finals = {}
     for event in events:
         if event["type"] == "exchange":
             finals[event["test_index"]] = event["response_class"]
-        elif event["type"] == "transport_failure":
+        elif event["type"] in ("transport_failure", "unresolvable_consumer"):
             finals[event["test_index"]] = "invalid"
     assert sorted(finals) == list(range(report.total_tests))
     assert Counter(finals.values()) == report.status_totals
@@ -688,5 +688,17 @@ class TestRecording:
         assert report.transport_failures == 0
         assert report.status_totals == {"valid": 12, "invalid": 4}
         assert not [event for event in events if event["type"] == "transport_failure"]
-        unsent = [steps for steps, statuses in tests.values() if len(statuses) < len(steps)]
+        unsent = {
+            test_index: steps
+            for test_index, (steps, statuses) in tests.items()
+            if len(statuses) < len(steps)
+        }
         assert len(unsent) == 4
+        unresolved = [event for event in events if event["type"] == "unresolvable_consumer"]
+        assert sorted(
+            (e["test_index"], e["template_id"], e["step_index"], e["resource"]) for e in unresolved
+        ) == sorted(
+            (test_index, steps[1].template_id, 1, "posts/id")
+            for test_index, steps in unsent.items()
+        )
+        assert_stream_adds_up_to(report, events)

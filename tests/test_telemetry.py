@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from restfuzz.buckets import BugBucket, BugInstance
 from restfuzz.engine import EngineConfig, FuzzEngine, Strategy
 from restfuzz.executor import (
     HttpExchange,
@@ -31,7 +32,13 @@ from restfuzz.executor import (
     redact_header_value,
     status_class_label,
 )
-from restfuzz.grammar import FuzzingDictionary, GrammarProgram, RequestTemplate, StaticSlot
+from restfuzz.grammar import (
+    FuzzingDictionary,
+    GrammarProgram,
+    RequestTemplate,
+    ResourceType,
+    StaticSlot,
+)
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
     WIRE_LOG_FILENAME,
@@ -69,12 +76,18 @@ def record(sink, exchange, response_class, test_index=0, length=1, step=0,
     """Hand ``exchange`` to the sink as step ``step`` of a test of
     ``length`` steps, each (``template``, ``rendering``)."""
     steps = ((template, rendering),) * length
-    response = exchange.response_head() + exchange.body
-    sink.record_exchange(test_index, steps, step, exchange, response, response_class)
+    sink.record_exchange(test_index, steps, step, exchange, response_class)
 
 
 def record_failure(sink, phase, detail, test_index=0, template="POST /x"):
     sink.record_failure(test_index, ((template, 0),), 0, TransportFailure(phase, detail))
+
+
+def record_bug(sink, test_index, created, defining=("POST /x", "PUT /x")):
+    """File test ``test_index``, whose one step was ``PUT /x`` answered
+    500, under bucket abc123def456."""
+    instance = BugInstance(steps=(("PUT /x", 0),), final_status=500)
+    sink.record_bucket(test_index, instance, BugBucket("abc123def456", defining, 1), created)
 
 
 class StatusTransport:
@@ -158,8 +171,8 @@ def recorded_sink(tmp_path, **kwargs):
     record(sink, make_exchange(500), "bug", test_index=1, template="PUT /x")
     record_failure(sink, "read", "timed out", test_index=2)
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
-    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
-    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=False)
+    record_bug(sink, 1, created=True)
+    record_bug(sink, 1, created=False)
     sink.record_run_end("completed", {"total_tests": 2})
     sink.close()
     return sink
@@ -247,6 +260,65 @@ def test_rendering_index_travels_with_the_event(tmp_path):
     assert events[0]["rendering_index"] == 7
 
 
+def test_bucket_event_carries_the_instance(tmp_path):
+    recorded_sink(tmp_path)
+    bucket = next(e for e in recorded_events(tmp_path) if e["type"] == "bucket")
+    assert {k: v for k, v in bucket.items() if k != "elapsed"} == {
+        "type": "bucket",
+        "bucket_id": "abc123def456",
+        "defining_sequence": ["POST /x", "PUT /x"],
+        "created": True,
+        "test_index": 1,
+        "steps": [["PUT /x", 0]],
+        "final_status": 500,
+    }
+
+
+def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
+    sink = TelemetrySink(out_dir=tmp_path)
+    steps = (("POST /x", 0), ("GET /x/{id}", 0))
+    sink.record_exchange(0, steps, 0, make_exchange(201), "valid")
+    sink.record_unresolvable(0, steps, 1, ResourceType("x/id"))
+    sink.close()
+    event = recorded_events(tmp_path)[-1]
+    assert {k: v for k, v in event.items() if k != "elapsed"} == {
+        "type": "unresolvable_consumer",
+        "test_index": 0,
+        "template_id": "GET /x/{id}",
+        "step_index": 1,
+        "resource": "x/id",
+    }
+    emit_report(tmp_path)
+    wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
+    assert wire.endswith("\n\nUnresolvable consumer (x/id): step 2 GET /x/{id} not sent\n\n")
+
+
+def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
+    """Workers interleave their lines: the reader keeps each test's
+    exchanges apart until the test ends."""
+    write_config(tmp_path, "PRIVATE-TOKEN")
+    sink = TelemetrySink(out_dir=tmp_path)
+    bug_steps = (("POST /x", 0), ("PUT /x", 0))
+    other_steps = (("POST /x", 0), ("GET /x", 0))
+    sink.record_exchange(7, bug_steps, 0, make_exchange(201), "valid")
+    sink.record_exchange(8, other_steps, 0, make_exchange(201, body=b"other"), "valid")
+    sink.record_exchange(7, bug_steps, 1, make_exchange(500, body=b"boom"), "bug")
+    sink.record_exchange(8, other_steps, 1, make_exchange(200, body=b"other"), "valid")
+    sink.record_failure(9, other_steps, 0, TransportFailure("read", "timed out"))
+    instance = BugInstance(steps=bug_steps, final_status=500)
+    sink.record_bucket(7, instance, BugBucket("abc123def456", ("PUT /x",), 1), True)
+    sink.close()
+    emit_report(tmp_path)
+    trace = (tmp_path / "buckets" / "abc123def456" / "instance-0001.txt").read_text()
+    request = "POST /x HTTP/1.1\nPRIVATE-TOKEN: [FILTERED]\nHost: h\n\npayload"
+    head = "Content-Type: application/json\n"
+    assert trace == (
+        f"1/2: {request}\n\n=> HTTP/1.1 201 NO\n{head}\n{{\"ok\": 1}}\n"
+        "\n"
+        f"2/2: {request}\n\n=> HTTP/1.1 500 NO\n{head}\nboom\n"
+    )
+
+
 def reference_records(
     exchange, test_index, steps, step_index, elapsed, error_classes, auth_header_name
 ):
@@ -326,10 +398,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
             started=sink._start_wall + 1.5,
             duration=0.0125,
         )
-        sink.record_exchange(
-            3, steps, 1, exchange, exchange.response_head() + exchange.body,
-            classify_status(status, error_classes),
-        )
+        sink.record_exchange(3, steps, 1, exchange, classify_status(status, error_classes))
         sink.record_failure(3, steps, 1, TransportFailure("read", "timed out \u00e9"))
         sink.close()
         emit_report(out)
@@ -399,7 +468,7 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
         for test_index in range(exchanges):
             record(sink, make_exchange(), "valid", test_index=test_index)
         sink.record_length_stats(PerLengthRow(1, exchanges, exchanges, 0))
-        sink.record_bucket("abc123def456", ["POST /x"], created=True)
+        record_bug(sink, exchanges - 1, created=True, defining=("POST /x",))
         sink.record_run_end("completed", {"total_tests": exchanges})
         sink.close()
         tracemalloc.start()
@@ -478,8 +547,8 @@ def report_dir(tmp_path):
            template="PUT /x")
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
     sink.record_length_stats(PerLengthRow(2, 8, 6, 8))
-    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=True)
-    sink.record_bucket("abc123def456", ["POST /x", "PUT /x"], created=False)
+    record_bug(sink, 2, created=True)
+    record_bug(sink, 2, created=False)
     sink.record_run_end("completed", REPORT)
     sink.close()
     emit_report(tmp_path)
