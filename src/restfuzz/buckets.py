@@ -41,7 +41,7 @@ class BucketError(Exception):
 
 
 class UnknownBucket(BucketError):
-    """Lookup of a bucket id that the store, or the record, has never seen."""
+    """Lookup of a bucket id that the record has never seen."""
 
 
 def bucket_id_for(template_ids: Sequence[str]) -> str:
@@ -83,7 +83,6 @@ class BucketStore:
     def __init__(self):
         self._lock = threading.Lock()
         self._by_sequence: dict[tuple[str, ...], BugBucket] = {}
-        self._by_id: dict[str, BugBucket] = {}
 
     def record(self, instance: BugInstance) -> tuple[BugBucket, bool]:
         """File the instance under the first suffix-matching bucket.
@@ -104,19 +103,11 @@ class BucketStore:
                 instance_count=1,
             )
             self._by_sequence[bucket.defining_sequence] = bucket
-            self._by_id[bucket.bucket_id] = bucket
             return bucket, True
-
-    def get(self, bucket_id: str) -> BugBucket:
-        with self._lock:
-            try:
-                return self._by_id[bucket_id]
-            except KeyError:
-                raise UnknownBucket(f"unknown bucket id {bucket_id!r}") from None
 
     def buckets(self) -> list[BugBucket]:
         with self._lock:
-            return sorted(self._by_id.values(), key=lambda b: b.bucket_id)
+            return sorted(self._by_sequence.values(), key=lambda b: b.bucket_id)
 
 
 def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInstance:

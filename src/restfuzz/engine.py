@@ -13,10 +13,13 @@ candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
 connection when it returns or raises.
 
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
-of a finished test's exchanges: it counts the report's totals, hands the
-exchanges and any transport failure or unresolvable consumer to the sink,
-and files a bug in the bucket index, whose ``bucket`` event in the sink's
-stream is the only record of the instance.
+of a finished test's exchanges: it adds the test to the run's
+``FuzzReport``, hands the exchanges and any transport failure or
+unresolvable consumer to the sink, and files a bug in the bucket index and
+the report, whose ``bucket`` event in the sink's stream is the only record
+of the instance. The ``run`` loop gives the report and the sink each
+length's row and each restart alike; ``run_end`` carries only the stop
+reason and elapsed time, since ``emit_report`` folds the rest from events.
 
 Strategies differ only in the extension step:
 
@@ -41,7 +44,6 @@ import logging
 import random
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -67,7 +69,7 @@ from .grammar import (
     produces,
     render_combinations,
 )
-from .telemetry import PerLengthRow, TelemetrySink
+from .telemetry import FuzzReport, PerLengthRow, TelemetrySink
 
 logger = logging.getLogger(__name__)
 
@@ -206,62 +208,6 @@ def extend(
     return satisfiable
 
 
-# ----------------------------------------------------------------------------
-# Reports
-
-
-@dataclass
-class FuzzReport:
-    strategy: str
-    max_length_reached: int
-    total_tests: int
-    status_totals: dict[str, int]
-    status_group_totals: dict[str, int]
-    per_length: list[PerLengthRow]
-    buckets: list[dict]
-    restarts: int
-    behaviors: list[tuple[str, str]]
-    stopped_reason: str
-    transport_failures: int
-    elapsed_seconds: float
-
-    @property
-    def behavioral_coverage(self) -> int:
-        return len(self.behaviors)
-
-    def fingerprint(self) -> dict:
-        """Everything reproducible about the run — no wall-clock times."""
-        return {
-            "strategy": self.strategy,
-            "max_length_reached": self.max_length_reached,
-            "total_tests": self.total_tests,
-            "status_totals": dict(sorted(self.status_totals.items())),
-            "status_group_totals": dict(sorted(self.status_group_totals.items())),
-            "per_length": [
-                [row.length, row.tests, row.seqset_size, row.dynamic_objects]
-                for row in self.per_length
-            ],
-            "buckets": [
-                {
-                    "bucket_id": b["bucket_id"],
-                    "defining_sequence": list(b["defining_sequence"]),
-                    "instances": b["instances"],
-                }
-                for b in self.buckets
-            ],
-            "restarts": self.restarts,
-            "behaviors": [list(pair) for pair in self.behaviors],
-            "behavioral_coverage": self.behavioral_coverage,
-            "stopped_reason": self.stopped_reason,
-            "transport_failures": self.transport_failures,
-        }
-
-    def to_dict(self) -> dict:
-        data = self.fingerprint()
-        data["elapsed_seconds"] = round(self.elapsed_seconds, 3)
-        return data
-
-
 class _Budget:
     def __init__(self, seconds: float | None):
         self._deadline = None if seconds is None else time.monotonic() + seconds
@@ -271,10 +217,9 @@ class _Budget:
 
 
 class _Validation(NamedTuple):
-    """Sequences kept, tests run and objects extracted: one candidate's or one iteration's."""
+    """Sequences kept and objects extracted: one candidate's or one iteration's."""
 
     retained: list[RenderedSteps]
-    tests: int
     extracted: int
 
 
@@ -313,13 +258,9 @@ class FuzzEngine:
         self.probe = probe
         self.stop_requested = threading.Event()
         self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}
-        self._test_counter = 0
-        self._status_totals: Counter[str] = Counter()
-        self._status_group_totals: Counter[str] = Counter()
-        self._behaviors: set[tuple[str, str]] = set()
         self._status_labels = Memo(status_class_label)
-        self._transport_failures = 0
-        self._stats_lock = threading.Lock()
+        self.report = FuzzReport(config.strategy.value)
+        self._stats_lock = threading.Lock()  # guards self.report while workers run
 
     # -- helpers -----------------------------------------------------------
 
@@ -345,8 +286,8 @@ class FuzzEngine:
         )
 
     def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> None:
-        """Count a finished test, hand it to the sink, and file it when its
-        final response was a bug.
+        """Add a finished test to the report, hand it to the sink, and file
+        it when its final response was a bug.
 
         The exchange of each step but the last executed one was Valid, since
         execution stops at the first step that is not.
@@ -364,17 +305,15 @@ class FuzzEngine:
             if result.unresolved is not None:
                 self.sink.record_unresolvable(test_index, steps, last, result.unresolved)
         with self._stats_lock:
-            self._status_totals[result.final_class] += 1
-            self._transport_failures += result.failure is not None
-            for behavior in behaviors:
-                self._status_group_totals[behavior[1]] += 1
-                self._behaviors.add(behavior)
+            self.report.add_test(behaviors, result.final_class, result.failure is not None)
         if result.final_class != ResponseClass.BUG:
             return
         instance = BugInstance(
             steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
         )
         bucket, created = self.bucket_store.record(instance)
+        with self._stats_lock:
+            self.report.add_bucket_instance(bucket.bucket_id, bucket.defining_sequence)
         logger.info(
             "bug (status %d) filed under bucket %s%s: %s",
             instance.final_status,
@@ -395,11 +334,12 @@ class FuzzEngine:
     ) -> _Validation:
         """Render and run every candidate, preserving candidate order.
 
-        Test indices are assigned up front from the rendering counts, so
-        they are stable no matter how many workers execute the partitions.
+        Test indices are assigned up front, from the report's test count and
+        the rendering counts, so they are stable no matter how many workers
+        execute the partitions.
         """
         plans = []  # (candidate_index, first_test_index, renderings)
-        next_index = self._test_counter
+        next_index = self.report.total_tests
         for position, candidate in enumerate(candidates):
             renderings = self._renderings(candidate.template_id)
             plans.append((position, next_index, renderings))
@@ -414,7 +354,6 @@ class FuzzEngine:
                 candidate = candidates[position]
                 prefix = [self._rendered_request(s) for s in candidate.prefix]
                 retained: list[RenderedSteps] = []
-                tests = 0
                 extracted = 0
                 for offset, last_rendering in enumerate(renderings):
                     if stop_flag.is_set():
@@ -426,7 +365,6 @@ class FuzzEngine:
                         SequenceStep(candidate.template_id, last_rendering.rendering_index),
                     )
                     result = executor.execute_sequence(prefix + [last_rendering])
-                    tests += 1
                     self._record_test(first_index + offset, steps, result)
                     extracted += result.extracted
                     if result.final_class == ResponseClass.VALID or self.config.no_feedback:
@@ -437,7 +375,7 @@ class FuzzEngine:
                             " -> ".join(s.template_id for s in steps),
                             result.exchanges[-1].status,
                         )
-                results[position] = _Validation(retained, tests, extracted)
+                results[position] = _Validation(retained, extracted)
                 if stop_flag.is_set():
                     break
 
@@ -472,9 +410,7 @@ class FuzzEngine:
                 if steps not in seen:  # uniqueness by (template, rendering) ids
                     seen.add(steps)
                     merged.append(steps)
-        tests = sum(result.tests for result in ran)
-        self._test_counter += tests
-        return _Validation(merged, tests, sum(result.extracted for result in ran))
+        return _Validation(merged, sum(result.extracted for result in ran))
 
     # -- main loop ---------------------------------------------------------
 
@@ -489,90 +425,60 @@ class FuzzEngine:
         budget = _Budget(self.config.time_budget)
         rng = random.Random(self.config.rng_seed)
 
-        per_length: dict[int, list[int]] = {}  # length -> [tests, seqset, objects]
         seq_set: list[RenderedSteps] = [()]
         length = 0
-        max_reached = 0
-        restarts = 0
         progressed_since_restart = False
-        stopped_reason = "exhausted"
         is_walk = self.config.strategy is Strategy.RANDOM_WALK
 
         try:
             while True:
                 # Also where an iteration that a stop cut short ends the run.
                 if budget.expired() or self.stop_requested.is_set():
-                    stopped_reason = (
+                    self.report.stopped_reason = (
                         "interrupted" if self.stop_requested.is_set() else "time_budget"
                     )
                     break
                 if not is_walk and length >= self.config.max_length:
-                    stopped_reason = "max_length"
+                    self.report.stopped_reason = "max_length"
                     break
 
                 candidates = extend(seq_set, self.grammar, self.config.strategy, rng)
                 if not candidates:
                     if is_walk:
                         if not progressed_since_restart:
-                            stopped_reason = "exhausted"
+                            self.report.stopped_reason = "exhausted"
                             break
-                        restarts += 1
+                        self.report.add_restart()
+                        if self.sink is not None:
+                            self.sink.record_restart(self.report.total_tests, length)
                         progressed_since_restart = False
                         seq_set = [()]
                         length = 0
                         continue
-                    stopped_reason = "exhausted"
+                    self.report.stopped_reason = "exhausted"
                     break
 
+                tests_so_far = self.report.total_tests
                 outcome = self._execute_candidates(candidates, executors, budget)
                 length += 1
-                row = per_length.setdefault(length, [0, 0, 0])
-                row[0] += outcome.tests
-                row[1] = len(outcome.retained)
-                row[2] += outcome.extracted
+                previous = self.report.length_row(length)
+                row = PerLengthRow(
+                    length,
+                    previous.tests + self.report.total_tests - tests_so_far,
+                    len(outcome.retained),
+                    previous.dynamic_objects + outcome.extracted,
+                )
+                self.report.add_length_row(row)
                 if self.sink is not None:
-                    self.sink.record_length_stats(
-                        PerLengthRow(
-                            length=length,
-                            tests=row[0],
-                            seqset_size=row[1],
-                            dynamic_objects=row[2],
-                        )
-                    )
+                    self.sink.record_length_stats(row)
                 seq_set = outcome.retained
                 if seq_set:
-                    max_reached = max(max_reached, length)
                     progressed_since_restart = True
         finally:
             for executor in executors:
                 executor.close()
 
-        elapsed = time.monotonic() - started
-        buckets = [
-            {
-                "bucket_id": bucket.bucket_id,
-                "defining_sequence": list(bucket.defining_sequence),
-                "instances": bucket.instance_count,
-            }
-            for bucket in self.bucket_store.buckets()
-        ]
-        report = FuzzReport(
-            strategy=self.config.strategy.value,
-            max_length_reached=max_reached,
-            total_tests=self._test_counter,
-            status_totals=dict(self._status_totals),
-            status_group_totals=dict(self._status_group_totals),
-            per_length=[
-                PerLengthRow(length=n, tests=v[0], seqset_size=v[1], dynamic_objects=v[2])
-                for n, v in sorted(per_length.items())
-            ],
-            buckets=buckets,
-            restarts=restarts,
-            behaviors=sorted(self._behaviors),
-            stopped_reason=stopped_reason,
-            transport_failures=self._transport_failures,
-            elapsed_seconds=elapsed,
-        )
+        self.report.elapsed_seconds = time.monotonic() - started
         if self.sink is not None:
-            self.sink.record_run_end(stopped_reason, report.to_dict())
-        return report
+            self.sink.record_run_end(self.report.stopped_reason, self.report.elapsed_seconds)
+        return self.report

@@ -1,4 +1,4 @@
-"""Client-side observation of a fuzzing run.
+"""Client-side observation of a fuzzing run, and the run's report.
 
 The sink appends every event of a run to one file, ``events.jsonl``: one
 JSON object per line, request and response bytes base64-encoded as they
@@ -7,8 +7,13 @@ the auth token included. It keeps nothing in memory. The engine is its only
 caller: it hands over each finished test's exchanges and its transport
 failure or unresolvable consumer, in the order the worker ran them, then a
 ``bucket`` event when the test hit a bug, and the run's start, per-length
-rows and end. An exchange's ``elapsed`` is when its response arrived, taken
-from the exchange's own start and duration.
+rows, random-walk restarts (``restart``: the next test's index and the
+walk's length) and end, which carries only the stop reason and
+``FuzzEngine.run``'s elapsed time. An exchange's ``elapsed`` is when its
+response arrived, taken from the exchange's own start and duration.
+
+``FuzzReport`` is the run's report as a fold of those facts. The engine
+feeds one during the run; ``emit_report`` feeds a fresh one from the events.
 
 ``events.jsonl`` is the durable record, and the only record of a bug
 instance. ``emit_report`` is its one reader. In a single pass over the file
@@ -44,9 +49,9 @@ import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .executor import DEFAULT_AUTH_HEADER, HttpExchange, TransportFailure, human_text, status_class_label
 
@@ -68,6 +73,104 @@ class PerLengthRow:
     tests: int
     seqset_size: int
     dynamic_objects: int
+
+
+class FuzzReport:
+    """What a run did, folded one fact at a time by the ``add_*`` methods.
+
+    It holds counters, the behaviours, a row per length and an entry per
+    bucket: it does not grow with the number of tests. It takes no lock.
+    """
+
+    def __init__(self, strategy: str | None = None):
+        self.strategy = strategy
+        self.max_length_reached = 0
+        self.total_tests = 0
+        self.status_totals: Counter[str] = Counter()
+        self.status_group_totals: Counter[str] = Counter()
+        self.behaviors: set[tuple[str, str]] = set()  # (template id, status group)
+        self.restarts = 0
+        self.transport_failures = 0
+        self.stopped_reason = "unknown (no run_end event)"
+        self.elapsed_seconds: float | None = None
+        self._rows: dict[int, PerLengthRow] = {}
+        self._buckets: dict[str, dict] = {}
+
+    def add_test(
+        self, behaviors: Iterable[tuple[str, str]], final_class: str, transport_failed: bool
+    ) -> None:
+        """One finished test: the (template id, status group) pair of each
+        of its exchanges, its final class, and whether a transport failure
+        ended it."""
+        self.total_tests += 1
+        self.status_totals[final_class] += 1
+        self.transport_failures += transport_failed
+        for behavior in behaviors:
+            self.status_group_totals[behavior[1]] += 1
+            self.behaviors.add(behavior)
+
+    def add_bucket_instance(self, bucket_id: str, defining_sequence: Sequence[str]) -> int:
+        """One bug instance filed under ``bucket_id``; return how many that
+        bucket now holds."""
+        bucket = self._buckets.setdefault(
+            bucket_id,
+            {"bucket_id": bucket_id, "defining_sequence": list(defining_sequence), "instances": 0},
+        )
+        bucket["instances"] += 1
+        return bucket["instances"]
+
+    def add_length_row(self, row: PerLengthRow) -> None:
+        """The cumulative row of one sequence length, which replaces the
+        length's earlier row; a length that kept sequences was reached."""
+        self._rows[row.length] = row
+        if row.seqset_size:
+            self.max_length_reached = max(self.max_length_reached, row.length)
+
+    def add_restart(self) -> None:
+        """One random-walk restart from the empty sequence."""
+        self.restarts += 1
+
+    def length_row(self, length: int) -> PerLengthRow:
+        """The cumulative row of ``length`` so far (zeros before its first)."""
+        return self._rows.get(length) or PerLengthRow(length, 0, 0, 0)
+
+    @property
+    def per_length(self) -> list[PerLengthRow]:
+        return [self._rows[length] for length in sorted(self._rows)]
+
+    @property
+    def buckets(self) -> list[dict]:
+        return [self._buckets[bucket_id] for bucket_id in sorted(self._buckets)]
+
+    @property
+    def behavioral_coverage(self) -> int:
+        return len(self.behaviors)
+
+    def fingerprint(self) -> dict:
+        """Everything reproducible about the run — no wall-clock times."""
+        return {
+            "strategy": self.strategy,
+            "max_length_reached": self.max_length_reached,
+            "total_tests": self.total_tests,
+            "status_totals": dict(sorted(self.status_totals.items())),
+            "status_group_totals": dict(sorted(self.status_group_totals.items())),
+            "per_length": [list(astuple(row)) for row in self.per_length],
+            "buckets": [
+                dict(b, defining_sequence=list(b["defining_sequence"])) for b in self.buckets
+            ],
+            "restarts": self.restarts,
+            "behaviors": [list(pair) for pair in sorted(self.behaviors)],
+            "behavioral_coverage": self.behavioral_coverage,
+            "stopped_reason": self.stopped_reason,
+            "transport_failures": self.transport_failures,
+        }
+
+    def to_dict(self) -> dict:
+        data = self.fingerprint()
+        data["elapsed_seconds"] = (
+            None if self.elapsed_seconds is None else round(self.elapsed_seconds, 3)
+        )
+        return data
 
 
 class TelemetrySink:
@@ -114,6 +217,11 @@ class TelemetrySink:
 
     def _write_event(self, event: dict) -> None:
         self._write(json.dumps(event, sort_keys=True) + "\n")
+
+    def _record(self, kind: str, **fields) -> None:
+        """Append an event of type ``kind`` stamped with the run's elapsed time."""
+        with self._lock:
+            self._write_event({"type": kind, "elapsed": self.elapsed(), **fields})
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start_monotonic
@@ -193,53 +301,37 @@ class TelemetrySink:
         self, kind: str, test_index: int, steps: Sequence[tuple[str, int]], step_index: int,
         **fields,
     ) -> None:
-        with self._lock:
-            self._write_event(
-                {
-                    "type": kind,
-                    "elapsed": self.elapsed(),
-                    "test_index": test_index,
-                    "template_id": steps[step_index][0],
-                    "step_index": step_index,
-                    **fields,
-                }
-            )
+        self._record(
+            kind, test_index=test_index, template_id=steps[step_index][0], step_index=step_index,
+            **fields,
+        )
 
     def record_length_stats(self, row: PerLengthRow) -> None:
         with self._lock:
-            self._write_event(
-                {
-                    "type": "length_stats",
-                    "length": row.length,
-                    "tests": row.tests,
-                    "seqset_size": row.seqset_size,
-                    "dynamic_objects": row.dynamic_objects,
-                }
-            )
+            self._write_event({"type": "length_stats", **asdict(row)})
 
     def record_bucket(
         self, test_index: int, instance: BugInstance, bucket: BugBucket, created: bool
     ) -> None:
         """Test ``test_index`` hit a bug, ``instance``, filed under ``bucket``."""
-        event = {
-            "type": "bucket",
-            "elapsed": self.elapsed(),
-            "bucket_id": bucket.bucket_id,
-            "defining_sequence": list(bucket.defining_sequence),
-            "created": created,
-            "test_index": test_index,
-            "steps": [list(step) for step in instance.steps],
-            "final_status": instance.final_status,
-        }
-        with self._lock:
-            self._write_event(event)
+        self._record(
+            "bucket",
+            bucket_id=bucket.bucket_id,
+            defining_sequence=list(bucket.defining_sequence),
+            created=created,
+            test_index=test_index,
+            steps=[list(step) for step in instance.steps],
+            final_status=instance.final_status,
+        )
 
-    def record_run_end(self, reason: str, report: dict | None = None) -> None:
-        with self._lock:
-            event = {"type": "run_end", "elapsed": self.elapsed(), "reason": reason}
-            if report is not None:
-                event["report"] = report
-            self._write_event(event)
+    def record_restart(self, test_index: int, length: int) -> None:
+        """The random walk restarts from the empty sequence after reaching
+        ``length``; its next test is ``test_index``."""
+        self._record("restart", test_index=test_index, length=length)
+
+    def record_run_end(self, reason: str, elapsed_seconds: float) -> None:
+        """The run stopped for ``reason``; ``FuzzEngine.run`` took ``elapsed_seconds``."""
+        self._record("run_end", reason=reason, elapsed_seconds=elapsed_seconds)
 
     def close(self) -> None:
         with self._lock:
@@ -258,8 +350,8 @@ class TelemetrySink:
 def iter_events(path: Path) -> Iterator[dict]:
     """Yield the events of an ``events.jsonl`` in order, one line at a time.
 
-    Blank lines are skipped, and so are lines that are not JSON (a write
-    cut short by a full disk), each with a warning.
+    Blank lines are skipped, and so are lines that are not a JSON object
+    (a write cut short by a full disk), each with a warning.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -270,6 +362,9 @@ def iter_events(path: Path) -> Iterator[dict]:
             except json.JSONDecodeError as exc:
                 logger.warning("%s:%d: skipping corrupt event: %s", path, line_no, exc)
                 continue
+            if not isinstance(event, dict):
+                logger.warning("%s:%d: skipping corrupt event: not a JSON object", path, line_no)
+                continue
             yield event
 
 
@@ -278,15 +373,14 @@ def emit_report(run_dir: Path) -> int:
     its ``events.jsonl``; return the number of exchanges it records.
 
     One pass over the events writes each CSV row, each ``wire.log`` block
-    and each bug instance's trace as its event is read. Workers interleave
-    their lines, so the human text of each test still in flight is held,
-    by test index, until its last event: the exchange that ends it, its
-    transport failure or unresolvable consumer, or, for a bug, its
-    ``bucket`` event. Beyond those, only the cumulative class counts, the
-    bucket tallies and the report are held: memory does not grow with the
-    length of the run. The report is the one the ``run_end`` event
-    carries; a run without one (killed, or its sink degraded) gets a report
-    of the recorded class totals.
+    and each bug instance's trace as its event is read, and feeds each fact
+    to a ``FuzzReport``, which the other files are written from. Workers
+    interleave their lines, so the behaviours and human text of each test
+    still in flight are held, by test index, until its last event: the
+    exchange that ends it, its transport failure or unresolvable consumer,
+    or, for a bug's text, its ``bucket`` event. Beyond those, only the
+    cumulative class counts and the report are held: memory does not grow
+    with the length of the run.
     """
     run_dir = Path(run_dir)
     # A directory only a sink wrote has no config.json; an older run's may name no header.
@@ -294,9 +388,9 @@ def emit_report(run_dir: Path) -> int:
     config = json.loads(config_path.read_text()) if config_path.is_file() else {}
     auth_header = config.get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
-    in_flight: dict[int, list[tuple[str, str]]] = {}  # test index -> (request, response) texts
-    buckets: dict[str, dict] = {}
-    report: dict = {}
+    # test index -> its (template id, status group) pairs and (request, response) texts
+    in_flight: dict[int, tuple[list[tuple[str, str]], list[tuple[str, str]]]] = {}
+    report = FuzzReport()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
             open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh, \
             open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",
@@ -322,6 +416,7 @@ def emit_report(run_dir: Path) -> int:
             kind = event.get("type")
             if kind == "exchange":
                 response_class = event["response_class"]
+                status_group = status_class_label(event["status"])
                 cumulative[response_class] += 1
                 timeline.writerow(
                     [
@@ -330,7 +425,7 @@ def emit_report(run_dir: Path) -> int:
                         event["sequence_length"],
                         event["template_id"],
                         event["status"],
-                        status_class_label(event["status"]),
+                        status_group,
                         response_class,
                         cumulative["valid"],
                         cumulative["invalid"],
@@ -340,57 +435,54 @@ def emit_report(run_dir: Path) -> int:
                 request = human_text(base64.b64decode(event["request_b64"]), auth_header)
                 response = human_text(base64.b64decode(event["response_b64"]), auth_header)
                 wire.write(f"Sending: {request}\n\nReceived: {response}\n\n")
-                in_flight.setdefault(event["test_index"], []).append((request, response))
-                # A bug's test ends at its bucket event; any other test at
-                # its first exchange that is not Valid, or at its last step.
-                last_step = event["step_index"] == event["sequence_length"] - 1
-                if response_class != "bug" and (response_class != "valid" or last_step):
-                    del in_flight[event["test_index"]]
+                behaviors, texts = in_flight.setdefault(event["test_index"], ([], []))
+                behaviors.append((event["template_id"], status_group))
+                texts.append((request, response))
+                if response_class != "valid" or event["step_index"] == event["sequence_length"] - 1:
+                    report.add_test(behaviors, response_class, transport_failed=False)
+                    if response_class != "bug":
+                        del in_flight[event["test_index"]]
             elif kind == "transport_failure":
                 wire.write(f"Transport failure ({event['phase']}): {event['detail']}\n\n")
-                in_flight.pop(event["test_index"], None)
+                behaviors, _ = in_flight.pop(event["test_index"], ([], []))
+                report.add_test(behaviors, "invalid", transport_failed=True)
             elif kind == "unresolvable_consumer":
                 wire.write(
                     f"Unresolvable consumer ({event['resource']}): step {event['step_index'] + 1} "
                     f"{event['template_id']} not sent\n\n"
                 )
-                in_flight.pop(event["test_index"], None)
+                behaviors, _ = in_flight.pop(event["test_index"], ([], []))
+                report.add_test(behaviors, "invalid", transport_failed=False)
             elif kind == "length_stats":
-                per_length.writerow(
-                    [event["length"], event["tests"], event["seqset_size"],
-                     event["dynamic_objects"]]
+                row = PerLengthRow(
+                    event["length"], event["tests"], event["seqset_size"], event["dynamic_objects"]
                 )
+                report.add_length_row(row)
+                per_length.writerow(astuple(row))
             elif kind == "bucket":
-                entry = buckets.setdefault(
-                    event["bucket_id"],
-                    {
-                        "bucket_id": event["bucket_id"],
-                        "defining_sequence": event["defining_sequence"],
-                        "instances": 0,
-                    },
+                instances = report.add_bucket_instance(
+                    event["bucket_id"], event["defining_sequence"]
                 )
-                entry["instances"] += 1
                 # An older run's bucket events name no test; its traces are already on disk.
-                texts = in_flight.pop(event.get("test_index"), None)
-                if texts is not None:
-                    directory = run_dir / BUCKETS_DIRNAME / entry["bucket_id"]
+                held = in_flight.pop(event.get("test_index"), None)
+                if held is not None:
+                    directory = run_dir / BUCKETS_DIRNAME / event["bucket_id"]
                     directory.mkdir(parents=True, exist_ok=True)
-                    (directory / f"instance-{entry['instances']:04d}.txt").write_text(
-                        _instance_trace(texts), encoding="utf-8"
+                    (directory / f"instance-{instances:04d}.txt").write_text(
+                        _instance_trace(held[1]), encoding="utf-8"
                     )
-            elif kind == "run_end" and "report" in event:
-                report = event["report"]
-    if not report:
-        report = {
-            "total_tests": None,
-            "status_totals": dict(cumulative),
-            "stopped_reason": "unknown (no run_end event)",
-        }
-    ordered = sorted(buckets.values(), key=lambda b: b["bucket_id"])
-    for bucket in ordered:
+            elif kind == "restart":
+                report.add_restart()
+            elif kind == "run_start":
+                report.strategy = event["config"].get("strategy")
+            elif kind == "run_end":
+                report.stopped_reason = event["reason"]
+                report.elapsed_seconds = event.get("elapsed_seconds")
+    data = report.to_dict()
+    for bucket in data["buckets"]:
         _write_bucket(run_dir / BUCKETS_DIRNAME / bucket["bucket_id"], bucket)
-    _write_summary(run_dir / "summary.txt", report, ordered)
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_summary(run_dir / "summary.txt", data)
+    (run_dir / "report.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return sum(cumulative.values())
 
 
@@ -425,7 +517,7 @@ def _write_bucket(directory: Path, bucket: dict) -> None:
     script.chmod(0o755)
 
 
-def _write_summary(path: Path, report: dict, buckets: Sequence[dict]) -> None:
+def _write_summary(path: Path, report: dict) -> None:
     lines = ["fuzzing run summary", "===================", ""]
     for key in (
         "strategy",
@@ -436,17 +528,16 @@ def _write_summary(path: Path, report: dict, buckets: Sequence[dict]) -> None:
         "stopped_reason",
         "elapsed_seconds",
     ):
-        if key in report:
-            lines.append(f"{key}: {report[key]}")
-    totals = report.get("status_totals", {})
+        lines.append(f"{key}: {report[key]}")
+    totals = report["status_totals"]
     if totals:
         lines.append("")
-        lines.append("responses by class:")
+        lines.append("tests by final class:")
         for name in sorted(totals):
             lines.append(f"  {name}: {totals[name]}")
     lines.append("")
-    lines.append(f"bug buckets: {len(buckets)}")
-    for bucket in buckets:
+    lines.append(f"bug buckets: {len(report['buckets'])}")
+    for bucket in report["buckets"]:
         lines.append(f"  {bucket['bucket_id']} ({bucket['instances']} instance(s))")
         for tid in bucket["defining_sequence"]:
             lines.append(f"    {tid}")

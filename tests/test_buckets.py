@@ -193,16 +193,6 @@ class TestIdentity:
     def test_bucket_id_depends_on_order(self):
         assert bucket_id_for(["A", "B"]) != bucket_id_for(["B", "A"])
 
-    def test_get_unknown_id_raises(self):
-        store = BucketStore()
-        with pytest.raises(UnknownBucket, match="nosuch"):
-            store.get("nosuch")
-
-    def test_get_returns_recorded_bucket(self):
-        store = BucketStore()
-        bucket, _ = store.record(make_instance(["A"]))
-        assert store.get(bucket.bucket_id) is bucket
-
     def test_buckets_listed_in_stable_order(self):
         store = BucketStore()
         store.record(make_instance(["A"]))

@@ -24,7 +24,7 @@ from restfuzz.cli import (
     parse_target,
 )
 from restfuzz.compiler import compile_grammar, parse_spec
-from restfuzz.engine import ConfigError
+from restfuzz.engine import ConfigError, FuzzEngine
 from restfuzz.grammar import load_grammar
 from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink
 
@@ -487,6 +487,97 @@ class TestReportCommand:
             for path in buckets if path.name == "replay.sh"
         )
 
+    @pytest.mark.parametrize(
+        "campaign",
+        [
+            ["--strategy", "bfs", "--max-length", "3"],
+            ["--strategy", "bfs", "--max-length", "3", "--workers", "2"],
+            ["--strategy", "random-walk", "--time-budget", "1", "--seed", "3"],
+        ],
+        ids=["bfs-1-worker", "bfs-2-workers", "random-walk"],
+    )
+    def test_rebuilt_report_is_the_one_the_engine_returned(
+        self, campaign, tmp_path, monkeypatch, capsys
+    ):
+        reports = []
+        run = FuzzEngine.run
+
+        def keep(engine):
+            reports.append(run(engine))
+            return reports[-1]
+
+        monkeypatch.setattr(FuzzEngine, "run", keep)
+        out = tmp_path / "out"
+        handle = serve()
+        try:
+            code = main(
+                ["fuzz", "--spec", SPEC, *campaign, "--target", f"127.0.0.1:{handle.port}",
+                 "--out", str(out)]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        [report] = reports
+        if "random-walk" in campaign:
+            assert report.restarts > 0
+        written = tree_bytes(out)
+
+        clone = shutil.copytree(out, tmp_path / "clone")
+        for name in REPORT_FILES:
+            (clone / name).unlink()
+        shutil.rmtree(clone / "buckets", ignore_errors=True)
+        assert main(["report", "--out", str(clone)]) == EXIT_OK
+        capsys.readouterr()
+        assert json.loads((clone / "report.json").read_text()) == report.to_dict()
+        assert tree_bytes(clone) == written
+
+    @pytest.mark.parametrize("cut_after", ["test before the bug", "bug's test", "last test"])
+    def test_killed_run_reports_the_tests_it_recorded(
+        self, recorded_run, tmp_path, cut_after, capsys
+    ):
+        """events.jsonl cut after the last event of test k, run_end lost."""
+        events = [
+            json.loads(line) for line in (recorded_run / EVENTS_FILENAME).read_text().splitlines()
+        ]
+        bug_test = next(e["test_index"] for e in events if e["type"] == "bucket")
+        k = {"test before the bug": bug_test - 1, "bug's test": bug_test, "last test": 40}[cut_after]
+        cut = max(i for i, e in enumerate(events) if e.get("test_index") == k) + 1
+        run = copy_run(recorded_run, tmp_path / "run", lambda events: events[:cut])
+        assert "run_end" not in (run / EVENTS_FILENAME).read_text()
+        assert main(["report", "--out", str(run)]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((run / "report.json").read_text())
+        assert report["total_tests"] == k + 1 == sum(report["status_totals"].values())
+        assert report["buckets"] == [
+            {"bucket_id": e["bucket_id"], "defining_sequence": e["defining_sequence"],
+             "instances": 1}
+            for e in events[:cut] if e["type"] == "bucket"
+        ]
+        assert report["stopped_reason"] == "unknown (no run_end event)"
+
+    def test_lines_that_are_not_events_are_skipped(self, recorded_run, tmp_path, capsys, caplog):
+        run = shutil.copytree(recorded_run, tmp_path / "run")
+        with open(run / EVENTS_FILENAME, "a") as fh:
+            fh.write("[]\n3\n")
+        written = tree_bytes(run)
+        for name in REPORT_FILES:
+            (run / name).unlink()
+        shutil.rmtree(run / "buckets")
+        with caplog.at_level("WARNING"):
+            assert main(["report", "--out", str(run)]) == EXIT_OK
+        assert tree_bytes(run) == written
+        assert sum("not a JSON object" in r.message for r in caplog.records) == 2
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID, "--instance", "0",
+                 "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
+
     def test_missing_events_file(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
         capsys.readouterr()
@@ -575,10 +666,16 @@ class TestReportCommand:
         assert f"from {recorded} recorded exchanges" in capsys.readouterr().out
         for name, blob in written.items():
             assert (out / name).read_bytes() == blob, name
+        # The report counts the tests the record shows ending, not exchanges.
+        ended = {
+            event["test_index"] for event in events
+            if event["type"] == "exchange"
+            and (event["response_class"] != "valid"
+                 or event["step_index"] == event["sequence_length"] - 1)
+        }
         report = json.loads(written["report.json"])
-        assert report["total_tests"] is None
+        assert report["total_tests"] == len(ended) == sum(report["status_totals"].values())
         assert report["stopped_reason"] == "unknown (no run_end event)"
-        assert sum(report["status_totals"].values()) == recorded
 
 
 # --------------------------------------------------------------------------

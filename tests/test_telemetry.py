@@ -42,6 +42,7 @@ from restfuzz.grammar import (
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
     WIRE_LOG_FILENAME,
+    FuzzReport,
     PerLengthRow,
     TelemetrySink,
     emit_report,
@@ -173,7 +174,8 @@ def recorded_sink(tmp_path, **kwargs):
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
     record_bug(sink, 1, created=True)
     record_bug(sink, 1, created=False)
-    sink.record_run_end("completed", {"total_tests": 2})
+    sink.record_restart(3, 1)
+    sink.record_run_end("completed", 1.5)
     sink.close()
     return sink
 
@@ -189,10 +191,14 @@ def test_event_stream_structure(tmp_path):
         "length_stats",
         "bucket",
         "bucket",
+        "restart",
         "run_end",
     ]
     assert events[0]["config"] == {"strategy": "bfs"}
-    assert events[-1]["reason"] == "completed"
+    assert events[-2]["test_index"] == 3 and events[-2]["length"] == 1
+    assert {k: v for k, v in events[-1].items() if k != "elapsed"} == {
+        "type": "run_end", "reason": "completed", "elapsed_seconds": 1.5,
+    }
 
 
 def test_machine_record_is_byte_identical_and_unredacted(tmp_path):
@@ -435,7 +441,25 @@ def test_report_files_match_the_recorded_stream(tmp_path):
         "    POST /x",
         "    PUT /x",
     ]
-    assert json.loads((tmp_path / "report.json").read_text()) == {"total_tests": 2}
+    # Three tests ended: Valid, a bug, and a transport failure.
+    assert json.loads((tmp_path / "report.json").read_text()) == {
+        "strategy": "bfs",
+        "max_length_reached": 1,
+        "total_tests": 3,
+        "status_totals": {"bug": 1, "invalid": 1, "valid": 1},
+        "status_group_totals": {"2xx": 1, "5xx": 1},
+        "per_length": [[1, 3, 2, 1]],
+        "buckets": [
+            {"bucket_id": "abc123def456", "defining_sequence": ["POST /x", "PUT /x"],
+             "instances": 2},
+        ],
+        "restarts": 1,
+        "behaviors": [["POST /x", "2xx"], ["PUT /x", "5xx"]],
+        "behavioral_coverage": 2,
+        "stopped_reason": "completed",
+        "transport_failures": 1,
+        "elapsed_seconds": 1.5,
+    }
 
 
 def test_rebuild_keeps_custom_response_classes(tmp_path):
@@ -448,14 +472,17 @@ def test_rebuild_keeps_custom_response_classes(tmp_path):
 
 def test_corrupt_lines_are_skipped_not_fatal(tmp_path, caplog):
     recorded_sink(tmp_path)
+    events = recorded_events(tmp_path)
     path = tmp_path / EVENTS_FILENAME
     with open(path, "a") as fh:
         fh.write("{this is not json\n")
         fh.write("\n")  # blank lines are fine
+        fh.write("[]\n3\n")  # JSON, but not an event
     with caplog.at_level("WARNING"):
-        events = recorded_events(tmp_path)
-    assert len(events) == 8
-    assert any("skipping corrupt event" in r.message for r in caplog.records)
+        assert recorded_events(tmp_path) == events
+    messages = [r.message for r in caplog.records]
+    assert len(messages) == 3 and all("skipping corrupt event" in m for m in messages)
+    assert sum(m.endswith("not a JSON object") for m in messages) == 2
 
 
 def test_report_memory_does_not_grow_with_the_run(tmp_path):
@@ -469,7 +496,7 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
             record(sink, make_exchange(), "valid", test_index=test_index)
         sink.record_length_stats(PerLengthRow(1, exchanges, exchanges, 0))
         record_bug(sink, exchanges - 1, created=True, defining=("POST /x",))
-        sink.record_run_end("completed", {"total_tests": exchanges})
+        sink.record_run_end("completed", 1.0)
         sink.close()
         tracemalloc.start()
         try:
@@ -526,21 +553,13 @@ def test_midstream_write_error_degrades_once(tmp_path, caplog):
 # Report files
 
 
-REPORT = {
-    "strategy": "bfs",
-    "max_length_reached": 2,
-    "total_tests": 3,
-    "status_totals": {"valid": 1, "invalid": 1, "bug": 1},
-    "stopped_reason": "completed",
-}
-
-
 @pytest.fixture()
 def report_dir(tmp_path):
-    """A run directory whose stream holds three exchanges at 0.1, 0.2 and
-    0.3 s, two length rows, one bucket seen twice and the run's report,
-    with the report files built from it."""
+    """A run directory whose stream holds three one-exchange tests at 0.1,
+    0.2 and 0.3 s, two length rows, one bucket seen twice and the run's
+    end, with the report files built from it."""
     sink = TelemetrySink(out_dir=tmp_path)
+    sink.record_run_start({"strategy": "bfs"})
     record(sink, exchange_at(sink, 0.1, 200), "valid", template="POST /x")
     record(sink, exchange_at(sink, 0.2, 404), "invalid", test_index=1, template="GET /x")
     record(sink, exchange_at(sink, 0.3, 500), "bug", test_index=2, length=2, step=1,
@@ -549,7 +568,7 @@ def report_dir(tmp_path):
     sink.record_length_stats(PerLengthRow(2, 8, 6, 8))
     record_bug(sink, 2, created=True)
     record_bug(sink, 2, created=False)
-    sink.record_run_end("completed", REPORT)
+    sink.record_run_end("completed", 0.4)
     sink.close()
     emit_report(tmp_path)
     return tmp_path
@@ -583,13 +602,25 @@ def test_per_length_csv(report_dir):
 
 
 def test_report_json_round_trips(report_dir):
-    assert json.loads((report_dir / "report.json").read_text()) == REPORT
+    """report.json is the report folded from the facts the stream records."""
+    report = FuzzReport("bfs")
+    report.add_test([("POST /x", "2xx")], "valid", transport_failed=False)
+    report.add_test([("GET /x", "4xx")], "invalid", transport_failed=False)
+    report.add_test([("PUT /x", "5xx")], "bug", transport_failed=False)
+    report.add_length_row(PerLengthRow(1, 3, 2, 1))
+    report.add_length_row(PerLengthRow(2, 8, 6, 8))
+    report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
+    report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
+    report.stopped_reason = "completed"
+    report.elapsed_seconds = 0.4
+    assert json.loads((report_dir / "report.json").read_text()) == report.to_dict()
 
 
 def test_summary_mentions_the_essentials(report_dir):
     summary = (report_dir / "summary.txt").read_text()
     assert "strategy: bfs" in summary
     assert "total_tests: 3" in summary
+    assert "tests by final class:\n  bug: 1\n  invalid: 1\n  valid: 1\n" in summary
     assert "bug buckets: 1" in summary
     assert "abc123def456" in summary
     assert "POST /x" in summary
