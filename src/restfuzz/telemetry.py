@@ -18,11 +18,12 @@ feeds one during the run; ``emit_report`` feeds a fresh one from the events.
 ``events.jsonl`` is the durable record, and the only record of a bug
 instance. ``emit_report`` is its one reader. In a single pass over the file
 it writes ``status_timeline.csv`` (cumulative counts per response class over
-time), ``per_length.csv`` (tests, sequence-set size and dynamic objects per
-sequence length), ``wire.log`` (human-readable "Sending:" / "Received:"
-blocks with the auth header value redacted; the header is the one
-``config.json`` names) and each bug instance's trace in the bucket
-directory, then each bucket's metadata, ``summary.txt`` and ``report.json``.
+time), ``wire.log`` (human-readable "Sending:" / "Received:" blocks with the
+auth header value redacted; the header is the one ``config.json`` names)
+and each bug instance's trace in the bucket directory, then, from the
+folded report, ``per_length.csv`` (tests, sequence-set size and dynamic
+objects per sequence length, one row per length), each bucket's metadata,
+``summary.txt`` and ``report.json``.
 ``restfuzz fuzz`` calls it when the run ends and ``restfuzz report`` calls
 it on a saved run directory, so both write the same bytes.
 
@@ -372,15 +373,15 @@ def emit_report(run_dir: Path) -> int:
     """Write the report files and the bucket directory of ``run_dir`` from
     its ``events.jsonl``; return the number of exchanges it records.
 
-    One pass over the events writes each CSV row, each ``wire.log`` block
-    and each bug instance's trace as its event is read, and feeds each fact
-    to a ``FuzzReport``, which the other files are written from. Workers
-    interleave their lines, so the behaviours and human text of each test
-    still in flight are held, by test index, until its last event: the
-    exchange that ends it, its transport failure or unresolvable consumer,
-    or, for a bug's text, its ``bucket`` event. Beyond those, only the
-    cumulative class counts and the report are held: memory does not grow
-    with the length of the run.
+    One pass over the events writes each timeline row, each ``wire.log``
+    block and each bug instance's trace as its event is read, and feeds
+    each fact to a ``FuzzReport``, which the other files are written from.
+    Workers interleave their lines, so the behaviours and human text of
+    each test still in flight are held, by test index, until its last
+    event: the exchange that ends it, its transport failure or unresolvable
+    consumer, or, for a bug's text, its ``bucket`` event. Beyond those, only
+    the cumulative class counts and the report are held: memory does not
+    grow with the length of the run.
     """
     run_dir = Path(run_dir)
     # A directory only a sink wrote has no config.json; an older run's may name no header.
@@ -392,7 +393,6 @@ def emit_report(run_dir: Path) -> int:
     in_flight: dict[int, tuple[list[tuple[str, str]], list[tuple[str, str]]]] = {}
     report = FuzzReport()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
-            open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh, \
             open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",
                  errors="replace") as wire:
         timeline = csv.writer(timeline_fh)
@@ -410,8 +410,6 @@ def emit_report(run_dir: Path) -> int:
                 "cumulative_bug",
             ]
         )
-        per_length = csv.writer(per_length_fh)
-        per_length.writerow(["length", "tests", "seqset_size", "dynamic_objects"])
         for event in iter_events(run_dir / EVENTS_FILENAME):
             kind = event.get("type")
             if kind == "exchange":
@@ -458,7 +456,6 @@ def emit_report(run_dir: Path) -> int:
                     event["length"], event["tests"], event["seqset_size"], event["dynamic_objects"]
                 )
                 report.add_length_row(row)
-                per_length.writerow(astuple(row))
             elif kind == "bucket":
                 instances = report.add_bucket_instance(
                     event["bucket_id"], event["defining_sequence"]
@@ -478,6 +475,10 @@ def emit_report(run_dir: Path) -> int:
             elif kind == "run_end":
                 report.stopped_reason = event["reason"]
                 report.elapsed_seconds = event.get("elapsed_seconds")
+    with open(run_dir / "per_length.csv", "w", newline="", encoding="utf-8") as per_length_fh:
+        per_length = csv.writer(per_length_fh)
+        per_length.writerow(["length", "tests", "seqset_size", "dynamic_objects"])
+        per_length.writerows(astuple(row) for row in report.per_length)
     data = report.to_dict()
     for bucket in data["buckets"]:
         _write_bucket(run_dir / BUCKETS_DIRNAME / bucket["bucket_id"], bucket)

@@ -457,6 +457,26 @@ class TestReportCommand:
         for name, blob in originals.items():
             assert (clone / name).read_bytes() == blob, name
 
+    def test_per_length_csv_has_the_reports_one_row_per_length(self, tmp_path, capsys):
+        """A walk writes a cumulative length row after every step."""
+        out = tmp_path / "run"
+        handle = serve()
+        try:
+            code = main(
+                ["fuzz", "--spec", SPEC, "--strategy", "random-walk", "--time-budget", "1",
+                 "--seed", "1", "--target", f"127.0.0.1:{handle.port}", "--out", str(out)]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        capsys.readouterr()
+        rows = (out / "per_length.csv").read_text().splitlines()
+        assert rows[0] == "length,tests,seqset_size,dynamic_objects"
+        report = json.loads((out / "report.json").read_text())
+        assert rows[1:] == [",".join(map(str, row)) for row in report["per_length"]]
+        events = (out / EVENTS_FILENAME).read_text().count('"type": "length_stats"')
+        assert events > len(rows) - 1
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_rebuild_reproduces_the_bucket_directory_byte_for_byte(
         self, workers, tmp_path, capsys

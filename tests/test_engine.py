@@ -481,7 +481,7 @@ class TestConnectionLifetime:
         assert report.stopped_reason == stopped
         assert report.total_tests > 0
         assert len(transports) == config.get("worker_count", 1)
-        assert all(t.kept.sock is None for t in transports)
+        assert all(t.sock is None for t in transports)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_exception_propagates_and_closes_connections(
@@ -498,7 +498,7 @@ class TestConnectionLifetime:
         with pytest.raises(RuntimeError, match="transport exploded"):
             engine.run()
         assert len(transports) == workers
-        assert all(t.kept.sock is None for t in transports)
+        assert all(t.sock is None for t in transports)
 
 
 # --------------------------------------------------------------------------

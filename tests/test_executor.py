@@ -394,11 +394,20 @@ def scripted_server(*scripts: bytes, close_after=None):
 PLAIN_GET = b"GET / HTTP/1.1\r\nHost: t\r\n\r\n"
 
 
+def send_once(request: bytes, conn: ConnectionConfig) -> HttpExchange:
+    """One round trip on a transport of its own, closed afterwards."""
+    transport = SocketTransport(conn)
+    try:
+        return send_request(request, transport)
+    finally:
+        transport.close()
+
+
 class TestFraming:
     def test_content_length_takes_exactly_that_many_bytes(self):
         script = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhelloNOISE"
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert (ex.status, ex.reason, ex.body) == (200, "OK", b"hello")
 
     def test_chunked_reassembly_with_extension_and_trailer(self):
@@ -407,54 +416,54 @@ class TestFraming:
             b"5;note=1\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: yes\r\n\r\n"
         )
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert ex.body == b"hello world"
 
     def test_no_framing_header_reads_until_close(self):
         script = b"HTTP/1.1 200 OK\r\nX-Note: stream\r\n\r\neverything until FIN"
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert ex.body == b"everything until FIN"
 
     def test_missing_reason_phrase_is_tolerated(self):
         script = b"HTTP/1.1 204\r\nContent-Length: 0\r\n\r\n"
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert (ex.status, ex.reason, ex.body) == (204, "", b"")
 
     def test_non_http_status_line_is_a_frame_failure(self):
         with scripted_server(b"SMTP ready\r\n\r\n") as (port, _):
             with pytest.raises(TransportFailure) as info:
-                send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert info.value.phase == "frame"
 
     def test_close_before_head_is_a_frame_failure(self):
         with scripted_server(b"") as (port, _):
             with pytest.raises(TransportFailure) as info:
-                send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert info.value.phase == "frame"
 
     def test_garbage_chunk_size_is_a_frame_failure(self):
         script = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
         with scripted_server(script) as (port, _):
             with pytest.raises(TransportFailure):
-                send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
 
     def test_unparseable_content_length_is_a_frame_failure(self):
         script = b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n"
         with scripted_server(script) as (port, _):
             with pytest.raises(TransportFailure):
-                send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
 
     def test_absurd_content_length_is_rejected_before_reading(self):
         script = b"HTTP/1.1 200 OK\r\nContent-Length: 104857600\r\n\r\n"
         with scripted_server(script) as (port, _):
             with pytest.raises(TransportFailure):
-                send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
 
     def test_connect_refused_is_a_connect_failure(self):
         with pytest.raises(TransportFailure) as info:
-            send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", closed_port(), connect_timeout=1.0))
+            send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", closed_port(), connect_timeout=1.0))
         assert info.value.phase == "connect"
 
 
@@ -464,7 +473,7 @@ class TestFraming:
         script = b"HTTP/1.1 200 OK\r\nContent-Length: 42\r\n\r\n"
         with scripted_server(script, close_after=()) as (port, _):
             t0 = time.monotonic()
-            ex = send_request(b"HEAD / HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
+            ex = send_once(b"HEAD / HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
             assert time.monotonic() - t0 < 1.0
         assert (ex.status, ex.body, ex.headers) == (200, b"", (("Content-Length", "42"),))
 
@@ -472,7 +481,7 @@ class TestFraming:
         script = b"HTTP/1.1 204 No Content\r\n\r\n"
         with scripted_server(script, close_after=()) as (port, _):
             t0 = time.monotonic()
-            ex = send_request(b"DELETE /x HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
+            ex = send_once(b"DELETE /x HTTP/1.1\r\nHost: t\r\n\r\n", ConnectionConfig("127.0.0.1", port))
             assert time.monotonic() - t0 < 1.0
         assert (ex.status, ex.body) == (204, b"")
 
@@ -483,14 +492,14 @@ class TestFraming:
             b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
         )
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert (ex.status, ex.reason, ex.body) == (200, "OK", b"hello")
         assert ex.headers == (("Content-Length", "5"),)
 
     def test_status_line_version_is_recorded_as_received(self):
         script = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello"
         with scripted_server(script) as (port, _):
-            ex = send_request(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert ex.version == "HTTP/1.0"
         assert ex.response_head() + ex.body == script
 
@@ -572,7 +581,7 @@ class TestKeepAlive:
             )
             try:
                 first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
-                assert executor.transport.kept.sock is None
+                assert executor.transport.sock is None
                 second = executor.execute_sequence([plain_step(b"/c")])
             finally:
                 executor.close()
@@ -613,7 +622,7 @@ class TestKeepAlive:
             try:
                 bodies = [transport.roundtrip(PLAIN_GET).body]
                 # Dropped on reading the response, not later found stale.
-                assert transport.kept.sock is None
+                assert transport.sock is None
                 bodies.append(transport.roundtrip(PLAIN_GET).body)
             finally:
                 transport.close()
