@@ -9,8 +9,9 @@ Renderings and server-assigned values are deliberately ignored, so under
 breadth-first search each bucket is named by the shortest sequence that
 reaches the bug.
 
-The store is only that suffix index: each bucket's id, defining sequence
-and instance count. It writes nothing. A bug instance is recorded once, in
+The store is only that suffix index: each bucket's defining sequence and
+id. It counts nothing and writes nothing; the run's ``FuzzReport`` counts
+each bucket's instances. A bug instance is recorded once, in
 ``events.jsonl``: the engine's ``bucket`` event names the test whose
 exchanges hit the bug, its (template id, rendering index) steps and its
 final status. ``telemetry.emit_report`` writes the bucket directory from
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .executor import ResponseClass, SequenceExecutor
+from .executor import ResponseClass, SequenceExecutor, TransportFailure
 from .grammar import FuzzingDictionary, GrammarProgram, render_combinations
 from .telemetry import iter_events
 
@@ -65,27 +66,22 @@ class BugInstance:
         return tuple(tid for tid, _ in self.steps)
 
 
-@dataclass
-class BugBucket:
-    bucket_id: str
-    defining_sequence: tuple[str, ...]
-    instance_count: int
-
-
 def _suffixes_shortest_first(ids: Sequence[str]) -> Iterable[tuple[str, ...]]:
     for length in range(1, len(ids) + 1):
         yield tuple(ids[len(ids) - length :])
 
 
 class BucketStore:
-    """Thread-safe suffix index of the buckets; instances are not kept."""
+    """Thread-safe suffix index: defining sequence -> bucket id."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._by_sequence: dict[tuple[str, ...], BugBucket] = {}
+        self._ids: dict[tuple[str, ...], str] = {}
 
-    def record(self, instance: BugInstance) -> tuple[BugBucket, bool]:
-        """File the instance under the first suffix-matching bucket.
+    def record(self, instance: BugInstance) -> tuple[str, tuple[str, ...], bool]:
+        """File the instance under the first suffix-matching bucket; return
+        that bucket's id and defining sequence, and whether this instance
+        founded it.
 
         The suffix scan and the possible insert happen under one lock so
         concurrent workers cannot race two buckets into existence for the
@@ -93,21 +89,12 @@ class BucketStore:
         """
         with self._lock:
             for suffix in _suffixes_shortest_first(instance.template_ids):
-                bucket = self._by_sequence.get(suffix)
-                if bucket is not None:
-                    bucket.instance_count += 1
-                    return bucket, False
-            bucket = BugBucket(
-                bucket_id=bucket_id_for(instance.template_ids),
-                defining_sequence=instance.template_ids,
-                instance_count=1,
-            )
-            self._by_sequence[bucket.defining_sequence] = bucket
-            return bucket, True
-
-    def buckets(self) -> list[BugBucket]:
-        with self._lock:
-            return sorted(self._by_sequence.values(), key=lambda b: b.bucket_id)
+                bucket_id = self._ids.get(suffix)
+                if bucket_id is not None:
+                    return bucket_id, suffix, False
+            defining = instance.template_ids
+            bucket_id = self._ids[defining] = bucket_id_for(defining)
+            return bucket_id, defining, True
 
 
 def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInstance:
@@ -142,10 +129,16 @@ def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInsta
 
 @dataclass(frozen=True)
 class ReplayResult:
+    """``final_status`` is the status of the last executed step's response,
+    if it got one. A replay that ends short of the bug either diverged, at
+    the 1-based ``diverged_step`` whose class changed, or hit ``failure``:
+    a step that failed below HTTP and got no response at all."""
+
     bucket_id: str
     final_class: str
     final_status: int | None
-    diverged_step: int | None  # 1-based step whose class changed, if any
+    diverged_step: int | None
+    failure: TransportFailure | None
 
     @property
     def reproduced(self) -> bool:
@@ -178,23 +171,22 @@ def replay_bucket(
         rendered_steps.append(combos[rendering_index])
 
     result = executor.execute_sequence(rendered_steps)
-    final_status = result.exchanges[-1].status if result.exchanges else None
+    # A step that failed below HTTP, or whose consumer nothing produced, got no response.
+    answered = len(result.exchanges) == result.steps_executed
+    final_status = result.exchanges[-1].status if answered else None
 
     diverged: int | None = None
     if result.final_class != ResponseClass.BUG:
-        # Some step changed class since recording: either a prefix step
-        # stopped being Valid, or the final step no longer errors.
-        diverged = result.steps_executed
+        # Unless a step failed below HTTP, some step changed class since
+        # recording: either a prefix step stopped being Valid, or the final
+        # step no longer errors.
+        if result.failure is None:
+            diverged = result.steps_executed
         logger.warning(
-            "bucket %s not reproduced: step %d/%d is now %s",
+            "bucket %s not reproduced: step %d/%d %s",
             bucket_id,
-            diverged,
+            result.steps_executed,
             len(instance.steps),
-            result.final_class,
+            f"is now {result.final_class}" if diverged else f"got no response: {result.failure}",
         )
-    return ReplayResult(
-        bucket_id=bucket_id,
-        final_class=result.final_class,
-        final_status=final_status,
-        diverged_step=diverged,
-    )
+    return ReplayResult(bucket_id, result.final_class, final_status, diverged, result.failure)

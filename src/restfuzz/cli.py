@@ -46,7 +46,7 @@ from .grammar import (
     dump_grammar,
     load_grammar,
 )
-from .telemetry import EVENTS_FILENAME, TelemetrySink, emit_report
+from .telemetry import CONFIG_FILENAME, EVENTS_FILENAME, TelemetrySink, emit_report, run_config
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,8 @@ EXIT_INTERNAL = 4
 
 def _add_target_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", metavar="HOST[:PORT]", help="address to connect to")
-    parser.add_argument("--secure", action="store_true", help="wrap connections in TLS")
+    parser.add_argument("--secure", action="store_true",
+                        help="wrap connections in TLS (replay does so when the recording run did)")
     parser.add_argument("--connect-timeout", type=float, default=5.0, metavar="SECONDS")
     parser.add_argument("--read-timeout", type=float, default=30.0, metavar="SECONDS")
 
@@ -66,9 +67,8 @@ def _add_target_options(parser: argparse.ArgumentParser) -> None:
 def _add_auth_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--auth-header",
-        default=DEFAULT_AUTH_HEADER,
         metavar="NAME",
-        help=f"auth header name (default {DEFAULT_AUTH_HEADER})",
+        help=f"auth header name (default {DEFAULT_AUTH_HEADER}; for replay, the recording run's)",
     )
     parser.add_argument(
         "--auth-token-env",
@@ -182,7 +182,7 @@ def parse_target(text: str, secure: bool = False) -> tuple[str, int]:
     return text, 443 if secure else 80
 
 
-def _auth_from_args(args) -> AuthConfig | None:
+def _auth_from_args(args, header_name: str) -> AuthConfig | None:
     token = None
     if args.auth_token_env:
         token = os.environ.get(args.auth_token_env)
@@ -193,7 +193,7 @@ def _auth_from_args(args) -> AuthConfig | None:
         raise ConfigError(f"auth token file {token_file} does not exist")
     if token is None and token_file is None:
         return None
-    return AuthConfig(header_name=args.auth_header, token=token, token_file=token_file)
+    return AuthConfig(header_name=header_name, token=token, token_file=token_file)
 
 
 def _load_overrides(path: Path | None) -> AnnotationOverrides | None:
@@ -224,15 +224,15 @@ def baked_host(grammar: GrammarProgram) -> str | None:
     return None
 
 
-def _connection_from_args(args, fallback_host: str | None = None) -> ConnectionConfig:
+def _connection_from_args(args, fallback_host: str | None, secure: bool) -> ConnectionConfig:
     target = args.target or fallback_host
     if not target:
         raise ConfigError("no target address: pass --target or put a host in the document")
-    host, port = parse_target(target, args.secure)
+    host, port = parse_target(target, secure)
     return ConnectionConfig(
         host=host,
         port=port,
-        secure=args.secure,
+        secure=secure,
         connect_timeout=args.connect_timeout,
         read_timeout=args.read_timeout,
     )
@@ -290,8 +290,9 @@ def cmd_fuzz(args) -> int:
         no_feedback=args.no_feedback,
     )
     config.validate()
-    conn = _connection_from_args(args, fallback)
-    auth = _auth_from_args(args)
+    conn = _connection_from_args(args, fallback, args.secure)
+    auth_header = args.auth_header or DEFAULT_AUTH_HEADER
+    auth = _auth_from_args(args, auth_header)
 
     out_dir: Path = args.out
     if (out_dir / EVENTS_FILENAME).exists():
@@ -301,13 +302,13 @@ def cmd_fuzz(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "grammar.json").write_text(dump_grammar(grammar) + "\n")
     (out_dir / "dictionary.json").write_text(dictionary.to_json() + "\n")
-    (out_dir / "config.json").write_text(
+    (out_dir / CONFIG_FILENAME).write_text(
         json.dumps(
             {
                 "config": config.to_dict(),
                 "target": f"{conn.host}:{conn.port}",
                 "secure": conn.secure,
-                "auth_header": args.auth_header,
+                "auth_header": auth_header,
             },
             indent=2,
         )
@@ -356,20 +357,20 @@ def cmd_replay(args) -> int:
     dictionary = _load_dictionary(
         run_dir / "dictionary.json" if (run_dir / "dictionary.json").is_file() else None
     )
-    error_classes: tuple[str, ...] = ("5xx",)
-    config_path = run_dir / "config.json"
-    if config_path.is_file():
-        stored = json.loads(config_path.read_text())
-        error_classes = tuple(stored.get("config", {}).get("error_status_classes") or error_classes)
+    # A flag given here overrides what the recording run used.
+    recorded = run_config(run_dir)
+    error_classes = tuple(recorded.get("config", {}).get("error_status_classes") or ("5xx",))
+    secure = args.secure or recorded.get("secure", False)
+    auth_header = args.auth_header or recorded.get("auth_header") or DEFAULT_AUTH_HEADER
 
     events_path = run_dir / EVENTS_FILENAME
     if not events_path.is_file():
         raise ConfigError(f"no {EVENTS_FILENAME} under {run_dir}")
     instance = recorded_instance(events_path, args.bucket, args.instance)
 
-    conn = _connection_from_args(args, baked_host(grammar))
+    conn = _connection_from_args(args, baked_host(grammar), secure)
     probe_target(conn)
-    auth = _auth_from_args(args)
+    auth = _auth_from_args(args, auth_header)
     executor = SequenceExecutor(
         transport=SocketTransport(conn, auth),
         template_lookup=grammar.template_by_id,
@@ -383,6 +384,11 @@ def cmd_replay(args) -> int:
     status = f" (status {result.final_status})" if result.final_status is not None else ""
     if result.reproduced:
         print(f"bucket {args.bucket}: reproduced — final class bug{status}")
+    elif result.failure is not None:
+        print(
+            f"bucket {args.bucket}: not reproduced — transport failure "
+            f"({result.failure.phase}): {result.failure}"
+        )
     else:
         diverged = (
             f" — diverged at step {result.diverged_step}/{len(instance.steps)}"

@@ -15,11 +15,12 @@ connection when it returns or raises.
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
 of a finished test's exchanges: it adds the test to the run's
 ``FuzzReport``, hands the exchanges and any transport failure or
-unresolvable consumer to the sink, and files a bug in the bucket index and
-the report, whose ``bucket`` event in the sink's stream is the only record
-of the instance. The ``run`` loop gives the report and the sink each
-length's row and each restart alike; ``run_end`` carries only the stop
-reason and elapsed time, since ``emit_report`` folds the rest from events.
+unresolvable consumer to the sink, and files a bug: the bucket index names
+its bucket, the report counts it, and its ``bucket`` event in the sink's
+stream is the only record of the instance. The ``run`` loop gives the
+report and the sink each length's row and each restart alike; ``run_end``
+carries only the stop reason and elapsed time, since ``emit_report`` folds
+the rest from events.
 
 Strategies differ only in the extension step:
 
@@ -311,18 +312,18 @@ class FuzzEngine:
         instance = BugInstance(
             steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
         )
-        bucket, created = self.bucket_store.record(instance)
+        bucket_id, defining_sequence, created = self.bucket_store.record(instance)
         with self._stats_lock:
-            self.report.add_bucket_instance(bucket.bucket_id, bucket.defining_sequence)
+            self.report.add_bucket_instance(bucket_id, defining_sequence)
         logger.info(
             "bug (status %d) filed under bucket %s%s: %s",
             instance.final_status,
-            bucket.bucket_id,
+            bucket_id,
             " [new]" if created else "",
             " -> ".join(instance.template_ids),
         )
         if self.sink is not None:
-            self.sink.record_bucket(test_index, instance, bucket, created)
+            self.sink.record_bucket(test_index, instance, bucket_id, defining_sequence, created)
 
     # -- validation --------------------------------------------------------
 

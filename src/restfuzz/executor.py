@@ -189,7 +189,7 @@ class HttpExchange:
     reason: str
     headers: tuple[tuple[str, str], ...]
     body: bytes
-    started: float
+    started: float  # time.monotonic() when the request began
     duration: float
     version: str = "HTTP/1.1"
 
@@ -324,8 +324,7 @@ def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
     another request on it, and is closed otherwise. Nothing is retried: a
     request is written at most once.
     """
-    started = time.time()
-    t0 = time.monotonic()
+    started = time.monotonic()
     sock = transport.connection()
     reusable = False
     try:
@@ -349,7 +348,7 @@ def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
         headers=headers,
         body=body,
         started=started,
-        duration=time.monotonic() - t0,
+        duration=time.monotonic() - started,
         version=version.decode("latin-1"),
     )
 

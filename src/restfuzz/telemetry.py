@@ -9,11 +9,14 @@ failure or unresolvable consumer, in the order the worker ran them, then a
 ``bucket`` event when the test hit a bug, and the run's start, per-length
 rows, random-walk restarts (``restart``: the next test's index and the
 walk's length) and end, which carries only the stop reason and
-``FuzzEngine.run``'s elapsed time. An exchange's ``elapsed`` is when its
-response arrived, taken from the exchange's own start and duration.
+``FuzzEngine.run``'s elapsed time. Every event's ``elapsed`` is read on the
+monotonic clock from the sink's start; an exchange's is when its response
+arrived, taken from the exchange's own start and duration.
 
 ``FuzzReport`` is the run's report as a fold of those facts. The engine
 feeds one during the run; ``emit_report`` feeds a fresh one from the events.
+It is the one place a bucket's instances are counted: the bucket index,
+``buckets.BucketStore``, holds only each bucket's id and defining sequence.
 
 ``events.jsonl`` is the durable record, and the only record of a bug
 instance. ``emit_report`` is its one reader. In a single pass over the file
@@ -57,12 +60,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .executor import DEFAULT_AUTH_HEADER, HttpExchange, TransportFailure, human_text, status_class_label
 
 if TYPE_CHECKING:
-    from .buckets import BugBucket, BugInstance
+    from .buckets import BugInstance
     from .grammar import ResourceType
 
 logger = logging.getLogger(__name__)
 
 EVENTS_FILENAME = "events.jsonl"
+CONFIG_FILENAME = "config.json"
 WIRE_LOG_FILENAME = "wire.log"
 BUCKETS_DIRNAME = "buckets"
 _BUCKET_META_FORMAT = "restfuzz-bucket/1"
@@ -80,7 +84,8 @@ class FuzzReport:
     """What a run did, folded one fact at a time by the ``add_*`` methods.
 
     It holds counters, the behaviours, a row per length and an entry per
-    bucket: it does not grow with the number of tests. It takes no lock.
+    bucket (id, defining sequence and instance count): it does not grow
+    with the number of tests. It takes no lock.
     """
 
     def __init__(self, strategy: str | None = None):
@@ -254,7 +259,7 @@ class TelemetrySink:
         line = json.dumps(
             {
                 "duration": exchange.duration,
-                "elapsed": exchange.started + exchange.duration - self._start_wall,
+                "elapsed": exchange.started + exchange.duration - self._start_monotonic,
                 "reason": exchange.reason,
                 "rendering_index": rendering_index,
                 "request_b64": base64.b64encode(exchange.request).decode("ascii"),
@@ -312,13 +317,20 @@ class TelemetrySink:
             self._write_event({"type": "length_stats", **asdict(row)})
 
     def record_bucket(
-        self, test_index: int, instance: BugInstance, bucket: BugBucket, created: bool
+        self,
+        test_index: int,
+        instance: BugInstance,
+        bucket_id: str,
+        defining_sequence: Sequence[str],
+        created: bool,
     ) -> None:
-        """Test ``test_index`` hit a bug, ``instance``, filed under ``bucket``."""
+        """Test ``test_index`` hit a bug, ``instance``, filed under the bucket
+        ``bucket_id`` defined by ``defining_sequence``; ``created`` when this
+        instance founded it."""
         self._record(
             "bucket",
-            bucket_id=bucket.bucket_id,
-            defining_sequence=list(bucket.defining_sequence),
+            bucket_id=bucket_id,
+            defining_sequence=list(defining_sequence),
             created=created,
             test_index=test_index,
             steps=[list(step) for step in instance.steps],
@@ -369,6 +381,14 @@ def iter_events(path: Path) -> Iterator[dict]:
             yield event
 
 
+def run_config(run_dir: Path) -> dict:
+    """The ``config.json`` that ``restfuzz fuzz`` wrote in ``run_dir``: the
+    engine config, target, ``secure`` and ``auth_header``. A directory only
+    a sink wrote has none, and reads as ``{}``."""
+    path = Path(run_dir) / CONFIG_FILENAME
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
 def emit_report(run_dir: Path) -> int:
     """Write the report files and the bucket directory of ``run_dir`` from
     its ``events.jsonl``; return the number of exchanges it records.
@@ -384,10 +404,8 @@ def emit_report(run_dir: Path) -> int:
     grow with the length of the run.
     """
     run_dir = Path(run_dir)
-    # A directory only a sink wrote has no config.json; an older run's may name no header.
-    config_path = run_dir / "config.json"
-    config = json.loads(config_path.read_text()) if config_path.is_file() else {}
-    auth_header = config.get("auth_header") or DEFAULT_AUTH_HEADER
+    # An older run's config may name no header.
+    auth_header = run_config(run_dir).get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
     # test index -> its (template id, status group) pairs and (request, response) texts
     in_flight: dict[int, tuple[list[tuple[str, str]], list[tuple[str, str]]]] = {}

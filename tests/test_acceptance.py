@@ -44,6 +44,7 @@ from restfuzz.grammar import (
     StaticSlot,
     render_combinations,
 )
+from restfuzz.telemetry import FuzzReport
 
 SPEC = str(bundled_spec_path())
 POST = "POST /api/blog/posts"
@@ -283,13 +284,21 @@ def test_criterion_06_bucketization_oracle(capsys):
         )
     )
     def prop(sequences):
+        # The store names each bug's bucket; the report, fed as the engine
+        # feeds it, counts each bucket's instances.
         store = BucketStore()
-        homes = [store.record(bug_instance(seq))[0] for seq in sequences]
+        report = FuzzReport()
+        homes = []
+        for seq in sequences:
+            bucket_id, defining, _ = store.record(bug_instance(seq))
+            report.add_bucket_instance(bucket_id, defining)
+            homes.append(bucket_id)
         expected = brute_force_bucketize(sequences)
-        got = {b.defining_sequence: [seq for seq, home in zip(sequences, homes) if home is b]
-               for b in store.buckets()}
+        got = {tuple(b["defining_sequence"]):
+               [seq for seq, home in zip(sequences, homes) if home == b["bucket_id"]]
+               for b in report.buckets}
         assert got == {defining: members for defining, members in expected}
-        assert {b.defining_sequence: b.instance_count for b in store.buckets()} == {
+        assert {tuple(b["defining_sequence"]): b["instances"] for b in report.buckets} == {
             defining: len(members) for defining, members in expected
         }
 

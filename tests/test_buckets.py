@@ -3,7 +3,9 @@
 The suffix rule is checked two ways: worked examples frozen by hand, and a
 hypothesis property comparing BucketStore against oracle_bucketize(), a
 deliberately naive reimplementation kept free of the store's data
-structures so the two can only agree by computing the same thing. Bug
+structures so the two can only agree by computing the same thing. The
+store only names each bug's bucket; as in the engine, a FuzzReport fed from
+each ``record`` result counts the bucket's instances. Bug
 instances are recorded as the engine records them, through a real sink, so
 the bucket directory and replay are checked against the event record alone.
 """
@@ -30,8 +32,8 @@ from restfuzz.buckets import (
     recorded_instance,
     replay_bucket,
 )
-from restfuzz.executor import HttpExchange, SequenceExecutor, SocketTransport
-from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report
+from restfuzz.executor import HttpExchange, SequenceExecutor, SocketTransport, TransportFailure
+from restfuzz.telemetry import EVENTS_FILENAME, FuzzReport, TelemetrySink, emit_report
 
 
 def make_instance(ids, indices=None, status=500):
@@ -39,12 +41,30 @@ def make_instance(ids, indices=None, status=500):
     return BugInstance(steps=tuple(zip(ids, indices)), final_status=status)
 
 
+class Filing:
+    """A bucket store and the report fed from each of its ``record``
+    results, as ``FuzzEngine._record_test`` feeds them."""
+
+    def __init__(self):
+        self.store = BucketStore()
+        self.report = FuzzReport()
+
+    def record(self, ids, indices=None):
+        bucket_id, defining, created = self.store.record(make_instance(ids, indices))
+        self.report.add_bucket_instance(bucket_id, defining)
+        return bucket_id, defining, created
+
+    def counts(self):
+        """Defining sequence -> instance count, per bucket of the report."""
+        return {tuple(b["defining_sequence"]): b["instances"] for b in self.report.buckets}
+
+
 class RecordedRun:
     """A run directory whose bugs are recorded as the engine records them:
     each step's exchange, then the instance filed in a store and its
-    ``bucket`` event. Every request carries ``auth_header: secret``; every
-    response but the last is a bodiless 200, the last one ``status oops``
-    with body ``boom``."""
+    ``bucket`` event; ``bug`` returns the bucket's id. Every request carries
+    ``auth_header: secret``; every response but the last is a bodiless 200,
+    the last one ``status oops`` with body ``boom``."""
 
     def __init__(self, run_dir, auth_header="PRIVATE-TOKEN"):
         self.dir = run_dir
@@ -66,7 +86,7 @@ class RecordedRun:
                 reason="oops" if final else "OK",
                 headers=(),
                 body=b"boom" if final else b"",
-                started=time.time(),
+                started=time.monotonic(),
                 duration=0.0,
             )
             if responses is not None:
@@ -74,10 +94,10 @@ class RecordedRun:
             self.sink.record_exchange(
                 self.tests, instance.steps, step_index, exchange, "bug" if final else "valid"
             )
-        bucket, created = self.store.record(instance)
-        self.sink.record_bucket(self.tests, instance, bucket, created)
+        bucket_id, defining, created = self.store.record(instance)
+        self.sink.record_bucket(self.tests, instance, bucket_id, defining, created)
         self.tests += 1
-        return bucket
+        return bucket_id
 
     def close(self):
         """End the run and write its report files and bucket directory."""
@@ -95,46 +115,44 @@ class RecordedRun:
 
 class TestSuffixRule:
     def test_first_bug_founds_a_bucket(self):
-        store = BucketStore()
-        bucket, created = store.record(make_instance(["POST /projects", "POST /commits"]))
+        bugs = Filing()
+        _, defining, created = bugs.record(["POST /projects", "POST /commits"])
         assert created
-        assert bucket.defining_sequence == ("POST /projects", "POST /commits")
-        assert len(store.buckets()) == 1
+        assert defining == ("POST /projects", "POST /commits")
+        assert len(bugs.report.buckets) == 1
 
     def test_longer_sequence_ending_the_same_way_is_absorbed(self):
-        store = BucketStore()
-        store.record(make_instance(["POST /projects", "POST /commits"]))
-        bucket, created = store.record(
-            make_instance(["POST /projects", "POST /projects", "POST /commits"])
-        )
+        bugs = Filing()
+        bugs.record(["POST /projects", "POST /commits"])
+        _, defining, created = bugs.record(["POST /projects", "POST /projects", "POST /commits"])
         assert not created
-        assert bucket.defining_sequence == ("POST /projects", "POST /commits")
-        assert bucket.instance_count == 2
-        assert len(store.buckets()) == 1
+        assert defining == ("POST /projects", "POST /commits")
+        assert bugs.counts()[defining] == 2
+        assert len(bugs.report.buckets) == 1
 
     def test_interleaved_sequence_is_a_different_bug(self):
-        store = BucketStore()
-        store.record(make_instance(["B", "C"]))
-        bucket, created = store.record(make_instance(["A", "B", "X", "C"]))
+        bugs = Filing()
+        bugs.record(["B", "C"])
+        _, defining, created = bugs.record(["A", "B", "X", "C"])
         # No suffix of A;B;X;C equals B;C, so this founds its own bucket.
         assert created
-        assert bucket.defining_sequence == ("A", "B", "X", "C")
-        assert len(store.buckets()) == 2
+        assert defining == ("A", "B", "X", "C")
+        assert len(bugs.report.buckets) == 2
 
     def test_shortest_suffix_wins_when_several_would_match(self):
-        store = BucketStore()
-        store.record(make_instance(["B", "C"]))
-        store.record(make_instance(["C"]))
-        bucket, created = store.record(make_instance(["A", "B", "C"]))
+        bugs = Filing()
+        bugs.record(["B", "C"])
+        bugs.record(["C"])
+        _, defining, created = bugs.record(["A", "B", "C"])
         assert not created
-        assert bucket.defining_sequence == ("C",)
+        assert defining == ("C",)
 
     def test_renderings_do_not_split_buckets(self):
-        store = BucketStore()
-        store.record(make_instance(["A", "B"], indices=[0, 0]))
-        bucket, created = store.record(make_instance(["A", "B"], indices=[3, 7]))
+        bugs = Filing()
+        bugs.record(["A", "B"], indices=[0, 0])
+        _, defining, created = bugs.record(["A", "B"], indices=[3, 7])
         assert not created
-        assert bucket.instance_count == 2
+        assert bugs.counts()[defining] == 2
 
 
 def oracle_bucketize(sequences):
@@ -166,17 +184,16 @@ def oracle_bucketize(sequences):
     )
 )
 def test_store_matches_brute_force_oracle(sequences):
-    store = BucketStore()
-    homes = [store.record(make_instance(list(seq)))[0] for seq in sequences]
+    bugs = Filing()
+    homes = [bugs.record(list(seq))[0] for seq in sequences]
     expected = oracle_bucketize(sequences)
 
-    got = store.buckets()
-    assert sorted(b.defining_sequence for b in got) == sorted(e[0] for e in expected)
-    by_defining = {b.defining_sequence: b for b in got}
+    counts = bugs.counts()
+    assert sorted(counts) == sorted(e[0] for e in expected)
     for defining, members in expected:
-        bucket = by_defining[defining]
-        assert [seq for seq, home in zip(sequences, homes) if home is bucket] == members
-        assert bucket.instance_count == len(members)
+        bucket_id = bucket_id_for(defining)
+        assert [seq for seq, home in zip(sequences, homes) if home == bucket_id] == members
+        assert counts[defining] == len(members)
 
 
 # --------------------------------------------------------------------------
@@ -194,11 +211,11 @@ class TestIdentity:
         assert bucket_id_for(["A", "B"]) != bucket_id_for(["B", "A"])
 
     def test_buckets_listed_in_stable_order(self):
-        store = BucketStore()
-        store.record(make_instance(["A"]))
-        store.record(make_instance(["B"]))
-        listed = store.buckets()
-        assert [b.bucket_id for b in listed] == sorted(b.bucket_id for b in listed)
+        bugs = Filing()
+        bugs.record(["A"])
+        bugs.record(["B"])
+        listed = bugs.report.buckets
+        assert [b["bucket_id"] for b in listed] == sorted(b["bucket_id"] for b in listed)
 
 
 class TestInstanceValidation:
@@ -212,13 +229,16 @@ class TestInstanceValidation:
 
 
 def test_concurrent_records_agree_on_one_bucket():
-    store = BucketStore()
+    bugs = Filing()
     outcomes = []
     barrier = threading.Barrier(8)
+    report_lock = threading.Lock()  # the engine's lock around its report
 
     def work():
         barrier.wait()
-        _, created = store.record(make_instance(["A", "B"]))
+        bucket_id, defining, created = bugs.store.record(make_instance(["A", "B"]))
+        with report_lock:
+            bugs.report.add_bucket_instance(bucket_id, defining)
         outcomes.append(created)
 
     threads = [threading.Thread(target=work) for _ in range(8)]
@@ -227,9 +247,9 @@ def test_concurrent_records_agree_on_one_bucket():
     for t in threads:
         t.join()
 
-    assert len(store.buckets()) == 1
+    assert len(bugs.report.buckets) == 1
     assert outcomes.count(True) == 1
-    assert store.buckets()[0].instance_count == 8
+    assert bugs.report.buckets[0]["instances"] == 8
 
 
 # --------------------------------------------------------------------------
@@ -239,15 +259,15 @@ def test_concurrent_records_agree_on_one_bucket():
 class TestPersistence:
     def test_on_disk_layout(self, tmp_path):
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["POST /a", "PUT /b"])
+        bucket_id = run.bug(["POST /a", "PUT /b"])
         run.bug(["X", "POST /a", "PUT /b"])
         # Nothing is written under buckets/ while the run records.
         assert not (tmp_path / "buckets").exists()
         run.close()
-        directory = tmp_path / "buckets" / bucket.bucket_id
+        directory = tmp_path / "buckets" / bucket_id
 
         meta = json.loads((directory / "bucket.json").read_text())
-        assert meta["bucket_id"] == bucket.bucket_id
+        assert meta["bucket_id"] == bucket_id
         assert meta["defining_sequence"] == ["POST /a", "PUT /b"]
         assert meta["instance_count"] == 2
 
@@ -263,14 +283,14 @@ class TestPersistence:
 
         script = directory / "replay.sh"
         assert script.stat().st_mode & stat.S_IXUSR
-        assert bucket.bucket_id in script.read_text()
+        assert bucket_id in script.read_text()
 
     def test_auth_value_never_reaches_disk(self, tmp_path):
         """... of the bucket directory: events.jsonl alone keeps the token."""
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["POST /a"])
+        bucket_id = run.bug(["POST /a"])
         run.close()
-        directory = tmp_path / "buckets" / bucket.bucket_id
+        directory = tmp_path / "buckets" / bucket_id
 
         human = (directory / "instance-0001.txt").read_text()
         assert "PRIVATE-TOKEN: [FILTERED]" in human
@@ -279,9 +299,9 @@ class TestPersistence:
 
     def test_custom_auth_header_is_redacted(self, tmp_path):
         run = RecordedRun(tmp_path, auth_header="X-Api-Key")
-        bucket = run.bug(["A"])
+        bucket_id = run.bug(["A"])
         run.close()
-        human = (tmp_path / "buckets" / bucket.bucket_id / "instance-0001.txt").read_text()
+        human = (tmp_path / "buckets" / bucket_id / "instance-0001.txt").read_text()
         assert "secret" not in human
         assert "X-Api-Key: [FILTERED]" in human
 
@@ -308,23 +328,23 @@ class TestPersistence:
         """An instance is read back from its bucket event in events.jsonl,
         with or without a bucket directory."""
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["A", "B"], indices=[1, 2], status=503)
+        bucket_id = run.bug(["A", "B"], indices=[1, 2], status=503)
         run.bug(["X", "A", "B"])
         run.sink.close()
 
-        first = run.instance(bucket.bucket_id, 0)
+        first = run.instance(bucket_id, 0)
         assert first == BugInstance(steps=(("A", 1), ("B", 2)), final_status=503)
-        assert run.instance(bucket.bucket_id, 1).template_ids == ("X", "A", "B")
+        assert run.instance(bucket_id, 1).template_ids == ("X", "A", "B")
         assert not (tmp_path / "buckets").exists()
 
     @pytest.mark.parametrize("index", [2, -1])
     def test_instance_out_of_range_raises(self, tmp_path, index):
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["A"])
+        bucket_id = run.bug(["A"])
         run.bug(["B", "A"])
         run.close()
         with pytest.raises(BucketError, match=f"has no instance #{index}"):
-            run.instance(bucket.bucket_id, index)
+            run.instance(bucket_id, index)
 
     def test_instance_of_unknown_bucket_raises(self, tmp_path):
         run = RecordedRun(tmp_path)
@@ -347,7 +367,7 @@ class TestPersistence:
         """A bucket event without a usable instance, such as one recorded
         before events carried instances, is named in the error."""
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["A"])
+        bucket_id = run.bug(["A"])
         run.close()
         path = tmp_path / EVENTS_FILENAME
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -357,7 +377,7 @@ class TestPersistence:
                 event.update(replace)
         path.write_text("".join(json.dumps(event) + "\n" for event in events))
         with pytest.raises(BucketError, match=message):
-            run.instance(bucket.bucket_id, 0)
+            run.instance(bucket_id, 0)
 
     def test_memory_does_not_grow_with_recorded_instances(self):
         """The store holds its index, not the instances it filed."""
@@ -386,10 +406,10 @@ class TestPersistence:
         cannot be made does not stop it; only the report fails."""
         (tmp_path / "buckets").write_text("a file where the bucket directory goes")
         run = RecordedRun(tmp_path)
-        bucket = run.bug(["A"])
-        assert bucket.defining_sequence == ("A",)
+        bucket_id = run.bug(["A"])
+        assert bucket_id == bucket_id_for(["A"])
         run.sink.close()
-        assert run.instance(bucket.bucket_id, 0).template_ids == ("A",)
+        assert run.instance(bucket_id, 0).template_ids == ("A",)
         with pytest.raises(OSError):
             emit_report(tmp_path)
 
@@ -400,14 +420,14 @@ class TestPersistence:
 
 def test_trace_format_is_numbered_requests_then_responses(tmp_path):
     run = RecordedRun(tmp_path)
-    bucket = run.bug(
+    bucket_id = run.bug(
         ["POST /a", "GET /b"],
         indices=[0, 1],
         requests=[b"POST /a HTTP/1.1\r\nHost: h\r\n\r\n", b"GET /b HTTP/1.1\r\n\r\n"],
         responses=[(200, "OK"), (500, "boom")],
     )
     run.close()
-    assert (tmp_path / "buckets" / bucket.bucket_id / "instance-0001.txt").read_text() == (
+    assert (tmp_path / "buckets" / bucket_id / "instance-0001.txt").read_text() == (
         "1/2: POST /a HTTP/1.1\nHost: h\n"
         "\n"
         "=> HTTP/1.1 200 OK\n"
@@ -445,9 +465,9 @@ def replay_stored(run, bucket_id, grammar, dictionary, executor, index=0):
 class TestReplay:
     def test_planted_bug_reproduces(self, tmp_path, blog_grammar, dictionary, live_executor):
         run = RecordedRun(tmp_path)
-        bucket = run.bug([POST, GET_ONE, PUT_ONE])
+        bucket_id = run.bug([POST, GET_ONE, PUT_ONE])
         run.close()
-        result = replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        result = replay_stored(run, bucket_id, blog_grammar, dictionary, live_executor)
         assert result.reproduced
         assert result.final_status == 500
         assert result.diverged_step is None
@@ -457,30 +477,55 @@ class TestReplay:
     ):
         # This chain was never a 500; replaying it lands on the 404 at step 3.
         run = RecordedRun(tmp_path)
-        bucket = run.bug([POST, DELETE_ONE, GET_ONE])
+        bucket_id = run.bug([POST, DELETE_ONE, GET_ONE])
         run.close()
-        result = replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+        result = replay_stored(run, bucket_id, blog_grammar, dictionary, live_executor)
         assert not result.reproduced
         assert result.final_class == "invalid"
         assert result.final_status == 404
         assert result.diverged_step == 3
 
+    def test_transport_failure_is_not_a_divergence(
+        self, tmp_path, blog_conn, blog_grammar, dictionary
+    ):
+        class FailingFetch(SocketTransport):
+            """The create goes through; the fetch after it gets no response."""
+
+            def roundtrip(self, request):
+                if request.startswith(b"GET "):
+                    raise TransportFailure("read", "connection reset")
+                return super().roundtrip(request)
+
+        run = RecordedRun(tmp_path)
+        bucket_id = run.bug([POST, GET_ONE, PUT_ONE])
+        run.close()
+        executor = SequenceExecutor(FailingFetch(blog_conn), blog_grammar.template_by_id)
+        try:
+            result = replay_stored(run, bucket_id, blog_grammar, dictionary, executor)
+        finally:
+            executor.close()
+        assert not result.reproduced
+        assert (result.final_class, result.final_status, result.diverged_step) == (
+            "invalid", None, None
+        )
+        assert str(result.failure) == "read: connection reset"
+
     def test_rendering_index_outside_dictionary_is_an_error(
         self, tmp_path, blog_grammar, dictionary, live_executor
     ):
         run = RecordedRun(tmp_path)
-        bucket = run.bug([POST], indices=[999])
+        bucket_id = run.bug([POST], indices=[999])
         run.close()
         with pytest.raises(BucketError, match="dictionary mismatch"):
-            replay_stored(run, bucket.bucket_id, blog_grammar, dictionary, live_executor)
+            replay_stored(run, bucket_id, blog_grammar, dictionary, live_executor)
 
     def test_missing_instance_index_is_an_error(
         self, tmp_path, blog_grammar, dictionary, live_executor
     ):
         run = RecordedRun(tmp_path)
-        bucket = run.bug([POST])
+        bucket_id = run.bug([POST])
         run.close()
         with pytest.raises(BucketError, match="no instance"):
             replay_stored(
-                run, bucket.bucket_id, blog_grammar, dictionary, live_executor, index=5
+                run, bucket_id, blog_grammar, dictionary, live_executor, index=5
             )

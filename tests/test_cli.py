@@ -7,13 +7,17 @@ replay and report-parity checks, so the expensive part runs once.
 from __future__ import annotations
 
 import base64
+import contextlib
 import itertools
 import json
 import shutil
 import socket
+import struct
+import threading
 
 import pytest
 
+import restfuzz.cli as cli
 from restfuzz.blogserver import bundled_spec_path, serve
 from restfuzz.cli import (
     EXIT_CONFIG,
@@ -25,6 +29,7 @@ from restfuzz.cli import (
 )
 from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import ConfigError, FuzzEngine
+from restfuzz.executor import SocketTransport
 from restfuzz.grammar import load_grammar
 from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink
 
@@ -38,6 +43,31 @@ def closed_port() -> int:
     port = sock.getsockname()[1]
     sock.close()
     return port
+
+
+@contextlib.contextmanager
+def resetting_server():
+    """A target that accepts connections and answers every request with a
+    TCP reset; yields its port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_resets():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # the listener was closed
+            with conn:
+                if conn.recv(65536):
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    thread = threading.Thread(target=serve_resets, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        listener.close()
+        thread.join(timeout=5)
 
 
 def report_fingerprint(out_dir):
@@ -383,6 +413,54 @@ class TestReplayCommand:
             f"bucket {BUCKET_ID}: not reproduced — final class invalid (status 404)"
             " — diverged at step 3/4\n"
         )
+
+    def test_transport_failure_is_not_reported_as_a_divergence(self, recorded_run, capsys):
+        with resetting_server() as port:
+            code = main(
+                ["replay", "--out", str(recorded_run), "--bucket", BUCKET_ID,
+                 "--target", f"127.0.0.1:{port}"]
+            )
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(
+            f"bucket {BUCKET_ID}: not reproduced — transport failure (read): read: "
+        )
+        assert "diverged" not in stdout
+        assert "status" not in stdout
+
+    @pytest.mark.parametrize(
+        "flags, sent_header",
+        [([], "X-Api-Key"), (["--auth-header", "X-Other"], "X-Other")],
+        ids=["recorded", "flag"],
+    )
+    def test_auth_header_defaults_to_the_recording_runs(
+        self, recorded_run, tmp_path, monkeypatch, capsys, flags, sent_header
+    ):
+        run = copy_run(recorded_run, tmp_path / "run")
+        config = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps(dict(config, auth_header="X-Api-Key")))
+        monkeypatch.setenv("RF_TOKEN", "t0k")
+        sent = []
+
+        class Recording(SocketTransport):
+            def roundtrip(self, request):
+                exchange = super().roundtrip(request)
+                sent.append(exchange.request)
+                return exchange
+
+        monkeypatch.setattr(cli, "SocketTransport", Recording)
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+                 "--target", f"127.0.0.1:{handle.port}", "--auth-token-env", "RF_TOKEN", *flags]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_OK
+        assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
+        assert len(sent) == 3
+        assert all(f"\r\n{sent_header}: t0k\r\n".encode() in request for request in sent)
 
     def test_killed_run_replays_from_its_events_alone(self, recorded_run, tmp_path, capsys):
         """No bucket directory and no run_end event: the record is enough."""

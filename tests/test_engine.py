@@ -599,7 +599,8 @@ class EmptyObjectStub:
     """Answers every request 200 with ``{}``: nothing is ever produced."""
 
     def roundtrip(self, request):
-        return HttpExchange(request, 200, "OK", (("Content-Length", "2"),), b"{}", time.time(), 0.0)
+        headers = (("Content-Length", "2"),)
+        return HttpExchange(request, 200, "OK", headers, b"{}", time.monotonic(), 0.0)
 
 
 class TestRecording:
@@ -635,6 +636,29 @@ class TestRecording:
             assert arrivals == sorted(arrivals)
             assert 0 < arrivals[0] and arrivals[-1] < end
         assert_stream_adds_up_to(report, events)
+
+    def test_event_times_ignore_a_wall_clock_step(
+        self, blog_server, blog_model, tmp_path, monkeypatch
+    ):
+        # Once the sink has started, the wall clock steps back an hour.
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        wall = time.time
+
+        def stepped_clock_transport():
+            monkeypatch.setattr(time, "time", lambda: wall() - 3600)
+            return SocketTransport(conn)
+
+        report, events, _ = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            stepped_clock_transport,
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=2,
+        )
+        assert report.total_tests > 0
+        times = [event["elapsed"] for event in events if "elapsed" in event]
+        assert times == sorted(times)
+        assert 0 < times[0] and times[-1] < 60
 
     def test_transport_failure_reports_invalid_and_hits_sink(
         self, blog_server, blog_model, tmp_path

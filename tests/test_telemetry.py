@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from restfuzz.buckets import BugBucket, BugInstance
+from restfuzz.buckets import BugInstance
 from restfuzz.engine import EngineConfig, FuzzEngine, Strategy
 from restfuzz.executor import (
     HttpExchange,
@@ -68,7 +68,7 @@ def exchange_at(sink, elapsed, status=200, **kwargs):
     """An exchange whose response arrived ``elapsed`` seconds into the
     sink's run."""
     exchange = make_exchange(status, **kwargs)
-    exchange.started = sink._start_wall + elapsed - exchange.duration
+    exchange.started = sink._start_monotonic + elapsed - exchange.duration
     return exchange
 
 
@@ -88,7 +88,7 @@ def record_bug(sink, test_index, created, defining=("POST /x", "PUT /x")):
     """File test ``test_index``, whose one step was ``PUT /x`` answered
     500, under bucket abc123def456."""
     instance = BugInstance(steps=(("PUT /x", 0),), final_status=500)
-    sink.record_bucket(test_index, instance, BugBucket("abc123def456", defining, 1), created)
+    sink.record_bucket(test_index, instance, "abc123def456", defining, created)
 
 
 class StatusTransport:
@@ -96,7 +96,7 @@ class StatusTransport:
 
     def roundtrip(self, request):
         status = int(request.split(b" ")[1][1:])
-        return make_exchange(status, request=request, started=time.time())
+        return make_exchange(status, request=request, started=time.monotonic())
 
 
 def run_into(sink, statuses, error_classes=("5xx",)):
@@ -312,7 +312,7 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
     sink.record_exchange(8, other_steps, 1, make_exchange(200, body=b"other"), "valid")
     sink.record_failure(9, other_steps, 0, TransportFailure("read", "timed out"))
     instance = BugInstance(steps=bug_steps, final_status=500)
-    sink.record_bucket(7, instance, BugBucket("abc123def456", ("PUT /x",), 1), True)
+    sink.record_bucket(7, instance, "abc123def456", ("PUT /x",), True)
     sink.close()
     emit_report(tmp_path)
     trace = (tmp_path / "buckets" / "abc123def456" / "instance-0001.txt").read_text()
@@ -401,7 +401,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
             reason=reason,
             headers=tuple(headers),
             body=body,
-            started=sink._start_wall + 1.5,
+            started=sink._start_monotonic + 1.5,
             duration=0.0125,
         )
         sink.record_exchange(3, steps, 1, exchange, classify_status(status, error_classes))
@@ -410,7 +410,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
         emit_report(out)
         events = (out / EVENTS_FILENAME).read_bytes()
         wire = (out / WIRE_LOG_FILENAME).read_bytes()
-    elapsed = exchange.started + exchange.duration - sink._start_wall
+    elapsed = exchange.started + exchange.duration - sink._start_monotonic
     line, wire_record = reference_records(
         exchange, 3, steps, 1, elapsed, error_classes, auth_header_name
     )

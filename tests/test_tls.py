@@ -58,19 +58,23 @@ def test_tls_context_is_built_once_per_transport(tls_blog_server, monkeypatch):
     assert (len(contexts), len(connects)) == (1, 3)
 
 
-def test_replay_over_tls_reproduces_the_bug(tls_blog_server, tmp_path, capsys):
-    target = ["--target", f"127.0.0.1:{tls_blog_server.port}", "--secure"]
+@pytest.mark.parametrize("replay_flags", [["--secure"], []], ids=["flag", "recorded"])
+def test_replay_over_tls_reproduces_the_bug(tls_blog_server, tmp_path, capsys, replay_flags):
+    """Without ``--secure``, replay takes TLS from the run's config.json, as
+    the bucket's replay.sh relies on."""
+    target = ["--target", f"127.0.0.1:{tls_blog_server.port}"]
     out = tmp_path / "run"
     code = main(
         ["fuzz", "--spec", str(bundled_spec_path()), "--strategy", "bfs", "--max-length", "3",
-         "--out", str(out), *target]
+         "--out", str(out), *target, "--secure"]
     )
     assert code == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["transport_failures"] == 0
     [bucket] = report["buckets"]
     capsys.readouterr()
-    assert main(["replay", "--out", str(out), "--bucket", bucket["bucket_id"], *target]) == EXIT_OK
+    replay = ["replay", "--out", str(out), "--bucket", bucket["bucket_id"], *target, *replay_flags]
+    assert main(replay) == EXIT_OK
     assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
 
 
