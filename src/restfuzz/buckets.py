@@ -12,11 +12,12 @@ reaches the bug.
 The store is only that suffix index: each bucket's defining sequence and
 id. It counts nothing and writes nothing; the run's ``FuzzReport`` counts
 each bucket's instances. A bug instance is recorded once, in
-``events.jsonl``: the engine's ``bucket`` event names the test whose
-exchanges hit the bug, its (template id, rendering index) steps and its
-final status. ``telemetry.emit_report`` writes the bucket directory from
-those events, and ``recorded_instance`` reads one back for replay, so a run
-that was killed before its reports were written still replays.
+``events.jsonl``: the ``test`` event of the test that hit the bug names its
+bucket, and the instance is that test's (template id, rendering index)
+steps up to its last exchange, with that exchange's status.
+``telemetry.emit_report`` writes the bucket directory from those events,
+and ``recorded_instance`` reads one back for replay, so a run that was
+killed before its reports were written still replays.
 """
 
 from __future__ import annotations
@@ -98,22 +99,28 @@ class BucketStore:
 
 
 def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInstance:
-    """Instance #index (zero-based) of a bucket: the steps and final status
-    of the (index + 1)-th ``bucket`` event of that id in ``events_path``."""
+    """Instance #index (zero-based) of a bucket, from the (index + 1)-th
+    ``test`` event in ``events_path`` filed under that id: the test's steps
+    up to its last exchange, and that exchange's status."""
     seen = 0
     for event in iter_events(events_path):
-        if event.get("type") != "bucket" or event.get("bucket_id") != bucket_id:
+        bucket = event.get("bucket") if event.get("type") == "test" else None
+        if not isinstance(bucket, dict) or bucket.get("bucket_id") != bucket_id:
             continue
         if seen == index:
             try:
-                steps = tuple((tid, rendering) for tid, rendering in event["steps"])
-                return BugInstance(steps=steps, final_status=event["final_status"])
+                exchanges = event["exchanges"]
+                steps = event["steps"][: len(exchanges)]
+                return BugInstance(
+                    steps=tuple((tid, rendering) for tid, rendering in steps),
+                    final_status=exchanges[-1]["status"],
+                )
             except KeyError as exc:
                 raise BucketError(
                     f"instance #{index} of bucket {bucket_id} cannot be replayed: its "
-                    f"bucket event has no {exc.args[0]!r} field (recorded by an older version)"
+                    f"test event has no {exc.args[0]!r} field"
                 ) from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 raise BucketError(
                     f"instance #{index} of bucket {bucket_id} has malformed steps: {exc}"
                 ) from None

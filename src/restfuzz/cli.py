@@ -46,7 +46,8 @@ from .grammar import (
     dump_grammar,
     load_grammar,
 )
-from .telemetry import CONFIG_FILENAME, EVENTS_FILENAME, TelemetrySink, emit_report, run_config
+from .telemetry import CONFIG_FILENAME, EVENTS_FILENAME, EventFormatError, TelemetrySink
+from .telemetry import emit_report, run_config
 
 logger = logging.getLogger(__name__)
 
@@ -424,7 +425,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, CompileError, GrammarError, BucketError) as exc:
+    except (ConfigError, CompileError, GrammarError, BucketError, EventFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TargetUnreachable as exc:

@@ -13,14 +13,14 @@ candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
 connection when it returns or raises.
 
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
-of a finished test's exchanges: it adds the test to the run's
-``FuzzReport``, hands the exchanges and any transport failure or
-unresolvable consumer to the sink, and files a bug: the bucket index names
-its bucket, the report counts it, and its ``bucket`` event in the sink's
-stream is the only record of the instance. The ``run`` loop gives the
-report and the sink each length's row and each restart alike; ``run_end``
-carries only the stop reason and elapsed time, since ``emit_report`` folds
-the rest from events.
+of a finished test: it files a bug, whose bucket the bucket index names,
+adds the test and any bug instance to the run's ``FuzzReport``, and hands
+the test to the sink in one call, which writes it as one ``test`` event:
+the test's steps, exchanges, final class, any transport failure or
+unresolvable consumer, and its bucket. That event is the only record of a
+bug instance. The ``run`` loop gives the report and the sink each length's
+row and each restart alike; ``run_end`` carries only the stop reason and
+elapsed time, since ``emit_report`` folds the rest from events.
 
 Strategies differ only in the extension step:
 
@@ -139,10 +139,9 @@ class EngineConfig:
 class SequenceStep(NamedTuple):
     """One rendered step of a retained sequence.
 
-    A named tuple rather than a frozen dataclass: one is built per test and
-    retained sequences are hashed for de-duplication, and a tuple is hashed
-    in C. Building one and hashing a sequence of it takes 0.40 us on a
-    2-vCPU VM, against 0.72 us as a frozen dataclass.
+    A named tuple rather than a frozen dataclass, so it is the (template id,
+    rendering index) pair that a ``BugInstance`` and the sink's ``test``
+    event hold, with no conversion.
     """
 
     template_id: str
@@ -287,43 +286,32 @@ class FuzzEngine:
         )
 
     def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> None:
-        """Add a finished test to the report, hand it to the sink, and file
-        it when its final response was a bug.
-
-        The exchange of each step but the last executed one was Valid, since
-        execution stops at the first step that is not.
-        """
-        last = result.steps_executed - 1
-        behaviors: list[tuple[str, str]] = []
-        for index, exchange in enumerate(result.exchanges):
-            behaviors.append((steps[index].template_id, self._status_labels[exchange.status]))
-            if self.sink is not None:
-                response_class = result.final_class if index == last else ResponseClass.VALID
-                self.sink.record_exchange(test_index, steps, index, exchange, response_class)
-        if self.sink is not None:
-            if result.failure is not None:
-                self.sink.record_failure(test_index, steps, last, result.failure)
-            if result.unresolved is not None:
-                self.sink.record_unresolvable(test_index, steps, last, result.unresolved)
+        """File a finished test when its final response was a bug, add it
+        to the report, and hand it to the sink."""
+        filed = None
+        if result.final_class == ResponseClass.BUG:
+            instance = BugInstance(
+                steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
+            )
+            filed = self.bucket_store.record(instance)
+            bucket_id, defining_sequence, created = filed
+            logger.info(
+                "bug (status %d) filed under bucket %s%s: %s",
+                instance.final_status,
+                bucket_id,
+                " [new]" if created else "",
+                " -> ".join(instance.template_ids),
+            )
+        behaviors = [
+            (step.template_id, self._status_labels[exchange.status])
+            for step, exchange in zip(steps, result.exchanges)
+        ]
         with self._stats_lock:
             self.report.add_test(behaviors, result.final_class, result.failure is not None)
-        if result.final_class != ResponseClass.BUG:
-            return
-        instance = BugInstance(
-            steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
-        )
-        bucket_id, defining_sequence, created = self.bucket_store.record(instance)
-        with self._stats_lock:
-            self.report.add_bucket_instance(bucket_id, defining_sequence)
-        logger.info(
-            "bug (status %d) filed under bucket %s%s: %s",
-            instance.final_status,
-            bucket_id,
-            " [new]" if created else "",
-            " -> ".join(instance.template_ids),
-        )
+            if filed is not None:
+                self.report.add_bucket_instance(bucket_id, defining_sequence)
         if self.sink is not None:
-            self.sink.record_bucket(test_index, instance, bucket_id, defining_sequence, created)
+            self.sink.record_test(test_index, steps, result, filed)
 
     # -- validation --------------------------------------------------------
 
@@ -404,14 +392,10 @@ class FuzzEngine:
                 raise errors[0]
 
         ran = [result for result in results if result is not None]
-        merged: list[RenderedSteps] = []
-        seen: set[RenderedSteps] = set()
-        for result in ran:
-            for steps in result.retained:
-                if steps not in seen:  # uniqueness by (template, rendering) ids
-                    seen.add(steps)
-                    merged.append(steps)
-        return _Validation(merged, sum(result.extracted for result in ran))
+        return _Validation(
+            [steps for result in ran for steps in result.retained],
+            sum(result.extracted for result in ran),
+        )
 
     # -- main loop ---------------------------------------------------------
 

@@ -8,6 +8,13 @@ list of slots that concatenate into one HTTP/1.1 request:
 * consumer slots stay symbolic and are resolved from values extracted out of
   earlier responses while a sequence executes.
 
+Dictionary candidates are request-text fragments, and go into the request
+verbatim, as REST-ler inserts its dictionary values: nothing escapes them.
+A string candidate lands between the quotes its JSON body field's static
+slots hold, so ``quote"back\\slash`` renders the body
+``{"body":"quote"back\\slash"}`` (``Content-Length: 27``). A dictionary that
+means to send valid JSON holds its values already escaped.
+
 Templates are immutable once built, so search strategies can share them freely.
 """
 

@@ -4,14 +4,22 @@ The sink appends every event of a run to one file, ``events.jsonl``: one
 JSON object per line, request and response bytes base64-encoded as they
 crossed the wire (except that a chunked response body is stored de-chunked),
 the auth token included. It keeps nothing in memory. The engine is its only
-caller: it hands over each finished test's exchanges and its transport
-failure or unresolvable consumer, in the order the worker ran them, then a
-``bucket`` event when the test hit a bug, and the run's start, per-length
-rows, random-walk restarts (``restart``: the next test's index and the
-walk's length) and end, which carries only the stop reason and
-``FuzzEngine.run``'s elapsed time. Every event's ``elapsed`` is read on the
-monotonic clock from the sink's start; an exchange's is when its response
-arrived, taken from the exchange's own start and duration.
+caller. Each finished test is one ``test`` event, written with one write
+and one flush: its index, [template id, rendering index] ``steps``, final
+class and ``exchanges``; ``failure`` or ``unresolved`` when a step failed
+below HTTP or consumed a value nothing produced (the step after the last
+exchange); and ``bucket`` when it hit a bug. The rest is derived: an
+exchange's step is its position, its class is the test's final class for
+the last exchange of a test that ended on a response and Valid otherwise,
+and a bug instance is the steps up to the last exchange, with its status.
+The other events are the run's start, per-length rows, random-walk restarts
+(``restart``: the next test's index and the walk's length) and end, which
+carries only the stop reason and ``FuzzEngine.run``'s elapsed time. Every
+event's ``elapsed`` is read on the monotonic clock from the sink's start; an
+exchange's is when its response arrived, taken from the exchange's own
+start and duration. ``iter_events`` refuses a run recorded in the older
+per-step format (``exchange`` and ``bucket`` events) with
+``EventFormatError``.
 
 ``FuzzReport`` is the run's report as a fold of those facts. The engine
 feeds one during the run; ``emit_report`` feeds a fresh one from the events.
@@ -39,8 +47,9 @@ CSV schemas:
 
 Bucket directory, ``buckets/<id>/``: ``bucket.json`` (id, defining sequence,
 instance count), ``defining_sequence.txt``, ``replay.sh`` and one
-``instance-NNNN.txt`` per instance, numbered in the order of the ``bucket``
-events, each a numbered request/response trace redacted as ``wire.log`` is.
+``instance-NNNN.txt`` per instance, numbered in the order of the ``test``
+events filed under the bucket, each a numbered request/response trace
+redacted as ``wire.log`` is.
 """
 
 from __future__ import annotations
@@ -55,13 +64,15 @@ import time
 from collections import Counter
 from dataclasses import astuple, asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .executor import DEFAULT_AUTH_HEADER, HttpExchange, TransportFailure, human_text, status_class_label
-
-if TYPE_CHECKING:
-    from .buckets import BugInstance
-    from .grammar import ResourceType
+from .executor import (
+    DEFAULT_AUTH_HEADER,
+    ExecutionResult,
+    HttpExchange,
+    human_text,
+    status_class_label,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -240,102 +251,70 @@ class TelemetrySink:
                 {"type": "run_start", "wall_time": self._start_wall, "config": config}
             )
 
-    def record_exchange(
-        self,
-        test_index: int,
-        steps: Sequence[tuple[str, int]],
-        step_index: int,
-        exchange: HttpExchange,
-        response_class: str,
-    ) -> None:
-        """Append the exchange of step ``step_index`` of test ``test_index``,
-        whose steps are (template id, rendering index) pairs, and flush it.
-
-        The event line is encoded before the lock is taken, with the default
-        encoder over keys written in sorted order, which gives the bytes
-        ``sort_keys=True`` gives.
-        """
-        template_id, rendering_index = steps[step_index]
-        line = json.dumps(
+    def record_exchange(self, exchange: HttpExchange) -> str:
+        """One exchange's entry in its test's ``exchanges``, encoded with the
+        default encoder over keys written in sorted order. Its ``elapsed``
+        is when its response arrived, taken from its own start and
+        duration."""
+        return json.dumps(
             {
                 "duration": exchange.duration,
                 "elapsed": exchange.started + exchange.duration - self._start_monotonic,
                 "reason": exchange.reason,
-                "rendering_index": rendering_index,
                 "request_b64": base64.b64encode(exchange.request).decode("ascii"),
                 "response_b64": base64.b64encode(
                     exchange.response_head() + exchange.body
                 ).decode("ascii"),
-                "response_class": response_class,
-                "sequence_length": len(steps),
                 "status": exchange.status,
-                "step_index": step_index,
-                "template_id": template_id,
-                "test_index": test_index,
-                "type": "exchange",
             }
         )
+
+    def record_test(
+        self,
+        test_index: int,
+        steps: Sequence[tuple[str, int]],
+        result: ExecutionResult,
+        filed: tuple[str, Sequence[str], bool] | None,
+    ) -> None:
+        """Append test ``test_index``, whose steps are (template id,
+        rendering index) pairs, as one ``test`` line, and flush it.
+        ``filed`` is the bucket index's (bucket id, defining sequence,
+        created) when the test hit a bug.
+
+        The line is encoded before the lock is taken, in the bytes
+        ``sort_keys=True`` gives: the entries are spliced between the keys
+        that sort before ``exchanges`` and those after it.
+        """
+        head: dict = {"elapsed": self.elapsed()}
+        if filed is not None:
+            bucket_id, defining_sequence, created = filed
+            head["bucket"] = {
+                "bucket_id": bucket_id,
+                "created": created,
+                "defining_sequence": list(defining_sequence),
+            }
+        tail: dict = {
+            "final_class": result.final_class,
+            "steps": steps,
+            "test_index": test_index,
+            "type": "test",
+        }
+        if result.failure is not None:
+            tail["failure"] = {"detail": str(result.failure), "phase": result.failure.phase}
+        if result.unresolved is not None:
+            tail["unresolved"] = str(result.unresolved)
+        exchanges = ", ".join(self.record_exchange(exchange) for exchange in result.exchanges)
+        line = (
+            f'{json.dumps(head, sort_keys=True)[:-1]}, "exchanges": [{exchanges}], '
+            f"{json.dumps(tail, sort_keys=True)[1:]}\n"
+        )
+        del exchanges  # hold only the line while waiting for the lock
         with self._lock:
-            self._write(line + "\n")
-
-    def record_failure(
-        self,
-        test_index: int,
-        steps: Sequence[tuple[str, int]],
-        step_index: int,
-        failure: TransportFailure,
-    ) -> None:
-        self._record_step_event(
-            "transport_failure", test_index, steps, step_index,
-            phase=failure.phase, detail=str(failure),
-        )
-
-    def record_unresolvable(
-        self,
-        test_index: int,
-        steps: Sequence[tuple[str, int]],
-        step_index: int,
-        resource: ResourceType,
-    ) -> None:
-        """Step ``step_index`` consumes ``resource``, which nothing produced,
-        so it was not sent and the test ended Invalid."""
-        self._record_step_event(
-            "unresolvable_consumer", test_index, steps, step_index, resource=str(resource)
-        )
-
-    def _record_step_event(
-        self, kind: str, test_index: int, steps: Sequence[tuple[str, int]], step_index: int,
-        **fields,
-    ) -> None:
-        self._record(
-            kind, test_index=test_index, template_id=steps[step_index][0], step_index=step_index,
-            **fields,
-        )
+            self._write(line)
 
     def record_length_stats(self, row: PerLengthRow) -> None:
         with self._lock:
             self._write_event({"type": "length_stats", **asdict(row)})
-
-    def record_bucket(
-        self,
-        test_index: int,
-        instance: BugInstance,
-        bucket_id: str,
-        defining_sequence: Sequence[str],
-        created: bool,
-    ) -> None:
-        """Test ``test_index`` hit a bug, ``instance``, filed under the bucket
-        ``bucket_id`` defined by ``defining_sequence``; ``created`` when this
-        instance founded it."""
-        self._record(
-            "bucket",
-            bucket_id=bucket_id,
-            defining_sequence=list(defining_sequence),
-            created=created,
-            test_index=test_index,
-            steps=[list(step) for step in instance.steps],
-            final_status=instance.final_status,
-        )
 
     def record_restart(self, test_index: int, length: int) -> None:
         """The random walk restarts from the empty sequence after reaching
@@ -360,11 +339,21 @@ class TelemetrySink:
 # The reader and the report files
 
 
+# The per-step event types of runs recorded before each test became one line.
+_OLDER_EVENT_TYPES = frozenset({"exchange", "transport_failure", "unresolvable_consumer", "bucket"})
+
+
+class EventFormatError(Exception):
+    """An ``events.jsonl`` recorded in the older per-step format."""
+
+
 def iter_events(path: Path) -> Iterator[dict]:
     """Yield the events of an ``events.jsonl`` in order, one line at a time.
 
     Blank lines are skipped, and so are lines that are not a JSON object
-    (a write cut short by a full disk), each with a warning.
+    (a write cut short by a full disk), each with a warning. An event of
+    the older per-step format raises ``EventFormatError``: such a run is
+    not read at all rather than misread.
     """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -378,6 +367,11 @@ def iter_events(path: Path) -> Iterator[dict]:
             if not isinstance(event, dict):
                 logger.warning("%s:%d: skipping corrupt event: not a JSON object", path, line_no)
                 continue
+            if event.get("type") in _OLDER_EVENT_TYPES:
+                raise EventFormatError(
+                    f"{path}:{line_no}: an {event['type']!r} event: this run was recorded by "
+                    "an older restfuzz in the per-step event format, which this one does not read"
+                )
             yield event
 
 
@@ -394,21 +388,20 @@ def emit_report(run_dir: Path) -> int:
     its ``events.jsonl``; return the number of exchanges it records.
 
     One pass over the events writes each timeline row, each ``wire.log``
-    block and each bug instance's trace as its event is read, and feeds
-    each fact to a ``FuzzReport``, which the other files are written from.
-    Workers interleave their lines, so the behaviours and human text of
-    each test still in flight are held, by test index, until its last
-    event: the exchange that ends it, its transport failure or unresolvable
-    consumer, or, for a bug's text, its ``bucket`` event. Beyond those, only
-    the cumulative class counts and the report are held: memory does not
-    grow with the length of the run.
+    block and each bug instance's trace as its ``test`` event is read, and
+    feeds each fact to a ``FuzzReport``, which the other files are written
+    from. Only the event being read, the cumulative class counts and the
+    report are held: memory does not grow with the length of the run.
     """
     run_dir = Path(run_dir)
+    events_path = run_dir / EVENTS_FILENAME
+    # A run in the older format fails at its first test, before a report file is opened.
+    for event in iter_events(events_path):
+        if event.get("type") == "test":
+            break
     # An older run's config may name no header.
     auth_header = run_config(run_dir).get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
-    # test index -> its (template id, status group) pairs and (request, response) texts
-    in_flight: dict[int, tuple[list[tuple[str, str]], list[tuple[str, str]]]] = {}
     report = FuzzReport()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
             open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",
@@ -428,64 +421,64 @@ def emit_report(run_dir: Path) -> int:
                 "cumulative_bug",
             ]
         )
-        for event in iter_events(run_dir / EVENTS_FILENAME):
+        for event in iter_events(events_path):
             kind = event.get("type")
-            if kind == "exchange":
-                response_class = event["response_class"]
-                status_group = status_class_label(event["status"])
-                cumulative[response_class] += 1
-                timeline.writerow(
-                    [
-                        f"{event['elapsed']:.6f}",
-                        event["test_index"],
-                        event["sequence_length"],
-                        event["template_id"],
-                        event["status"],
-                        status_group,
-                        response_class,
-                        cumulative["valid"],
-                        cumulative["invalid"],
-                        cumulative["bug"],
-                    ]
-                )
-                request = human_text(base64.b64decode(event["request_b64"]), auth_header)
-                response = human_text(base64.b64decode(event["response_b64"]), auth_header)
-                wire.write(f"Sending: {request}\n\nReceived: {response}\n\n")
-                behaviors, texts = in_flight.setdefault(event["test_index"], ([], []))
-                behaviors.append((event["template_id"], status_group))
-                texts.append((request, response))
-                if response_class != "valid" or event["step_index"] == event["sequence_length"] - 1:
-                    report.add_test(behaviors, response_class, transport_failed=False)
-                    if response_class != "bug":
-                        del in_flight[event["test_index"]]
-            elif kind == "transport_failure":
-                wire.write(f"Transport failure ({event['phase']}): {event['detail']}\n\n")
-                behaviors, _ = in_flight.pop(event["test_index"], ([], []))
-                report.add_test(behaviors, "invalid", transport_failed=True)
-            elif kind == "unresolvable_consumer":
-                wire.write(
-                    f"Unresolvable consumer ({event['resource']}): step {event['step_index'] + 1} "
-                    f"{event['template_id']} not sent\n\n"
-                )
-                behaviors, _ = in_flight.pop(event["test_index"], ([], []))
-                report.add_test(behaviors, "invalid", transport_failed=False)
+            if kind == "test":
+                steps, exchanges = event["steps"], event["exchanges"]
+                failure, unresolved = event.get("failure"), event.get("unresolved")
+                # Execution stops at the first step that is not Valid: every
+                # exchange is Valid but the last one of a test that no failure
+                # or unresolved consumer ended, which has the test's class.
+                last = len(exchanges) - 1 if failure is None and unresolved is None else None
+                behaviors: list[tuple[str, str]] = []
+                texts: list[tuple[str, str]] = []
+                for step_index, exchange in enumerate(exchanges):
+                    template_id = steps[step_index][0]
+                    response_class = event["final_class"] if step_index == last else "valid"
+                    status_group = status_class_label(exchange["status"])
+                    cumulative[response_class] += 1
+                    timeline.writerow(
+                        [
+                            f"{exchange['elapsed']:.6f}",
+                            event["test_index"],
+                            len(steps),
+                            template_id,
+                            exchange["status"],
+                            status_group,
+                            response_class,
+                            cumulative["valid"],
+                            cumulative["invalid"],
+                            cumulative["bug"],
+                        ]
+                    )
+                    request = human_text(base64.b64decode(exchange["request_b64"]), auth_header)
+                    response = human_text(base64.b64decode(exchange["response_b64"]), auth_header)
+                    wire.write(f"Sending: {request}\n\nReceived: {response}\n\n")
+                    behaviors.append((template_id, status_group))
+                    texts.append((request, response))
+                if failure is not None:
+                    wire.write(f"Transport failure ({failure['phase']}): {failure['detail']}\n\n")
+                if unresolved is not None:
+                    wire.write(
+                        f"Unresolvable consumer ({unresolved}): step {len(exchanges) + 1} "
+                        f"{steps[len(exchanges)][0]} not sent\n\n"
+                    )
+                report.add_test(behaviors, event["final_class"], failure is not None)
+                bucket = event.get("bucket")
+                if bucket is not None:
+                    instances = report.add_bucket_instance(
+                        bucket["bucket_id"], bucket["defining_sequence"]
+                    )
+                    directory = run_dir / BUCKETS_DIRNAME / bucket["bucket_id"]
+                    directory.mkdir(parents=True, exist_ok=True)
+                    (directory / f"instance-{instances:04d}.txt").write_text(
+                        _instance_trace(texts), encoding="utf-8"
+                    )
             elif kind == "length_stats":
                 row = PerLengthRow(
                     event["length"], event["tests"], event["seqset_size"], event["dynamic_objects"]
                 )
                 report.add_length_row(row)
-            elif kind == "bucket":
-                instances = report.add_bucket_instance(
-                    event["bucket_id"], event["defining_sequence"]
-                )
-                # An older run's bucket events name no test; its traces are already on disk.
-                held = in_flight.pop(event.get("test_index"), None)
-                if held is not None:
-                    directory = run_dir / BUCKETS_DIRNAME / event["bucket_id"]
-                    directory.mkdir(parents=True, exist_ok=True)
-                    (directory / f"instance-{instances:04d}.txt").write_text(
-                        _instance_trace(held[1]), encoding="utf-8"
-                    )
             elif kind == "restart":
                 report.add_restart()
             elif kind == "run_start":

@@ -32,7 +32,13 @@ from restfuzz.buckets import (
     recorded_instance,
     replay_bucket,
 )
-from restfuzz.executor import HttpExchange, SequenceExecutor, SocketTransport, TransportFailure
+from restfuzz.executor import (
+    ExecutionResult,
+    HttpExchange,
+    SequenceExecutor,
+    SocketTransport,
+    TransportFailure,
+)
 from restfuzz.telemetry import EVENTS_FILENAME, FuzzReport, TelemetrySink, emit_report
 
 
@@ -61,8 +67,8 @@ class Filing:
 
 class RecordedRun:
     """A run directory whose bugs are recorded as the engine records them:
-    each step's exchange, then the instance filed in a store and its
-    ``bucket`` event; ``bug`` returns the bucket's id. Every request carries
+    the instance filed in a store, then its test as one ``test`` event that
+    names the bucket; ``bug`` returns the bucket's id. Every request carries
     ``auth_header: secret``; every response but the last is a bodiless 200,
     the last one ``status oops`` with body ``boom``."""
 
@@ -77,6 +83,7 @@ class RecordedRun:
 
     def bug(self, ids, indices=None, status=500, requests=None, responses=None):
         instance = make_instance(ids, indices, status)
+        exchanges = []
         for step_index, tid in enumerate(ids):
             final = step_index == len(ids) - 1
             request = f"GET /{tid} HTTP/1.1\r\n{self.auth_header}: secret\r\n\r\n".encode()
@@ -91,11 +98,11 @@ class RecordedRun:
             )
             if responses is not None:
                 exchange.status, exchange.reason = responses[step_index]
-            self.sink.record_exchange(
-                self.tests, instance.steps, step_index, exchange, "bug" if final else "valid"
-            )
-        bucket_id, defining, created = self.store.record(instance)
-        self.sink.record_bucket(self.tests, instance, bucket_id, defining, created)
+            exchanges.append(exchange)
+        filed = self.store.record(instance)
+        result = ExecutionResult(exchanges, "bug", steps_executed=len(ids))
+        self.sink.record_test(self.tests, instance.steps, result, filed)
+        bucket_id = filed[0]
         self.tests += 1
         return bucket_id
 
@@ -357,23 +364,26 @@ class TestPersistence:
         "drop, replace, message",
         [
             ("steps", {}, "has no 'steps' field"),
-            ("final_status", {}, "has no 'final_status' field"),
+            ("status", {}, "has no 'status' field"),
             (None, {"steps": [["A"]]}, "malformed steps"),
             (None, {"steps": []}, "at least one step"),
         ],
         ids=["no-steps", "no-final-status", "short-step", "empty-steps"],
     )
     def test_unreplayable_bucket_event_is_an_error(self, tmp_path, drop, replace, message):
-        """A bucket event without a usable instance, such as one recorded
-        before events carried instances, is named in the error."""
+        """A test event filed under a bucket without a usable instance (no
+        steps, no status on its last exchange, a step that is not a pair,
+        no steps at all) is named in the error."""
         run = RecordedRun(tmp_path)
         bucket_id = run.bug(["A"])
         run.close()
         path = tmp_path / EVENTS_FILENAME
         events = [json.loads(line) for line in path.read_text().splitlines()]
         for event in events:
-            if event["type"] == "bucket":
+            if "bucket" in event:
+                # The field goes from the event or from its last exchange.
                 event.pop(drop, None)
+                event["exchanges"][-1].pop(drop, None)
                 event.update(replace)
         path.write_text("".join(json.dumps(event) + "\n" for event in events))
         with pytest.raises(BucketError, match=message):

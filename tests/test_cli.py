@@ -301,20 +301,43 @@ def copy_run(run_dir, dest, rewrite=None):
 
 
 def with_instance(template_ids):
-    """An event rewrite that files one more instance under BUCKET_ID, as a
-    bucket event whose test left no exchanges in the record."""
+    """An event rewrite that files one more instance under BUCKET_ID: a
+    copy of the bug's test event whose steps are ``template_ids``, each
+    answered as the bug's last step was."""
 
     def rewrite(events):
-        bucket = next(e for e in events if e["type"] == "bucket")
+        bug = next(e for e in events if "bucket" in e)
         extra = dict(
-            bucket,
-            created=False,
+            bug,
+            bucket=dict(bug["bucket"], created=False),
             test_index=10**6,
             steps=[[tid, 0] for tid in template_ids],
+            exchanges=[bug["exchanges"][-1]] * len(template_ids),
         )
         return events + [extra]
 
     return rewrite
+
+
+def in_older_format(events):
+    """The events as an older restfuzz wrote them: an ``exchange`` event
+    per exchange, and for a bug a ``bucket`` event with no steps."""
+    older = []
+    for event in events:
+        if event["type"] != "test":
+            older.append(event)
+            continue
+        for step_index, exchange in enumerate(event["exchanges"]):
+            older.append(
+                dict(exchange, type="exchange", test_index=event["test_index"],
+                     step_index=step_index, template_id=event["steps"][step_index][0])
+            )
+        if "bucket" in event:
+            older.append(dict(event["bucket"], type="bucket", elapsed=event["elapsed"]))
+    return older
+
+
+OLDER_FORMAT = "recorded by an older restfuzz"
 
 
 @pytest.fixture(scope="module")
@@ -479,30 +502,24 @@ class TestReplayCommand:
         assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
 
     def test_run_recorded_before_instances_were_events(self, recorded_run, tmp_path, capsys):
-        """Older bucket events name no test, steps or status: the reports
-        are still rebuilt, and replay says which field is missing."""
-        fields = ("test_index", "steps", "final_status")
+        """A run in the older per-step format, or a file whose only older
+        line is a ``bucket`` event, is not replayed: replay exits 2 naming
+        the older format and the first such event, before any connection
+        is tried."""
 
-        def strip(events):
-            return [
-                {k: v for k, v in e.items() if e["type"] != "bucket" or k not in fields}
-                for e in events
-            ]
+        def bucket_line(events):
+            return [events[0], next(e for e in in_older_format(events) if e["type"] == "bucket")]
 
-        run = copy_run(recorded_run, tmp_path / "run", strip)
-        written = {name: (run / name).read_bytes() for name in REPORT_FILES}
-        for name in REPORT_FILES:
-            (run / name).unlink()
-        assert main(["report", "--out", str(run)]) == EXIT_OK
-        for name, blob in written.items():
-            assert (run / name).read_bytes() == blob, name
-        capsys.readouterr()
-        code = main(
-            ["replay", "--out", str(run), "--bucket", BUCKET_ID,
-             "--target", f"127.0.0.1:{closed_port()}"]
-        )
-        assert code == EXIT_CONFIG
-        assert "has no 'steps' field" in capsys.readouterr().err
+        for rewrite, first in ((in_older_format, "exchange"), (bucket_line, "bucket")):
+            run = copy_run(recorded_run, tmp_path / first, rewrite)
+            capsys.readouterr()
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+                 "--target", f"127.0.0.1:{closed_port()}"]
+            )
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert OLDER_FORMAT in err and f"'{first}' event" in err
 
     def test_unreachable_replay_target_is_exit_3(self, recorded_run, capsys):
         code = main(
@@ -637,7 +654,7 @@ class TestReportCommand:
         events = [
             json.loads(line) for line in (recorded_run / EVENTS_FILENAME).read_text().splitlines()
         ]
-        bug_test = next(e["test_index"] for e in events if e["type"] == "bucket")
+        bug_test = next(e["test_index"] for e in events if "bucket" in e)
         k = {"test before the bug": bug_test - 1, "bug's test": bug_test, "last test": 40}[cut_after]
         cut = max(i for i, e in enumerate(events) if e.get("test_index") == k) + 1
         run = copy_run(recorded_run, tmp_path / "run", lambda events: events[:cut])
@@ -647,9 +664,9 @@ class TestReportCommand:
         report = json.loads((run / "report.json").read_text())
         assert report["total_tests"] == k + 1 == sum(report["status_totals"].values())
         assert report["buckets"] == [
-            {"bucket_id": e["bucket_id"], "defining_sequence": e["defining_sequence"],
-             "instances": 1}
-            for e in events[:cut] if e["type"] == "bucket"
+            {"bucket_id": e["bucket"]["bucket_id"],
+             "defining_sequence": e["bucket"]["defining_sequence"], "instances": 1}
+            for e in events[:cut] if "bucket" in e
         ]
         assert report["stopped_reason"] == "unknown (no run_end event)"
 
@@ -680,25 +697,34 @@ class TestReportCommand:
         assert main(["report", "--out", str(tmp_path)]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_older_run_is_not_rebuilt_and_keeps_its_reports(self, recorded_run, tmp_path, capsys):
+        """An ``exchange`` line makes the report exit 2 naming the older
+        format; the report files already written stay as they were."""
+        run = copy_run(recorded_run, tmp_path / "run", in_older_format)
+        written = tree_bytes(run)
+        assert main(["report", "--out", str(run)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert OLDER_FORMAT in err and "'exchange' event" in err
+        assert tree_bytes(run) == written
+
     def test_rebuild_without_run_end_synthesizes_a_report(self, tmp_path, capsys):
         run_dir = tmp_path / "partial"
         run_dir.mkdir()
-        events = [
-            {
-                "type": "exchange", "elapsed": 0.1, "test_index": 0,
-                "sequence_length": 1, "step_index": 0, "template_id": "GET /x",
-                "status": 200, "response_class": "valid",
+
+        def test_event(index, status, reason, final_class):
+            response = f"HTTP/1.1 {status} {reason}\r\n\r\n".encode()
+            exchange = {
+                "elapsed": 0.1 * (index + 1), "status": status, "reason": reason,
+                "duration": 0.01,
                 "request_b64": base64.b64encode(b"GET /x HTTP/1.1\r\n\r\n").decode(),
-                "response_b64": base64.b64encode(b"HTTP/1.1 200 OK\r\n\r\n").decode(),
-            },
-            {
-                "type": "exchange", "elapsed": 0.2, "test_index": 1,
-                "sequence_length": 1, "step_index": 0, "template_id": "GET /x",
-                "status": 500, "response_class": "bug",
-                "request_b64": base64.b64encode(b"GET /x HTTP/1.1\r\n\r\n").decode(),
-                "response_b64": base64.b64encode(b"HTTP/1.1 500 Oops\r\n\r\n").decode(),
-            },
-        ]
+                "response_b64": base64.b64encode(response).decode(),
+            }
+            return {
+                "type": "test", "elapsed": 0.1 * (index + 1), "test_index": index,
+                "steps": [["GET /x", 0]], "final_class": final_class, "exchanges": [exchange],
+            }
+
+        events = [test_event(0, 200, "OK", "valid"), test_event(1, 500, "Oops", "bug")]
         (run_dir / "events.jsonl").write_text(
             "".join(json.dumps(e) + "\n" for e in events)
         )
@@ -759,18 +785,14 @@ class TestReportCommand:
             (out / name).unlink()
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
         assert len(events) == 10
-        recorded = sum(event["type"] == "exchange" for event in events)
+        tests = [event for event in events if event["type"] == "test"]
+        recorded = sum(len(event["exchanges"]) for event in tests)
         assert main(["report", "--out", str(out)]) == EXIT_OK
         assert f"from {recorded} recorded exchanges" in capsys.readouterr().out
         for name, blob in written.items():
             assert (out / name).read_bytes() == blob, name
-        # The report counts the tests the record shows ending, not exchanges.
-        ended = {
-            event["test_index"] for event in events
-            if event["type"] == "exchange"
-            and (event["response_class"] != "valid"
-                 or event["step_index"] == event["sequence_length"] - 1)
-        }
+        # The report counts the tests the record holds, not exchanges.
+        ended = {event["test_index"] for event in tests}
         report = json.loads(written["report.json"])
         assert report["total_tests"] == len(ended) == sum(report["status_totals"].values())
         assert report["stopped_reason"] == "unknown (no run_end event)"
@@ -829,7 +851,7 @@ class TestAuth:
             json.loads(line)
             for line in (out / "events.jsonl").read_text().splitlines()
         ]
-        exchange = next(e for e in events if e["type"] == "exchange")
+        exchange = next(e for e in events if e["type"] == "test")["exchanges"][0]
         assert b"PRIVATE-TOKEN: topsecret\r\n" in base64.b64decode(exchange["request_b64"])
 
         # ... but in no human-readable artifact.

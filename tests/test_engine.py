@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import random
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -566,23 +566,25 @@ def recorded_campaign(grammar, transport_factory, run_dir, **config_kwargs):
     return report, list(iter_events(run_dir / EVENTS_FILENAME)), tests
 
 
+def recorded_tests(events):
+    return [event for event in events if event["type"] == "test"]
+
+
 def assert_stream_adds_up_to(report, events):
-    """Each test's final class is that of its last exchange event, or
-    Invalid after a transport failure or an unresolvable consumer; the
-    event classes sum to the report's totals."""
-    finals = {}
-    for event in events:
-        if event["type"] == "exchange":
-            finals[event["test_index"]] = event["response_class"]
-        elif event["type"] in ("transport_failure", "unresolvable_consumer"):
-            finals[event["test_index"]] = "invalid"
-    assert sorted(finals) == list(range(report.total_tests))
-    assert Counter(finals.values()) == report.status_totals
+    """Each test is one event, Invalid after a transport failure or an
+    unresolvable consumer; the events' final classes, exchanges and
+    failures sum to the report's totals."""
+    tests = recorded_tests(events)
+    assert sorted(test["test_index"] for test in tests) == list(range(report.total_tests))
+    for test in tests:
+        if "failure" in test or "unresolved" in test:
+            assert test["final_class"] == "invalid"
+    assert Counter(test["final_class"] for test in tests) == report.status_totals
     groups = Counter(
-        status_class_label(event["status"]) for event in events if event["type"] == "exchange"
+        status_class_label(exchange["status"]) for test in tests for exchange in test["exchanges"]
     )
     assert groups == report.status_group_totals
-    failures = [event for event in events if event["type"] == "transport_failure"]
+    failures = [test for test in tests if "failure" in test]
     assert len(failures) == report.transport_failures
 
 
@@ -614,28 +616,45 @@ class TestRecording:
             max_length=3,
         )
         assert report.total_tests == 41
-        by_test = defaultdict(list)
-        for event in events:
-            if event["type"] == "exchange":
-                by_test[event["test_index"]].append(event)
+        by_test = {test["test_index"]: test for test in recorded_tests(events)}
+        assert len(by_test) == len(recorded_tests(events))  # one event per test
         assert sorted(by_test) == sorted(tests) == list(range(41))
         end = next(event["elapsed"] for event in events if event["type"] == "run_end")
         for test_index, (steps, statuses) in tests.items():
-            recorded = by_test[test_index]
-            assert [e["step_index"] for e in recorded] == list(range(len(statuses)))
-            assert all(e["sequence_length"] == len(steps) for e in recorded)
-            assert [(e["template_id"], e["rendering_index"]) for e in recorded] == list(
-                steps[: len(statuses)]
-            )
+            recorded = by_test[test_index]["exchanges"]
+            assert [tuple(step) for step in by_test[test_index]["steps"]] == list(steps)
             assert [e["status"] for e in recorded] == statuses
-            for event in recorded:
-                method = event["template_id"].split(" ")[0].encode()
+            for step, event in zip(steps, recorded):
+                method = step.template_id.split(" ")[0].encode()
                 assert base64.b64decode(event["request_b64"]).startswith(method + b" ")
             # Each response arrived after the one before it, within the run.
             arrivals = [e["elapsed"] for e in recorded]
             assert arrivals == sorted(arrivals)
             assert 0 < arrivals[0] and arrivals[-1] < end
         assert_stream_adds_up_to(report, events)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_test_is_one_event(self, blog_server, blog_model, tmp_path, workers):
+        """One ``test`` line per test index, whatever the worker count, and
+        no per-step events; its exchanges are the report's requests."""
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        report, events, _ = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            lambda: SocketTransport(conn),
+            tmp_path,
+            strategy=Strategy.BFS,
+            max_length=3,
+            worker_count=workers,
+        )
+        tests = recorded_tests(events)
+        assert report.total_tests > 0
+        assert sorted(test["test_index"] for test in tests) == list(range(report.total_tests))
+        assert sum(len(test["exchanges"]) for test in tests) == sum(
+            report.status_group_totals.values()
+        )
+        assert {event["type"] for event in events} == {
+            "run_start", "test", "length_stats", "run_end"
+        }
 
     def test_event_times_ignore_a_wall_clock_step(
         self, blog_server, blog_model, tmp_path, monkeypatch
@@ -656,7 +675,12 @@ class TestRecording:
             max_length=2,
         )
         assert report.total_tests > 0
-        times = [event["elapsed"] for event in events if "elapsed" in event]
+        # Each exchange's arrival, then the time its test was recorded.
+        times = []
+        for event in events:
+            times += [exchange["elapsed"] for exchange in event.get("exchanges", [])]
+            if "elapsed" in event:
+                times.append(event["elapsed"])
         assert times == sorted(times)
         assert 0 < times[0] and times[-1] < 60
 
@@ -671,13 +695,15 @@ class TestRecording:
             strategy=Strategy.BFS,
             max_length=2,
         )
-        failures = [event for event in events if event["type"] == "transport_failure"]
+        failures = [event for event in recorded_tests(events) if "failure" in event]
         assert report.transport_failures == len(failures) > 0
         for failure in failures:
             steps, statuses = tests[failure["test_index"]]
-            assert (failure["phase"], failure["step_index"]) == ("read", 1)
-            assert failure["template_id"] == steps[1].template_id == GET_ONE
-            assert failure["detail"] == "read: timed out waiting for response"
+            # The failed step is the one after the last exchange.
+            step_index = len(failure["exchanges"])
+            assert (failure["failure"]["phase"], step_index) == ("read", 1)
+            assert failure["steps"][step_index][0] == steps[1].template_id == GET_ONE
+            assert failure["failure"]["detail"] == "read: timed out waiting for response"
             assert statuses == [201]  # the create before it was sent and recorded
         assert report.status_totals["invalid"] >= len(failures)
         assert_stream_adds_up_to(report, events)
@@ -711,16 +737,18 @@ class TestRecording:
         )
         assert report.transport_failures == 0
         assert report.status_totals == {"valid": 12, "invalid": 4}
-        assert not [event for event in events if event["type"] == "transport_failure"]
+        assert not [event for event in recorded_tests(events) if "failure" in event]
         unsent = {
             test_index: steps
             for test_index, (steps, statuses) in tests.items()
             if len(statuses) < len(steps)
         }
         assert len(unsent) == 4
-        unresolved = [event for event in events if event["type"] == "unresolvable_consumer"]
+        unresolved = [event for event in recorded_tests(events) if "unresolved" in event]
         assert sorted(
-            (e["test_index"], e["template_id"], e["step_index"], e["resource"]) for e in unresolved
+            (e["test_index"], e["steps"][len(e["exchanges"])][0], len(e["exchanges"]),
+             e["unresolved"])
+            for e in unresolved
         ) == sorted(
             (test_index, steps[1].template_id, 1, "posts/id")
             for test_index, steps in unsent.items()

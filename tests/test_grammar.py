@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,19 @@ class TestAssemble:
         req = rendered.assemble({rt: b"41"})
         assert b"PUT /p/41 HTTP/1.1" in req
         assert req.endswith(b'{"id":41}')
+
+    def test_dictionary_values_go_into_a_json_body_verbatim(self):
+        """A candidate is a request-text fragment, as in REST-ler: nothing
+        escapes it, so a quote or a backslash reaches the body as is."""
+        from restfuzz.compiler import compile_grammar, parse_spec
+
+        doc = (Path(__file__).parent / "data" / "minimal_post.yaml").read_text()
+        [template] = compile_grammar(parse_spec(doc)).templates
+        dictionary = FuzzingDictionary({"string": ('quote"back\\slash',)})
+        [rendered] = render_combinations(template, dictionary)
+        head, _, body = rendered.assemble({}).partition(b"\r\n\r\n")
+        assert body == b'{"body":"quote"back\\slash"}'
+        assert b"\r\nContent-Length: 27\r\n" in head + b"\r\n"
 
     def test_unresolved_consumer_raises(self):
         t = template_of(StaticSlot(b"GET /"), ConsumerSlot(ResourceType("a/b")))

@@ -1,12 +1,12 @@
 """Telemetry tests: event stream fidelity, wire log redaction, CSV reports.
 
 The contract under test: the sink writes one file, events.jsonl, the
-durable machine record (bytes base64'd exactly as sent, auth token
-included); emit_report() builds every report file from it alone, in memory
-that does not grow with the run, among them wire.log, the human copy with
-the auth value of the header config.json names redacted. The engine's
-side of the stream (which test, step and class each event names) is
-checked in test_engine.py.
+durable machine record (one ``test`` line per finished test, bytes
+base64'd exactly as sent, auth token included); emit_report() builds every
+report file from it alone, in memory that does not grow with the run,
+among them wire.log, the human copy with the auth value of the header
+config.json names redacted. The engine's side of the stream (which steps,
+exchanges and class each test event names) is checked in test_engine.py.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import base64
 import csv
 import json
+import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -23,12 +25,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from restfuzz.buckets import BugInstance
 from restfuzz.engine import EngineConfig, FuzzEngine, Strategy
 from restfuzz.executor import (
+    ExecutionResult,
     HttpExchange,
     TransportFailure,
-    classify_status,
     redact_header_value,
     status_class_label,
 )
@@ -72,23 +73,33 @@ def exchange_at(sink, elapsed, status=200, **kwargs):
     return exchange
 
 
-def record(sink, exchange, response_class, test_index=0, length=1, step=0,
-           template="POST /x", rendering=0):
-    """Hand ``exchange`` to the sink as step ``step`` of a test of
-    ``length`` steps, each (``template``, ``rendering``)."""
-    steps = ((template, rendering),) * length
-    sink.record_exchange(test_index, steps, step, exchange, response_class)
+def record(sink, exchanges, final_class, test_index=0, length=None, template="POST /x",
+           rendering=0, failure=None, filed=None):
+    """Hand the sink test ``test_index``: ``length`` steps (by default one
+    per exchange), each (``template``, ``rendering``), whose ``exchanges``
+    were sent before it ended ``final_class``, its transport ``failure``,
+    and ``filed``, the bucket it was filed in."""
+    steps = ((template, rendering),) * (length or len(exchanges))
+    result = ExecutionResult(
+        exchanges=list(exchanges),
+        final_class=final_class,
+        steps_executed=len(exchanges) + (failure is not None),
+        failure=failure,
+    )
+    sink.record_test(test_index, steps, result, filed)
 
 
 def record_failure(sink, phase, detail, test_index=0, template="POST /x"):
-    sink.record_failure(test_index, ((template, 0),), 0, TransportFailure(phase, detail))
+    """Test ``test_index``: one step that failed below HTTP."""
+    record(sink, [], "invalid", test_index, length=1, template=template,
+           failure=TransportFailure(phase, detail))
 
 
-def record_bug(sink, test_index, created, defining=("POST /x", "PUT /x")):
-    """File test ``test_index``, whose one step was ``PUT /x`` answered
-    500, under bucket abc123def456."""
-    instance = BugInstance(steps=(("PUT /x", 0),), final_status=500)
-    sink.record_bucket(test_index, instance, "abc123def456", defining, created)
+def record_bug(sink, test_index, created, defining=("POST /x", "PUT /x"), exchange=None):
+    """Test ``test_index``: one step, ``PUT /x`` answered 500, filed under
+    bucket abc123def456."""
+    record(sink, [exchange or make_exchange(500)], "bug", test_index, template="PUT /x",
+           filed=("abc123def456", defining, created))
 
 
 class StatusTransport:
@@ -122,6 +133,22 @@ def recorded_events(run_dir):
     return list(iter_events(run_dir / EVENTS_FILENAME))
 
 
+def recorded_tests(run_dir):
+    return [event for event in recorded_events(run_dir) if event["type"] == "test"]
+
+
+def recorded_exchanges(run_dir):
+    """Each recorded exchange with its response class, by the rule the
+    reader applies: the last exchange of a test that no failure or
+    unresolved consumer ended has the test's final class, every other one
+    is Valid."""
+    for test in recorded_tests(run_dir):
+        ended = "failure" not in test and "unresolved" not in test
+        for step_index, exchange in enumerate(test["exchanges"]):
+            last = ended and step_index == len(test["exchanges"]) - 1
+            yield dict(exchange, response_class=test["final_class"] if last else "valid")
+
+
 def csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -131,16 +158,16 @@ def csv_rows(path):
 # Accounting, as the event stream records it
 
 
-def event_counts(tmp_path, type_: str, key) -> Counter:
-    return Counter(key(e) for e in recorded_events(tmp_path) if e["type"] == type_)
+def exchange_counts(tmp_path, key) -> Counter:
+    return Counter(key(e) for e in recorded_exchanges(tmp_path))
 
 
 def test_counters_track_classes_and_status_groups(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
     run_into(sink, [200, 201, 404, 500])
     sink.close()
-    classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
-    groups = event_counts(tmp_path, "exchange", lambda e: status_class_label(e["status"]))
+    classes = exchange_counts(tmp_path, lambda e: e["response_class"])
+    groups = exchange_counts(tmp_path, lambda e: status_class_label(e["status"]))
     assert classes == {"valid": 2, "invalid": 1, "bug": 1}
     assert groups == {"2xx": 2, "4xx": 1, "5xx": 1}
     assert emit_report(tmp_path) == 4
@@ -150,7 +177,7 @@ def test_custom_error_classes_change_the_recorded_class(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
     run_into(sink, [404, 500], error_classes=("404",))
     sink.close()
-    classes = event_counts(tmp_path, "exchange", lambda e: e["response_class"])
+    classes = exchange_counts(tmp_path, lambda e: e["response_class"])
     assert classes == {"bug": 1, "invalid": 1}
 
 
@@ -158,7 +185,8 @@ def test_failures_are_counted(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
     record_failure(sink, "connect", "refused")
     sink.close()
-    assert event_counts(tmp_path, "transport_failure", lambda e: e["phase"]) == {"connect": 1}
+    phases = Counter(e["failure"]["phase"] for e in recorded_tests(tmp_path) if "failure" in e)
+    assert phases == {"connect": 1}
 
 
 # --------------------------------------------------------------------------
@@ -166,15 +194,16 @@ def test_failures_are_counted(tmp_path):
 
 
 def recorded_sink(tmp_path, **kwargs):
+    """Four tests: Valid, a bug that founds bucket abc123def456, a transport
+    failure, and a second instance of the bug."""
     sink = TelemetrySink(out_dir=tmp_path, **kwargs)
     sink.record_run_start({"strategy": "bfs"})
-    record(sink, make_exchange(201), "valid")
-    record(sink, make_exchange(500), "bug", test_index=1, template="PUT /x")
-    record_failure(sink, "read", "timed out", test_index=2)
-    sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
+    record(sink, [make_exchange(201)], "valid")
     record_bug(sink, 1, created=True)
-    record_bug(sink, 1, created=False)
-    sink.record_restart(3, 1)
+    record_failure(sink, "read", "timed out", test_index=2)
+    record_bug(sink, 3, created=False)
+    sink.record_length_stats(PerLengthRow(1, 4, 2, 1))
+    sink.record_restart(4, 1)
     sink.record_run_end("completed", 1.5)
     sink.close()
     return sink
@@ -185,17 +214,17 @@ def test_event_stream_structure(tmp_path):
     events = recorded_events(tmp_path)
     assert [e["type"] for e in events] == [
         "run_start",
-        "exchange",
-        "exchange",
-        "transport_failure",
+        "test",
+        "test",
+        "test",
+        "test",
         "length_stats",
-        "bucket",
-        "bucket",
         "restart",
         "run_end",
     ]
+    assert [e["test_index"] for e in events[1:5]] == [0, 1, 2, 3]
     assert events[0]["config"] == {"strategy": "bfs"}
-    assert events[-2]["test_index"] == 3 and events[-2]["length"] == 1
+    assert events[-2]["test_index"] == 4 and events[-2]["length"] == 1
     assert {k: v for k, v in events[-1].items() if k != "elapsed"} == {
         "type": "run_end", "reason": "completed", "elapsed_seconds": 1.5,
     }
@@ -204,7 +233,7 @@ def test_event_stream_structure(tmp_path):
 def test_machine_record_is_byte_identical_and_unredacted(tmp_path):
     recorded_sink(tmp_path)
     events = recorded_events(tmp_path)
-    exchange_event = next(e for e in events if e["type"] == "exchange")
+    exchange_event = next(e for e in events if e["type"] == "test")["exchanges"][0]
     raw = base64.b64decode(exchange_event["request_b64"])
     assert raw == TOKEN_REQUEST  # token and all
     response = base64.b64decode(exchange_event["response_b64"])
@@ -241,7 +270,7 @@ def test_custom_auth_header_redaction(tmp_path):
     write_config(tmp_path, "X-Key")
     sink = TelemetrySink(out_dir=tmp_path)
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
-    record(sink, make_exchange(request=request), "valid")
+    record(sink, [make_exchange(request=request)], "valid")
     sink.close()
     emit_report(tmp_path)
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
@@ -260,60 +289,92 @@ def test_config_without_an_auth_header_redacts_the_default_one(tmp_path):
 
 def test_rendering_index_travels_with_the_event(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    record(sink, make_exchange(), "valid", rendering=7)
+    record(sink, [make_exchange()], "valid", rendering=7)
     sink.close()
     events = recorded_events(tmp_path)
-    assert events[0]["rendering_index"] == 7
+    assert events[0]["steps"] == [["POST /x", 7]]
 
 
 def test_bucket_event_carries_the_instance(tmp_path):
+    """The instance is the test's steps up to its last exchange, and that
+    exchange's status."""
     recorded_sink(tmp_path)
-    bucket = next(e for e in recorded_events(tmp_path) if e["type"] == "bucket")
-    assert {k: v for k, v in bucket.items() if k != "elapsed"} == {
-        "type": "bucket",
-        "bucket_id": "abc123def456",
-        "defining_sequence": ["POST /x", "PUT /x"],
-        "created": True,
+    bug = next(e for e in recorded_tests(tmp_path) if "bucket" in e)
+    assert {k: v for k, v in bug.items() if k not in ("elapsed", "exchanges")} == {
+        "type": "test",
+        "bucket": {
+            "bucket_id": "abc123def456",
+            "defining_sequence": ["POST /x", "PUT /x"],
+            "created": True,
+        },
         "test_index": 1,
         "steps": [["PUT /x", 0]],
-        "final_status": 500,
+        "final_class": "bug",
     }
+    assert [exchange["status"] for exchange in bug["exchanges"]] == [500]
 
 
 def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
     sink = TelemetrySink(out_dir=tmp_path)
-    steps = (("POST /x", 0), ("GET /x/{id}", 0))
-    sink.record_exchange(0, steps, 0, make_exchange(201), "valid")
-    sink.record_unresolvable(0, steps, 1, ResourceType("x/id"))
+    result = ExecutionResult(
+        exchanges=[make_exchange(201)], final_class="invalid", steps_executed=2,
+        unresolved=ResourceType("x/id"),
+    )
+    sink.record_test(0, (("POST /x", 0), ("GET /x/{id}", 0)), result, None)
     sink.close()
-    event = recorded_events(tmp_path)[-1]
-    assert {k: v for k, v in event.items() if k != "elapsed"} == {
-        "type": "unresolvable_consumer",
+    [event] = recorded_events(tmp_path)
+    assert {k: v for k, v in event.items() if k not in ("elapsed", "exchanges")} == {
+        "type": "test",
         "test_index": 0,
-        "template_id": "GET /x/{id}",
-        "step_index": 1,
-        "resource": "x/id",
+        "steps": [["POST /x", 0], ["GET /x/{id}", 0]],
+        "final_class": "invalid",
+        "unresolved": "x/id",
     }
+    assert [exchange["status"] for exchange in event["exchanges"]] == [201]
     emit_report(tmp_path)
     wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
     assert wire.endswith("\n\nUnresolvable consumer (x/id): step 2 GET /x/{id} not sent\n\n")
 
 
 def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
-    """Workers interleave their lines: the reader keeps each test's
-    exchanges apart until the test ends."""
+    """Two workers record their tests at once: each test is one line, so a
+    bug's trace holds only its own test's exchanges."""
     write_config(tmp_path, "PRIVATE-TOKEN")
     sink = TelemetrySink(out_dir=tmp_path)
+    bug = ExecutionResult(
+        exchanges=[make_exchange(201), make_exchange(500, body=b"boom")],
+        final_class="bug", steps_executed=2,
+    )
+    other = ExecutionResult(
+        exchanges=[make_exchange(201, body=b"other"), make_exchange(200, body=b"other")],
+        final_class="valid", steps_executed=2,
+    )
+    failed = ExecutionResult(
+        exchanges=[], final_class="invalid", steps_executed=1,
+        failure=TransportFailure("read", "timed out"),
+    )
     bug_steps = (("POST /x", 0), ("PUT /x", 0))
     other_steps = (("POST /x", 0), ("GET /x", 0))
-    sink.record_exchange(7, bug_steps, 0, make_exchange(201), "valid")
-    sink.record_exchange(8, other_steps, 0, make_exchange(201, body=b"other"), "valid")
-    sink.record_exchange(7, bug_steps, 1, make_exchange(500, body=b"boom"), "bug")
-    sink.record_exchange(8, other_steps, 1, make_exchange(200, body=b"other"), "valid")
-    sink.record_failure(9, other_steps, 0, TransportFailure("read", "timed out"))
-    instance = BugInstance(steps=bug_steps, final_status=500)
-    sink.record_bucket(7, instance, "abc123def456", ("PUT /x",), True)
+    start = threading.Barrier(2)
+
+    def worker(*tests):
+        start.wait()
+        for test in tests:
+            sink.record_test(*test)
+
+    filed = ("abc123def456", ("PUT /x",), True)
+    threads = [
+        threading.Thread(target=worker, args=((7, bug_steps, bug, filed),)),
+        threading.Thread(
+            target=worker, args=((8, other_steps, other, None), (9, other_steps, failed, None))
+        ),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     sink.close()
+    assert sorted(e["test_index"] for e in recorded_tests(tmp_path)) == [7, 8, 9]
     emit_report(tmp_path)
     trace = (tmp_path / "buckets" / "abc123def456" / "instance-0001.txt").read_text()
     request = "POST /x HTTP/1.1\nPRIVATE-TOKEN: [FILTERED]\nHost: h\n\npayload"
@@ -325,28 +386,64 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
     )
 
 
+def test_concurrent_tests_are_whole_lines(tmp_path):
+    """More workers than cores, switching as often as they can: each test
+    is still one line that parses, and each test index is there once."""
+    sink = TelemetrySink(out_dir=tmp_path)
+    workers = 8
+
+    def worker(first):
+        for test_index in range(first, 200, workers):
+            exchanges = [make_exchange(201), make_exchange(500, body=b"x" * 2000)]
+            record(sink, exchanges, "bug", test_index,
+                   filed=("abc123def456", ("POST /x",), test_index == 0))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    sink.close()
+    lines = (tmp_path / EVENTS_FILENAME).read_text().splitlines()
+    tests = [json.loads(line) for line in lines]
+    assert sorted(test["test_index"] for test in tests) == list(range(200))
+    assert all(len(test["exchanges"]) == 2 for test in tests)
+
+
 def reference_records(
-    exchange, test_index, steps, step_index, elapsed, error_classes, auth_header_name
+    exchange, test_index, steps, final_class, failure, elapsed, exchange_elapsed,
+    auth_header_name,
 ):
-    """The ``events.jsonl`` line and ``wire.log`` bytes of one exchange as
-    the sink first wrote them: a ``sort_keys`` dump, the response rebuilt
-    for each use, every message redacted and decoded as latin-1 text that a
-    UTF-8 file (``errors="replace"``) encodes."""
-    response_class = classify_status(exchange.status, error_classes)
+    """The ``events.jsonl`` line and ``wire.log`` bytes of a test whose one
+    exchange ``failure`` followed, written the plain way: one ``sort_keys``
+    dump of the whole event, the response rebuilt for each use, every
+    message redacted and decoded as latin-1 text that a UTF-8 file
+    (``errors="replace"``) encodes."""
     event = {
-        "type": "exchange",
+        "type": "test",
         "elapsed": elapsed,
         "test_index": test_index,
-        "sequence_length": len(steps),
-        "step_index": step_index,
-        "template_id": steps[step_index][0],
-        "rendering_index": steps[step_index][1],
-        "status": exchange.status,
-        "reason": exchange.reason,
-        "response_class": response_class,
-        "duration": exchange.duration,
-        "request_b64": base64.b64encode(exchange.request).decode("ascii"),
-        "response_b64": base64.b64encode(exchange.response_head() + exchange.body).decode("ascii"),
+        "steps": [list(step) for step in steps],
+        "final_class": final_class,
+        "exchanges": [
+            {
+                "elapsed": exchange_elapsed,
+                "status": exchange.status,
+                "reason": exchange.reason,
+                "duration": exchange.duration,
+                "request_b64": base64.b64encode(exchange.request).decode("ascii"),
+                "response_b64": base64.b64encode(
+                    exchange.response_head() + exchange.body
+                ).decode("ascii"),
+            }
+        ],
+        "failure": {"phase": failure.phase, "detail": str(failure)},
     }
     line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
     request = redact_header_value(exchange.request, auth_header_name)
@@ -372,7 +469,7 @@ header_text = st.text(st.characters(min_codepoint=32, max_codepoint=255), max_si
     headers=st.lists(st.tuples(header_text, header_text), max_size=3),
     template_id=st.text(max_size=10),
     auth_header_name=st.sampled_from(["PRIVATE-TOKEN", "x-key"]),
-    error_classes=st.sampled_from([("5xx",), ("404", "5xx"), ("2xx",)]),
+    final_class=st.sampled_from(["valid", "invalid", "bug"]),
 )
 @example(
     request=b"POST /x HTTP/1.1\r\nHost: h",
@@ -383,10 +480,10 @@ header_text = st.text(st.characters(min_codepoint=32, max_codepoint=255), max_si
     headers=[("Private-Token", "echoed"), ("Content-Type", "text/plain; charset=latin-1")],
     template_id="POST /caf\u00e9",
     auth_header_name="PRIVATE-TOKEN",
-    error_classes=("5xx",),
+    final_class="invalid",
 )
 def test_event_and_wire_bytes_match_the_reference_writer(
-    request, auth_line, body, status, reason, headers, template_id, auth_header_name, error_classes
+    request, auth_line, body, status, reason, headers, template_id, auth_header_name, final_class
 ):
     head, sep, rest = request.partition(b"\r\n\r\n")
     request = head + b"\r\n" + auth_line + b"\r\n" + rest if sep else request + auth_line
@@ -404,15 +501,17 @@ def test_event_and_wire_bytes_match_the_reference_writer(
             started=sink._start_monotonic + 1.5,
             duration=0.0125,
         )
-        sink.record_exchange(3, steps, 1, exchange, classify_status(status, error_classes))
-        sink.record_failure(3, steps, 1, TransportFailure("read", "timed out \u00e9"))
+        failure = TransportFailure("read", "timed out \u00e9")
+        result = ExecutionResult([exchange], final_class, steps_executed=2, failure=failure)
+        sink.record_test(3, steps, result, None)
         sink.close()
         emit_report(out)
         events = (out / EVENTS_FILENAME).read_bytes()
         wire = (out / WIRE_LOG_FILENAME).read_bytes()
-    elapsed = exchange.started + exchange.duration - sink._start_monotonic
+    elapsed = json.loads(events)["elapsed"]  # when the sink took the test
+    exchange_elapsed = exchange.started + exchange.duration - sink._start_monotonic
     line, wire_record = reference_records(
-        exchange, 3, steps, 1, elapsed, error_classes, auth_header_name
+        exchange, 3, steps, final_class, failure, elapsed, exchange_elapsed, auth_header_name
     )
     assert events.startswith(line)
     failure = "Transport failure (read): read: timed out \u00e9\n\n"
@@ -425,15 +524,14 @@ def test_event_and_wire_bytes_match_the_reference_writer(
 
 def test_report_files_match_the_recorded_stream(tmp_path):
     recorded_sink(tmp_path)
-    elapsed = [
-        f"{e['elapsed']:.6f}" for e in recorded_events(tmp_path) if e["type"] == "exchange"
-    ]
-    assert emit_report(tmp_path) == 2
+    elapsed = [f"{e['elapsed']:.6f}" for e in recorded_exchanges(tmp_path)]
+    assert emit_report(tmp_path) == 3
     assert csv_rows(tmp_path / "status_timeline.csv")[1:] == [
         [elapsed[0], "0", "1", "POST /x", "201", "2xx", "valid", "1", "0", "0"],
         [elapsed[1], "1", "1", "PUT /x", "500", "5xx", "bug", "1", "0", "1"],
+        [elapsed[2], "3", "1", "PUT /x", "500", "5xx", "bug", "1", "0", "2"],
     ]
-    assert csv_rows(tmp_path / "per_length.csv")[1:] == [["1", "3", "2", "1"]]
+    assert csv_rows(tmp_path / "per_length.csv")[1:] == [["1", "4", "2", "1"]]
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert summary[-4:] == [
         "bug buckets: 1",
@@ -441,14 +539,14 @@ def test_report_files_match_the_recorded_stream(tmp_path):
         "    POST /x",
         "    PUT /x",
     ]
-    # Three tests ended: Valid, a bug, and a transport failure.
+    # Four tests ended: Valid, a bug, a transport failure and the bug again.
     assert json.loads((tmp_path / "report.json").read_text()) == {
         "strategy": "bfs",
         "max_length_reached": 1,
-        "total_tests": 3,
-        "status_totals": {"bug": 1, "invalid": 1, "valid": 1},
-        "status_group_totals": {"2xx": 1, "5xx": 1},
-        "per_length": [[1, 3, 2, 1]],
+        "total_tests": 4,
+        "status_totals": {"bug": 2, "invalid": 1, "valid": 1},
+        "status_group_totals": {"2xx": 1, "5xx": 2},
+        "per_length": [[1, 4, 2, 1]],
         "buckets": [
             {"bucket_id": "abc123def456", "defining_sequence": ["POST /x", "PUT /x"],
              "instances": 2},
@@ -492,10 +590,10 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
         run_dir = tmp_path / str(exchanges)
         sink = TelemetrySink(out_dir=run_dir)
         sink.record_run_start({"strategy": "bfs"})
-        for test_index in range(exchanges):
-            record(sink, make_exchange(), "valid", test_index=test_index)
-        sink.record_length_stats(PerLengthRow(1, exchanges, exchanges, 0))
-        record_bug(sink, exchanges - 1, created=True, defining=("POST /x",))
+        for test_index in range(exchanges - 1):
+            record(sink, [make_exchange()], "valid", test_index=test_index)
+        record_bug(sink, exchanges - 1, created=True, defining=("PUT /x",))
+        sink.record_length_stats(PerLengthRow(1, exchanges, exchanges - 1, 0))
         sink.record_run_end("completed", 1.0)
         sink.close()
         tracemalloc.start()
@@ -518,14 +616,14 @@ def test_unwritable_out_dir_degrades_without_raising(tmp_path):
     blocker.write_text("in the way")
     sink = TelemetrySink(out_dir=blocker / "sub")
     assert sink.degraded
-    record(sink, make_exchange(), "valid")  # must not raise
+    record(sink, [make_exchange()], "valid")  # must not raise
     sink.close()
     assert not (blocker / "sub").exists()  # nothing was recorded
 
 
 def test_midstream_write_error_degrades_once(tmp_path, caplog):
     sink = TelemetrySink(out_dir=tmp_path)
-    record(sink, make_exchange(), "valid")
+    record(sink, [make_exchange()], "valid")
 
     class Exploding:
         def write(self, _):
@@ -540,9 +638,9 @@ def test_midstream_write_error_degrades_once(tmp_path, caplog):
     sink._events_fh.close()
     sink._events_fh = Exploding()
     with caplog.at_level("ERROR"):
-        record(sink, make_exchange(), "valid", test_index=1)
+        record(sink, [make_exchange()], "valid", test_index=1)
         assert sink.degraded
-        record(sink, make_exchange(), "valid", test_index=2)
+        record(sink, [make_exchange()], "valid", test_index=2)
     sink.close()
     assert [r.levelname for r in caplog.records] == ["ERROR"]
     # The record, and every report built from it, holds what came before.
@@ -555,20 +653,19 @@ def test_midstream_write_error_degrades_once(tmp_path, caplog):
 
 @pytest.fixture()
 def report_dir(tmp_path):
-    """A run directory whose stream holds three one-exchange tests at 0.1,
-    0.2 and 0.3 s, two length rows, one bucket seen twice and the run's
-    end, with the report files built from it."""
+    """A run directory whose stream holds four one-exchange tests at 0.1,
+    0.2, 0.3 and 0.4 s, the last two filed in one bucket, two length rows
+    and the run's end, with the report files built from it."""
     sink = TelemetrySink(out_dir=tmp_path)
     sink.record_run_start({"strategy": "bfs"})
-    record(sink, exchange_at(sink, 0.1, 200), "valid", template="POST /x")
-    record(sink, exchange_at(sink, 0.2, 404), "invalid", test_index=1, template="GET /x")
-    record(sink, exchange_at(sink, 0.3, 500), "bug", test_index=2, length=2, step=1,
-           template="PUT /x")
+    record(sink, [exchange_at(sink, 0.1, 200)], "valid", template="POST /x")
+    record(sink, [exchange_at(sink, 0.2, 404)], "invalid", test_index=1, template="GET /x")
+    record(sink, [exchange_at(sink, 0.3, 500)], "bug", test_index=2, length=2, template="PUT /x",
+           filed=("abc123def456", ("POST /x", "PUT /x"), True))
+    record_bug(sink, 3, created=False, exchange=exchange_at(sink, 0.4, 500))
     sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
-    sink.record_length_stats(PerLengthRow(2, 8, 6, 8))
-    record_bug(sink, 2, created=True)
-    record_bug(sink, 2, created=False)
-    sink.record_run_end("completed", 0.4)
+    sink.record_length_stats(PerLengthRow(2, 9, 6, 8))
+    sink.record_run_end("completed", 0.5)
     sink.close()
     emit_report(tmp_path)
     return tmp_path
@@ -591,13 +688,14 @@ def test_timeline_csv_has_cumulative_columns(report_dir):
     assert rows[1] == ["0.100000", "0", "1", "POST /x", "200", "2xx", "valid", "1", "0", "0"]
     assert rows[2] == ["0.200000", "1", "1", "GET /x", "404", "4xx", "invalid", "1", "1", "0"]
     assert rows[3] == ["0.300000", "2", "2", "PUT /x", "500", "5xx", "bug", "1", "1", "1"]
+    assert rows[4] == ["0.400000", "3", "1", "PUT /x", "500", "5xx", "bug", "1", "1", "2"]
 
 
 def test_per_length_csv(report_dir):
     assert csv_rows(report_dir / "per_length.csv") == [
         ["length", "tests", "seqset_size", "dynamic_objects"],
         ["1", "3", "2", "1"],
-        ["2", "8", "6", "8"],
+        ["2", "9", "6", "8"],
     ]
 
 
@@ -607,20 +705,21 @@ def test_report_json_round_trips(report_dir):
     report.add_test([("POST /x", "2xx")], "valid", transport_failed=False)
     report.add_test([("GET /x", "4xx")], "invalid", transport_failed=False)
     report.add_test([("PUT /x", "5xx")], "bug", transport_failed=False)
+    report.add_test([("PUT /x", "5xx")], "bug", transport_failed=False)
     report.add_length_row(PerLengthRow(1, 3, 2, 1))
-    report.add_length_row(PerLengthRow(2, 8, 6, 8))
+    report.add_length_row(PerLengthRow(2, 9, 6, 8))
     report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
     report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
     report.stopped_reason = "completed"
-    report.elapsed_seconds = 0.4
+    report.elapsed_seconds = 0.5
     assert json.loads((report_dir / "report.json").read_text()) == report.to_dict()
 
 
 def test_summary_mentions_the_essentials(report_dir):
     summary = (report_dir / "summary.txt").read_text()
     assert "strategy: bfs" in summary
-    assert "total_tests: 3" in summary
-    assert "tests by final class:\n  bug: 1\n  invalid: 1\n  valid: 1\n" in summary
+    assert "total_tests: 4" in summary
+    assert "tests by final class:\n  bug: 2\n  invalid: 1\n  valid: 1\n" in summary
     assert "bug buckets: 1" in summary
     assert "abc123def456" in summary
     assert "POST /x" in summary
