@@ -529,6 +529,8 @@ def compile_grammar(
     parameters/fields to fuzz; everything optional is otherwise omitted.
     """
     overrides = overrides or AnnotationOverrides()
+    ops = {op.op_id: op for op in model.operations}
+    _check_override_targets(ops, overrides)
     host_value = host or model.host or DEFAULT_HOST
     include_lc = frozenset(n.lower() for n in include_optional)
     external = overrides.external_values()
@@ -553,7 +555,6 @@ def compile_grammar(
     # Exclude operations whose path parameters nothing can satisfy; iterate,
     # because dropping an operation drops its producers too. The pass that
     # changes nothing leaves ``produced`` as what the kept operations produce.
-    ops = {op.op_id: op for op in model.operations}
     excluded: dict[str, str] = {}
     unsatisfiable: set[ResourceType] = set()
     while True:
@@ -653,6 +654,23 @@ def compile_grammar(
         excluded_operations=tuple(sorted(excluded.items())),
         external_values=external,
     )
+
+
+def _check_override_targets(ops: dict[str, Operation], overrides: AnnotationOverrides) -> None:
+    """Refuse an override that names an operation, or a consumer parameter
+    of one (a path or query parameter or a top-level body field), that the
+    document does not have: it would change nothing."""
+    named = [(op_id, None) for op_id, *_ in overrides.producers + overrides.suppress_producers]
+    consumers = overrides.consumers + overrides.suppress_consumers
+    named += [(op_id, name) for op_id, name, *_ in consumers]
+    for op_id, name in named:
+        if op_id not in ops:
+            raise CompileError(f"override names operation {op_id!r}, which the document lacks")
+        body = ops[op_id].body_schema
+        names = {p.name.lower() for p in ops[op_id].parameters if p.location != "body"}
+        names |= {field.lower() for field, _ in (body.properties if body else ())}
+        if name is not None and name.lower() not in names:
+            raise CompileError(f"override names parameter {name!r} of {op_id}, which it lacks")
 
 
 def _build_template(

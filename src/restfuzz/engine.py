@@ -16,11 +16,12 @@ The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
 of a finished test: it files a bug, whose bucket the bucket index names,
 adds the test and any bug instance to the run's ``FuzzReport``, and hands
 the test to the sink in one call, which writes it as one ``test`` event:
-the test's steps, exchanges, final class, any transport failure or
-unresolvable consumer, and its bucket. That event is the only record of a
-bug instance. The ``run`` loop gives the report and the sink each length's
-row and each restart alike; ``run_end`` carries only the stop reason and
-elapsed time, since ``emit_report`` folds the rest from events.
+the test's steps, exchanges, final class, objects extracted, any transport
+failure or unresolvable consumer, and its bucket. That event is the only
+record of a bug instance, and the report folds each length's row from the
+tests alone. The ``run`` loop gives the report and the sink each restart
+alike; ``run_end`` carries only the stop reason and elapsed time, since
+``emit_report`` folds the rest from events.
 
 Strategies differ only in the extension step:
 
@@ -70,7 +71,7 @@ from .grammar import (
     produces,
     render_combinations,
 )
-from .telemetry import FuzzReport, PerLengthRow, TelemetrySink
+from .telemetry import FuzzReport, TelemetrySink
 
 logger = logging.getLogger(__name__)
 
@@ -216,13 +217,6 @@ class _Budget:
         return self._deadline is not None and time.monotonic() >= self._deadline
 
 
-class _Validation(NamedTuple):
-    """Sequences kept and objects extracted: one candidate's or one iteration's."""
-
-    retained: list[RenderedSteps]
-    extracted: int
-
-
 # ----------------------------------------------------------------------------
 # Engine
 
@@ -259,7 +253,7 @@ class FuzzEngine:
         self.stop_requested = threading.Event()
         self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}
         self._status_labels = Memo(status_class_label)
-        self.report = FuzzReport(config.strategy.value)
+        self.report = FuzzReport(config.to_dict())
         self._stats_lock = threading.Lock()  # guards self.report while workers run
 
     # -- helpers -----------------------------------------------------------
@@ -307,7 +301,8 @@ class FuzzEngine:
             for step, exchange in zip(steps, result.exchanges)
         ]
         with self._stats_lock:
-            self.report.add_test(behaviors, result.final_class, result.failure is not None)
+            self.report.add_test(len(steps), behaviors, result.final_class,
+                                 result.failure is not None, result.extracted)
             if filed is not None:
                 self.report.add_bucket_instance(bucket_id, defining_sequence)
         if self.sink is not None:
@@ -320,8 +315,9 @@ class FuzzEngine:
         candidates: Sequence[CandidateExtension],
         executors: Sequence[SequenceExecutor],
         budget: _Budget,
-    ) -> _Validation:
-        """Render and run every candidate, preserving candidate order.
+    ) -> list[RenderedSteps]:
+        """Render and run every candidate; return the retained sequences in
+        candidate order.
 
         Test indices are assigned up front, from the report's test count and
         the rendering counts, so they are stable no matter how many workers
@@ -334,7 +330,7 @@ class FuzzEngine:
             plans.append((position, next_index, renderings))
             next_index += len(renderings)
 
-        results: list[_Validation | None] = [None] * len(candidates)
+        results: list[list[RenderedSteps]] = [[] for _ in candidates]
         stop_flag = threading.Event()
 
         def run_partition(worker_id: int) -> None:
@@ -343,7 +339,6 @@ class FuzzEngine:
                 candidate = candidates[position]
                 prefix = [self._rendered_request(s) for s in candidate.prefix]
                 retained: list[RenderedSteps] = []
-                extracted = 0
                 for offset, last_rendering in enumerate(renderings):
                     if stop_flag.is_set():
                         break
@@ -355,7 +350,6 @@ class FuzzEngine:
                     )
                     result = executor.execute_sequence(prefix + [last_rendering])
                     self._record_test(first_index + offset, steps, result)
-                    extracted += result.extracted
                     if result.final_class == ResponseClass.VALID or self.config.no_feedback:
                         retained.append(steps)
                     elif result.exchanges and logger.isEnabledFor(logging.DEBUG):
@@ -364,7 +358,7 @@ class FuzzEngine:
                             " -> ".join(s.template_id for s in steps),
                             result.exchanges[-1].status,
                         )
-                results[position] = _Validation(retained, extracted)
+                results[position] = retained
                 if stop_flag.is_set():
                     break
 
@@ -391,11 +385,7 @@ class FuzzEngine:
             if errors:
                 raise errors[0]
 
-        ran = [result for result in results if result is not None]
-        return _Validation(
-            [steps for result in ran for steps in result.retained],
-            sum(result.extracted for result in ran),
-        )
+        return [steps for retained in results for steps in retained]
 
     # -- main loop ---------------------------------------------------------
 
@@ -443,20 +433,8 @@ class FuzzEngine:
                     self.report.stopped_reason = "exhausted"
                     break
 
-                tests_so_far = self.report.total_tests
-                outcome = self._execute_candidates(candidates, executors, budget)
+                seq_set = self._execute_candidates(candidates, executors, budget)
                 length += 1
-                previous = self.report.length_row(length)
-                row = PerLengthRow(
-                    length,
-                    previous.tests + self.report.total_tests - tests_so_far,
-                    len(outcome.retained),
-                    previous.dynamic_objects + outcome.extracted,
-                )
-                self.report.add_length_row(row)
-                if self.sink is not None:
-                    self.sink.record_length_stats(row)
-                seq_set = outcome.retained
                 if seq_set:
                     progressed_since_restart = True
         finally:

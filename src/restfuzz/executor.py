@@ -194,8 +194,9 @@ class HttpExchange:
     version: str = "HTTP/1.1"
 
     def response_head(self) -> bytes:
-        lines = [f"{self.version} {self.status} {self.reason}".encode("utf-8")]
-        lines += [f"{k}: {v}".encode("utf-8") for k, v in self.headers]
+        """The status line and headers, latin-1 as ``_read_head`` decoded them."""
+        lines = [f"{self.version} {self.status} {self.reason}".encode("latin-1")]
+        lines += [f"{k}: {v}".encode("latin-1") for k, v in self.headers]
         return b"\r\n".join(lines) + b"\r\n\r\n"
 
 

@@ -4,22 +4,24 @@ The sink appends every event of a run to one file, ``events.jsonl``: one
 JSON object per line, request and response bytes base64-encoded as they
 crossed the wire (except that a chunked response body is stored de-chunked),
 the auth token included. It keeps nothing in memory. The engine is its only
-caller. Each finished test is one ``test`` event, written with one write
-and one flush: its index, [template id, rendering index] ``steps``, final
-class and ``exchanges``; ``failure`` or ``unresolved`` when a step failed
-below HTTP or consumed a value nothing produced (the step after the last
-exchange); and ``bucket`` when it hit a bug. The rest is derived: an
+caller. The first event, ``run_start``, carries the events ``schema`` number
+and the engine config. Each finished test is one ``test`` event, written
+with one write and one flush: its index, [template id, rendering index]
+``steps``, final class, ``exchanges`` and ``extracted``, the number of
+objects extracted during it; ``failure`` or ``unresolved`` when a step
+failed below HTTP or consumed a value nothing produced (the step after the
+last exchange); and ``bucket`` when it hit a bug. The rest is derived: an
 exchange's step is its position, its class is the test's final class for
 the last exchange of a test that ended on a response and Valid otherwise,
 and a bug instance is the steps up to the last exchange, with its status.
-The other events are the run's start, per-length rows, random-walk restarts
-(``restart``: the next test's index and the walk's length) and end, which
+The only other events are random-walk restarts (``restart``: the next
+test's index and the walk's length) and the run's end, ``run_end``, which
 carries only the stop reason and ``FuzzEngine.run``'s elapsed time. Every
 event's ``elapsed`` is read on the monotonic clock from the sink's start; an
 exchange's is when its response arrived, taken from the exchange's own
-start and duration. ``iter_events`` refuses a run recorded in the older
-per-step format (``exchange`` and ``bucket`` events) with
-``EventFormatError``.
+start and duration. ``iter_events`` refuses, with ``EventFormatError``, a
+file whose first event is not a ``run_start`` naming this ``EVENTS_SCHEMA``,
+such as a run recorded by an older restfuzz.
 
 ``FuzzReport`` is the run's report as a fold of those facts. The engine
 feeds one during the run; ``emit_report`` feeds a fresh one from the events.
@@ -33,7 +35,8 @@ time), ``wire.log`` (human-readable "Sending:" / "Received:" blocks with the
 auth header value redacted; the header is the one ``config.json`` names)
 and each bug instance's trace in the bucket directory, then, from the
 folded report, ``per_length.csv`` (tests, sequence-set size and dynamic
-objects per sequence length, one row per length), each bucket's metadata,
+objects per sequence length, one row per length, folded from the ``test``
+events), each bucket's metadata,
 ``summary.txt`` and ``report.json``.
 ``restfuzz fuzz`` calls it when the run ends and ``restfuzz report`` calls
 it on a saved run directory, so both write the same bytes.
@@ -62,7 +65,7 @@ import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import astuple, asdict, dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +73,7 @@ from .executor import (
     DEFAULT_AUTH_HEADER,
     ExecutionResult,
     HttpExchange,
+    ResponseClass,
     human_text,
     status_class_label,
 )
@@ -81,14 +85,16 @@ CONFIG_FILENAME = "config.json"
 WIRE_LOG_FILENAME = "wire.log"
 BUCKETS_DIRNAME = "buckets"
 _BUCKET_META_FORMAT = "restfuzz-bucket/1"
+# The version of the events ``run_start`` names; the reader reads only its own.
+EVENTS_SCHEMA = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class PerLengthRow:
     length: int
-    tests: int
-    seqset_size: int
-    dynamic_objects: int
+    tests: int = 0
+    seqset_size: int = 0
+    dynamic_objects: int = 0
 
 
 class FuzzReport:
@@ -96,11 +102,14 @@ class FuzzReport:
 
     It holds counters, the behaviours, a row per length and an entry per
     bucket (id, defining sequence and instance count): it does not grow
-    with the number of tests. It takes no lock.
+    with the number of tests. It takes no lock. It reads the strategy and
+    ``no_feedback`` from ``config``, the engine config ``run_start`` records.
     """
 
-    def __init__(self, strategy: str | None = None):
-        self.strategy = strategy
+    def __init__(self, config: dict | None = None):
+        config = config or {}
+        self.strategy = config.get("strategy")
+        self._retain_all = bool(config.get("no_feedback"))
         self.max_length_reached = 0
         self.total_tests = 0
         self.status_totals: Counter[str] = Counter()
@@ -111,20 +120,34 @@ class FuzzReport:
         self.stopped_reason = "unknown (no run_end event)"
         self.elapsed_seconds: float | None = None
         self._rows: dict[int, PerLengthRow] = {}
+        self._iteration_length: int | None = None  # the length of the iteration under way
         self._buckets: dict[str, dict] = {}
 
-    def add_test(
-        self, behaviors: Iterable[tuple[str, str]], final_class: str, transport_failed: bool
-    ) -> None:
-        """One finished test: the (template id, status group) pair of each
-        of its exchanges, its final class, and whether a transport failure
-        ended it."""
+    def add_test(self, length: int, behaviors: Iterable[tuple[str, str]], final_class: str,
+                 transport_failed: bool, extracted: int) -> None:
+        """One finished test of ``length`` steps: the (template id, status
+        group) pair of each of its exchanges, its final class, whether a
+        transport failure ended it, and the objects extracted during it.
+        A test at another length than the one before, or the first after a
+        restart, starts a search iteration, whose retained tests (Valid, or
+        all when feedback is off) are the length's sequence-set size."""
         self.total_tests += 1
         self.status_totals[final_class] += 1
         self.transport_failures += transport_failed
         for behavior in behaviors:
             self.status_group_totals[behavior[1]] += 1
             self.behaviors.add(behavior)
+        row = self._rows.get(length)
+        if row is None:
+            row = self._rows[length] = PerLengthRow(length)
+        if length != self._iteration_length:
+            self._iteration_length = length
+            row.seqset_size = 0
+        row.tests += 1
+        row.dynamic_objects += extracted
+        if self._retain_all or final_class == ResponseClass.VALID:
+            row.seqset_size += 1
+            self.max_length_reached = max(self.max_length_reached, length)
 
     def add_bucket_instance(self, bucket_id: str, defining_sequence: Sequence[str]) -> int:
         """One bug instance filed under ``bucket_id``; return how many that
@@ -136,20 +159,10 @@ class FuzzReport:
         bucket["instances"] += 1
         return bucket["instances"]
 
-    def add_length_row(self, row: PerLengthRow) -> None:
-        """The cumulative row of one sequence length, which replaces the
-        length's earlier row; a length that kept sequences was reached."""
-        self._rows[row.length] = row
-        if row.seqset_size:
-            self.max_length_reached = max(self.max_length_reached, row.length)
-
     def add_restart(self) -> None:
-        """One random-walk restart from the empty sequence."""
+        """One random-walk restart: the next test starts a search iteration."""
         self.restarts += 1
-
-    def length_row(self, length: int) -> PerLengthRow:
-        """The cumulative row of ``length`` so far (zeros before its first)."""
-        return self._rows.get(length) or PerLengthRow(length, 0, 0, 0)
+        self._iteration_length = None
 
     @property
     def per_length(self) -> list[PerLengthRow]:
@@ -232,13 +245,11 @@ class TelemetrySink:
         except OSError as exc:
             self._degrade(exc)
 
-    def _write_event(self, event: dict) -> None:
-        self._write(json.dumps(event, sort_keys=True) + "\n")
-
     def _record(self, kind: str, **fields) -> None:
         """Append an event of type ``kind`` stamped with the run's elapsed time."""
         with self._lock:
-            self._write_event({"type": kind, "elapsed": self.elapsed(), **fields})
+            event = {"type": kind, "elapsed": self.elapsed(), **fields}
+            self._write(json.dumps(event, sort_keys=True) + "\n")
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start_monotonic
@@ -246,10 +257,7 @@ class TelemetrySink:
     # -- recording ------------------------------------------------------------
 
     def record_run_start(self, config: dict) -> None:
-        with self._lock:
-            self._write_event(
-                {"type": "run_start", "wall_time": self._start_wall, "config": config}
-            )
+        self._record("run_start", schema=EVENTS_SCHEMA, wall_time=self._start_wall, config=config)
 
     def record_exchange(self, exchange: HttpExchange) -> str:
         """One exchange's entry in its test's ``exchanges``, encoded with the
@@ -294,6 +302,7 @@ class TelemetrySink:
                 "defining_sequence": list(defining_sequence),
             }
         tail: dict = {
+            "extracted": result.extracted,
             "final_class": result.final_class,
             "steps": steps,
             "test_index": test_index,
@@ -311,10 +320,6 @@ class TelemetrySink:
         del exchanges  # hold only the line while waiting for the lock
         with self._lock:
             self._write(line)
-
-    def record_length_stats(self, row: PerLengthRow) -> None:
-        with self._lock:
-            self._write_event({"type": "length_stats", **asdict(row)})
 
     def record_restart(self, test_index: int, length: int) -> None:
         """The random walk restarts from the empty sequence after reaching
@@ -339,22 +344,20 @@ class TelemetrySink:
 # The reader and the report files
 
 
-# The per-step event types of runs recorded before each test became one line.
-_OLDER_EVENT_TYPES = frozenset({"exchange", "transport_failure", "unresolvable_consumer", "bucket"})
-
-
 class EventFormatError(Exception):
-    """An ``events.jsonl`` recorded in the older per-step format."""
+    """An ``events.jsonl`` that does not start with a ``run_start`` of ``EVENTS_SCHEMA``."""
 
 
 def iter_events(path: Path) -> Iterator[dict]:
     """Yield the events of an ``events.jsonl`` in order, one line at a time.
 
     Blank lines are skipped, and so are lines that are not a JSON object
-    (a write cut short by a full disk), each with a warning. An event of
-    the older per-step format raises ``EventFormatError``: such a run is
-    not read at all rather than misread.
+    (a write cut short by a full disk), each with a warning. A first event
+    that is not a ``run_start`` naming ``EVENTS_SCHEMA`` raises
+    ``EventFormatError``: such a file is not read at all rather than
+    misread.
     """
+    checked = False
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
@@ -367,11 +370,15 @@ def iter_events(path: Path) -> Iterator[dict]:
             if not isinstance(event, dict):
                 logger.warning("%s:%d: skipping corrupt event: not a JSON object", path, line_no)
                 continue
-            if event.get("type") in _OLDER_EVENT_TYPES:
-                raise EventFormatError(
-                    f"{path}:{line_no}: an {event['type']!r} event: this run was recorded by "
-                    "an older restfuzz in the per-step event format, which this one does not read"
-                )
+            if not checked:
+                if event.get("type") != "run_start" or event.get("schema") != EVENTS_SCHEMA:
+                    raise EventFormatError(
+                        f"{path}:{line_no}: a {event.get('type')!r} event of events schema "
+                        f"{event.get('schema')!r}, where this restfuzz reads only a run that "
+                        f"starts with a 'run_start' of schema {EVENTS_SCHEMA} (a run recorded "
+                        "by an older restfuzz names none)"
+                    )
+                checked = True
             yield event
 
 
@@ -394,15 +401,13 @@ def emit_report(run_dir: Path) -> int:
     report are held: memory does not grow with the length of the run.
     """
     run_dir = Path(run_dir)
-    events_path = run_dir / EVENTS_FILENAME
-    # A run in the older format fails at its first test, before a report file is opened.
-    for event in iter_events(events_path):
-        if event.get("type") == "test":
-            break
+    events = iter_events(run_dir / EVENTS_FILENAME)
+    # The schema check reads the first event, before a report file is opened.
+    start = next(events, None)
+    report = FuzzReport(start["config"] if start is not None else None)
     # An older run's config may name no header.
     auth_header = run_config(run_dir).get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
-    report = FuzzReport()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
             open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",
                  errors="replace") as wire:
@@ -421,7 +426,7 @@ def emit_report(run_dir: Path) -> int:
                 "cumulative_bug",
             ]
         )
-        for event in iter_events(events_path):
+        for event in events:
             kind = event.get("type")
             if kind == "test":
                 steps, exchanges = event["steps"], event["exchanges"]
@@ -463,7 +468,10 @@ def emit_report(run_dir: Path) -> int:
                         f"Unresolvable consumer ({unresolved}): step {len(exchanges) + 1} "
                         f"{steps[len(exchanges)][0]} not sent\n\n"
                     )
-                report.add_test(behaviors, event["final_class"], failure is not None)
+                report.add_test(
+                    len(steps), behaviors, event["final_class"], failure is not None,
+                    event["extracted"],
+                )
                 bucket = event.get("bucket")
                 if bucket is not None:
                     instances = report.add_bucket_instance(
@@ -474,15 +482,8 @@ def emit_report(run_dir: Path) -> int:
                     (directory / f"instance-{instances:04d}.txt").write_text(
                         _instance_trace(texts), encoding="utf-8"
                     )
-            elif kind == "length_stats":
-                row = PerLengthRow(
-                    event["length"], event["tests"], event["seqset_size"], event["dynamic_objects"]
-                )
-                report.add_length_row(row)
             elif kind == "restart":
                 report.add_restart()
-            elif kind == "run_start":
-                report.strategy = event["config"].get("strategy")
             elif kind == "run_end":
                 report.stopped_reason = event["reason"]
                 report.elapsed_seconds = event.get("elapsed_seconds")

@@ -78,6 +78,7 @@ class RecordedRun:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header}))
         self.sink = TelemetrySink(run_dir)
+        self.sink.record_run_start({"strategy": "bfs"})
         self.store = BucketStore()
         self.tests = 0
 

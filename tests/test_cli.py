@@ -14,6 +14,7 @@ import shutil
 import socket
 import struct
 import threading
+from collections import Counter
 
 import pytest
 
@@ -31,7 +32,7 @@ from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import ConfigError, FuzzEngine
 from restfuzz.executor import SocketTransport
 from restfuzz.grammar import load_grammar
-from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink
+from restfuzz.telemetry import EVENTS_FILENAME, EVENTS_SCHEMA, TelemetrySink
 
 SPEC = str(bundled_spec_path())
 BUCKET_ID = "c46f74afdc64"  # BFS depth 3 finds exactly this one
@@ -187,6 +188,18 @@ class TestCompile:
         grammar = load_grammar(out.read_text())
         assert len(grammar.templates) == 5
 
+    def test_override_of_an_unknown_operation_is_exit_2(self, tmp_path, capsys):
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"suppress_producers": [{"operation": "POST /nowhere", "resource": "posts/id"}]}
+        ))
+        out = tmp_path / "grammar.json"
+        code = main(["compile", "--spec", SPEC, "--annotations", str(annotations),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "operation 'POST /nowhere'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compile_target_overrides_document_host(self, tmp_path, capsys):
         out = tmp_path / "grammar.json"
         main(["compile", "--spec", SPEC, "--out", str(out), "--target", "10.1.2.3:80"])
@@ -319,11 +332,18 @@ def with_instance(template_ids):
     return rewrite
 
 
+def without_schema(events):
+    """The events as the restfuzz before the events schema wrote them: no
+    ``schema`` in ``run_start`` and no ``extracted`` in a ``test``."""
+    return [{k: v for k, v in e.items() if k not in ("schema", "extracted")} for e in events]
+
+
 def in_older_format(events):
-    """The events as an older restfuzz wrote them: an ``exchange`` event
-    per exchange, and for a bug a ``bucket`` event with no steps."""
+    """The events as an older restfuzz wrote them: no events schema, an
+    ``exchange`` event per exchange, and for a bug a ``bucket`` event with
+    no steps."""
     older = []
-    for event in events:
+    for event in without_schema(events):
         if event["type"] != "test":
             older.append(event)
             continue
@@ -338,6 +358,7 @@ def in_older_format(events):
 
 
 OLDER_FORMAT = "recorded by an older restfuzz"
+NO_SCHEMA = "a 'run_start' event of events schema None"
 
 
 @pytest.fixture(scope="module")
@@ -502,16 +523,12 @@ class TestReplayCommand:
         assert "reproduced — final class bug (status 500)" in capsys.readouterr().out
 
     def test_run_recorded_before_instances_were_events(self, recorded_run, tmp_path, capsys):
-        """A run in the older per-step format, or a file whose only older
-        line is a ``bucket`` event, is not replayed: replay exits 2 naming
-        the older format and the first such event, before any connection
+        """A run in the older per-step format, or in the one-line-per-test
+        format before the events schema, is not replayed: its run_start
+        names no schema, so replay exits 2 saying so, before any connection
         is tried."""
-
-        def bucket_line(events):
-            return [events[0], next(e for e in in_older_format(events) if e["type"] == "bucket")]
-
-        for rewrite, first in ((in_older_format, "exchange"), (bucket_line, "bucket")):
-            run = copy_run(recorded_run, tmp_path / first, rewrite)
+        for rewrite in (in_older_format, without_schema):
+            run = copy_run(recorded_run, tmp_path / rewrite.__name__, rewrite)
             capsys.readouterr()
             code = main(
                 ["replay", "--out", str(run), "--bucket", BUCKET_ID,
@@ -519,7 +536,7 @@ class TestReplayCommand:
             )
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
-            assert OLDER_FORMAT in err and f"'{first}' event" in err
+            assert OLDER_FORMAT in err and NO_SCHEMA in err
 
     def test_unreachable_replay_target_is_exit_3(self, recorded_run, capsys):
         code = main(
@@ -553,7 +570,8 @@ class TestReportCommand:
             assert (clone / name).read_bytes() == blob, name
 
     def test_per_length_csv_has_the_reports_one_row_per_length(self, tmp_path, capsys):
-        """A walk writes a cumulative length row after every step."""
+        """A walk's rows are folded from its ``test`` lines: each length's
+        tests and the objects they extracted."""
         out = tmp_path / "run"
         handle = serve()
         try:
@@ -569,8 +587,16 @@ class TestReportCommand:
         assert rows[0] == "length,tests,seqset_size,dynamic_objects"
         report = json.loads((out / "report.json").read_text())
         assert rows[1:] == [",".join(map(str, row)) for row in report["per_length"]]
-        events = (out / EVENTS_FILENAME).read_text().count('"type": "length_stats"')
-        assert events > len(rows) - 1
+        events = [json.loads(line) for line in (out / EVENTS_FILENAME).read_text().splitlines()]
+        assert {event["type"] for event in events} == {"run_start", "test", "restart", "run_end"}
+        tests = [event for event in events if event["type"] == "test"]
+        assert len(tests) == report["total_tests"]
+        lengths, objects = Counter(), Counter()
+        for test in tests:
+            lengths[len(test["steps"])] += 1
+            objects[len(test["steps"])] += test["extracted"]
+        assert [(length, tests, dynamic) for length, tests, _, dynamic in report["per_length"]] \
+            == [(length, lengths[length], objects[length]) for length in sorted(lengths)]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_rebuild_reproduces_the_bucket_directory_byte_for_byte(
@@ -698,14 +724,17 @@ class TestReportCommand:
         capsys.readouterr()
 
     def test_older_run_is_not_rebuilt_and_keeps_its_reports(self, recorded_run, tmp_path, capsys):
-        """An ``exchange`` line makes the report exit 2 naming the older
-        format; the report files already written stay as they were."""
-        run = copy_run(recorded_run, tmp_path / "run", in_older_format)
-        written = tree_bytes(run)
-        assert main(["report", "--out", str(run)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert OLDER_FORMAT in err and "'exchange' event" in err
-        assert tree_bytes(run) == written
+        """A run_start that names no events schema makes the report exit 2
+        naming the older format; the report files already written stay as
+        they were. Without the check, a run of the format before the schema
+        would be folded with no dynamic objects."""
+        for rewrite in (in_older_format, without_schema):
+            run = copy_run(recorded_run, tmp_path / rewrite.__name__, rewrite)
+            written = tree_bytes(run)
+            assert main(["report", "--out", str(run)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert OLDER_FORMAT in err and NO_SCHEMA in err
+            assert tree_bytes(run) == written
 
     def test_rebuild_without_run_end_synthesizes_a_report(self, tmp_path, capsys):
         run_dir = tmp_path / "partial"
@@ -722,9 +751,11 @@ class TestReportCommand:
             return {
                 "type": "test", "elapsed": 0.1 * (index + 1), "test_index": index,
                 "steps": [["GET /x", 0]], "final_class": final_class, "exchanges": [exchange],
+                "extracted": 0,
             }
 
-        events = [test_event(0, 200, "OK", "valid"), test_event(1, 500, "Oops", "bug")]
+        start = {"type": "run_start", "schema": EVENTS_SCHEMA, "elapsed": 0.0, "config": {}}
+        events = [start, test_event(0, 200, "OK", "valid"), test_event(1, 500, "Oops", "bug")]
         (run_dir / "events.jsonl").write_text(
             "".join(json.dumps(e) + "\n" for e in events)
         )

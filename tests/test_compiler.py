@@ -3,6 +3,8 @@ expectations for the bundled reference API."""
 
 from __future__ import annotations
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import restfuzz.compiler as compiler
 from restfuzz.blogserver import bundled_spec_path
 from restfuzz.compiler import (
     AnnotationOverrides,
+    CompileError,
     MalformedDocument,
     UnsatisfiableConsumer,
     UnsupportedVersion,
@@ -486,6 +489,46 @@ def test_query_parameters_rendered():
     grammar = _compile(doc)
     first = render_combinations(grammar.templates[0], FuzzingDictionary.default())[0]
     assert first.assemble({}).startswith(b"GET /api/search?q=sampleString&limit=0 HTTP/1.1")
+
+
+@pytest.mark.parametrize(
+    ("overrides", "named"),
+    [
+        ({"producers": [{"operation": "POST /nowhere", "resource": "posts/id", "path": ["id"]}]},
+         "override names operation 'POST /nowhere'"),
+        ({"suppress_producers": [{"operation": "POST /nowhere", "resource": "posts/id"}]},
+         "override names operation 'POST /nowhere'"),
+        ({"consumers": [{"operation": "PUT /api/blog/posts/{id}", "parameter": "no_such_param",
+                         "resource": "posts/id"}]},
+         "override names parameter 'no_such_param' of PUT /api/blog/posts/{id}"),
+        ({"consumers": [{"operation": "PUT /nowhere", "parameter": "id", "resource": "posts/id"}]},
+         "override names operation 'PUT /nowhere'"),
+        ({"suppress_consumers": [{"operation": "PUT /api/blog/posts/{id}", "parameter": "nope"}]},
+         "override names parameter 'nope' of PUT /api/blog/posts/{id}"),
+        ({"suppress_consumers": [{"operation": "GET /nowhere", "parameter": "id"}]},
+         "override names operation 'GET /nowhere'"),
+    ],
+    ids=["producer", "producer-suppression", "consumer", "consumer-operation",
+         "consumer-suppression", "consumer-suppression-operation"],
+)
+def test_override_of_what_the_document_lacks_is_refused(blog_model, overrides, named):
+    """Such an override would change nothing, so it is an error, not a no-op."""
+    with pytest.raises(CompileError, match=re.escape(named)):
+        compile_grammar(blog_model, AnnotationOverrides.from_json(json.dumps(overrides)))
+
+
+def test_override_names_match_parameters_and_body_fields_in_any_case(blog_model):
+    overrides = {
+        "consumers": [
+            {"operation": "PUT /api/blog/posts/{id}", "parameter": "ID", "resource": "posts/id"},
+            {"operation": "PUT /api/blog/posts/{id}", "parameter": "Checksum",
+             "resource": "posts/id"},
+        ],
+        "suppress_consumers": [{"operation": "POST /api/blog/posts", "parameter": "body"}],
+    }
+    grammar = compile_grammar(blog_model, AnnotationOverrides.from_json(json.dumps(overrides)))
+    plain = compile_grammar(blog_model)
+    assert [t.id for t in grammar.templates] == [t.id for t in plain.templates]
 
 
 # ---------------------------------------------------------------------------

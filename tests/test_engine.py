@@ -12,7 +12,9 @@ the engine ran them and adds up to the report.
 from __future__ import annotations
 
 import base64
+import json
 import random
+import shutil
 import time
 from collections import Counter
 
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from restfuzz.blogserver import serve
+from restfuzz.cli import EXIT_OK, main
 from restfuzz.compiler import compile_grammar
 from restfuzz.engine import (
     CandidateExtension,
@@ -48,7 +51,7 @@ from restfuzz.grammar import (
     ResourceType,
     StaticSlot,
 )
-from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, iter_events
+from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report, iter_events
 
 GET_COLL = "GET /api/blog/posts"
 POST = "POST /api/blog/posts"
@@ -652,9 +655,53 @@ class TestRecording:
         assert sum(len(test["exchanges"]) for test in tests) == sum(
             report.status_group_totals.values()
         )
-        assert {event["type"] for event in events} == {
-            "run_start", "test", "length_stats", "run_end"
-        }
+        assert {event["type"] for event in events} == {"run_start", "test", "run_end"}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(strategy=Strategy.BFS, max_length=3),
+            dict(strategy=Strategy.BFS, max_length=3, worker_count=2),
+            dict(strategy=Strategy.BFS_FAST, max_length=4),
+            dict(strategy=Strategy.RANDOM_WALK, time_budget=1.0, rng_seed=1),
+            dict(strategy=Strategy.BFS, max_length=3, no_feedback=True),
+            dict(strategy=Strategy.BFS, max_length=10, time_budget=1.0),
+        ],
+        ids=["bfs", "bfs-2-workers", "bfs-fast", "walk", "bfs-no-feedback", "bfs-budget-cut"],
+    )
+    def test_the_engine_and_the_events_fold_one_report(
+        self, blog_server, blog_model, tmp_path, capsys, config
+    ):
+        """The report the engine folds is the one ``emit_report`` folds from
+        the events, its per-length rows count every test, and ``restfuzz
+        report`` rebuilds the report files and buckets byte for byte."""
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        run = tmp_path / "run"
+        report, _, _ = recorded_campaign(
+            compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}"),
+            lambda: SocketTransport(conn),
+            run,
+            **config,
+        )
+        if "time_budget" in config:
+            assert report.stopped_reason == "time_budget"
+        assert sum(row.tests for row in report.per_length) == report.total_tests > 0
+        emit_report(run)
+        folded = json.loads((run / "report.json").read_text())
+        assert folded.pop("elapsed_seconds") == round(report.elapsed_seconds, 3)
+        assert folded == report.fingerprint()
+
+        written = {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        clone = tmp_path / "clone"
+        shutil.copytree(run, clone)
+        for name in ("status_timeline.csv", "per_length.csv", "wire.log", "summary.txt",
+                     "report.json"):
+            (clone / name).unlink()
+        shutil.rmtree(clone / "buckets", ignore_errors=True)
+        assert main(["report", "--out", str(clone)]) == EXIT_OK
+        capsys.readouterr()
+        assert {p.relative_to(clone): p.read_bytes() for p in clone.rglob("*") if p.is_file()} \
+            == written
 
     def test_event_times_ignore_a_wall_clock_step(
         self, blog_server, blog_model, tmp_path, monkeypatch

@@ -502,6 +502,12 @@ class TestFraming:
             ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert ex.version == "HTTP/1.0"
         assert ex.response_head() + ex.body == script
+        # Bytes past ASCII in the reason and a header value come back as sent.
+        script = b"HTTP/1.1 201 Cr\xe9\xe9\r\nX-Note: caf\xe9\r\nContent-Length: 5\r\n\r\nhello"
+        with scripted_server(script) as (port, _):
+            ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+        assert (ex.reason, ex.headers[0]) == ("Cr\u00e9\u00e9", ("X-Note", "caf\u00e9"))
+        assert ex.response_head() + ex.body == script
 
 
 # --------------------------------------------------------------------------

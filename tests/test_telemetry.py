@@ -42,9 +42,10 @@ from restfuzz.grammar import (
 )
 from restfuzz.telemetry import (
     EVENTS_FILENAME,
+    EVENTS_SCHEMA,
     WIRE_LOG_FILENAME,
+    EventFormatError,
     FuzzReport,
-    PerLengthRow,
     TelemetrySink,
     emit_report,
     iter_events,
@@ -73,17 +74,26 @@ def exchange_at(sink, elapsed, status=200, **kwargs):
     return exchange
 
 
+def started_sink(run_dir):
+    """A sink whose first event is the ``run_start`` the engine writes."""
+    sink = TelemetrySink(out_dir=run_dir)
+    sink.record_run_start({"strategy": "bfs"})
+    return sink
+
+
 def record(sink, exchanges, final_class, test_index=0, length=None, template="POST /x",
-           rendering=0, failure=None, filed=None):
+           rendering=0, failure=None, filed=None, extracted=0):
     """Hand the sink test ``test_index``: ``length`` steps (by default one
     per exchange), each (``template``, ``rendering``), whose ``exchanges``
     were sent before it ended ``final_class``, its transport ``failure``,
-    and ``filed``, the bucket it was filed in."""
+    ``filed``, the bucket it was filed in, and the number of objects
+    ``extracted`` during it."""
     steps = ((template, rendering),) * (length or len(exchanges))
     result = ExecutionResult(
         exchanges=list(exchanges),
         final_class=final_class,
         steps_executed=len(exchanges) + (failure is not None),
+        extracted=extracted,
         failure=failure,
     )
     sink.record_test(test_index, steps, result, filed)
@@ -182,7 +192,7 @@ def test_custom_error_classes_change_the_recorded_class(tmp_path):
 
 
 def test_failures_are_counted(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     record_failure(sink, "connect", "refused")
     sink.close()
     phases = Counter(e["failure"]["phase"] for e in recorded_tests(tmp_path) if "failure" in e)
@@ -193,16 +203,15 @@ def test_failures_are_counted(tmp_path):
 # The event stream
 
 
-def recorded_sink(tmp_path, **kwargs):
-    """Four tests: Valid, a bug that founds bucket abc123def456, a transport
-    failure, and a second instance of the bug."""
-    sink = TelemetrySink(out_dir=tmp_path, **kwargs)
-    sink.record_run_start({"strategy": "bfs"})
-    record(sink, [make_exchange(201)], "valid")
+def recorded_sink(tmp_path):
+    """Four tests: Valid with one object extracted, a bug that founds
+    bucket abc123def456, a transport failure, and a second instance of the
+    bug; then a restart."""
+    sink = started_sink(tmp_path)
+    record(sink, [make_exchange(201)], "valid", extracted=1)
     record_bug(sink, 1, created=True)
     record_failure(sink, "read", "timed out", test_index=2)
     record_bug(sink, 3, created=False)
-    sink.record_length_stats(PerLengthRow(1, 4, 2, 1))
     sink.record_restart(4, 1)
     sink.record_run_end("completed", 1.5)
     sink.close()
@@ -218,11 +227,12 @@ def test_event_stream_structure(tmp_path):
         "test",
         "test",
         "test",
-        "length_stats",
         "restart",
         "run_end",
     ]
     assert [e["test_index"] for e in events[1:5]] == [0, 1, 2, 3]
+    assert [e["extracted"] for e in events[1:5]] == [1, 0, 0, 0]
+    assert events[0]["schema"] == EVENTS_SCHEMA
     assert events[0]["config"] == {"strategy": "bfs"}
     assert events[-2]["test_index"] == 4 and events[-2]["length"] == 1
     assert {k: v for k, v in events[-1].items() if k != "elapsed"} == {
@@ -268,7 +278,7 @@ def write_config(run_dir, auth_header_name):
 
 def test_custom_auth_header_redaction(tmp_path):
     write_config(tmp_path, "X-Key")
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
     record(sink, [make_exchange(request=request)], "valid")
     sink.close()
@@ -288,11 +298,10 @@ def test_config_without_an_auth_header_redacts_the_default_one(tmp_path):
 
 
 def test_rendering_index_travels_with_the_event(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     record(sink, [make_exchange()], "valid", rendering=7)
     sink.close()
-    events = recorded_events(tmp_path)
-    assert events[0]["steps"] == [["POST /x", 7]]
+    assert recorded_tests(tmp_path)[0]["steps"] == [["POST /x", 7]]
 
 
 def test_bucket_event_carries_the_instance(tmp_path):
@@ -310,24 +319,26 @@ def test_bucket_event_carries_the_instance(tmp_path):
         "test_index": 1,
         "steps": [["PUT /x", 0]],
         "final_class": "bug",
+        "extracted": 0,
     }
     assert [exchange["status"] for exchange in bug["exchanges"]] == [500]
 
 
 def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     result = ExecutionResult(
         exchanges=[make_exchange(201)], final_class="invalid", steps_executed=2,
         unresolved=ResourceType("x/id"),
     )
     sink.record_test(0, (("POST /x", 0), ("GET /x/{id}", 0)), result, None)
     sink.close()
-    [event] = recorded_events(tmp_path)
+    [event] = recorded_tests(tmp_path)
     assert {k: v for k, v in event.items() if k not in ("elapsed", "exchanges")} == {
         "type": "test",
         "test_index": 0,
         "steps": [["POST /x", 0], ["GET /x/{id}", 0]],
         "final_class": "invalid",
+        "extracted": 0,
         "unresolved": "x/id",
     }
     assert [exchange["status"] for exchange in event["exchanges"]] == [201]
@@ -340,7 +351,7 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
     """Two workers record their tests at once: each test is one line, so a
     bug's trace holds only its own test's exchanges."""
     write_config(tmp_path, "PRIVATE-TOKEN")
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     bug = ExecutionResult(
         exchanges=[make_exchange(201), make_exchange(500, body=b"boom")],
         final_class="bug", steps_executed=2,
@@ -431,6 +442,7 @@ def reference_records(
         "test_index": test_index,
         "steps": [list(step) for step in steps],
         "final_class": final_class,
+        "extracted": 0,
         "exchanges": [
             {
                 "elapsed": exchange_elapsed,
@@ -491,7 +503,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
         write_config(out, auth_header_name)
-        sink = TelemetrySink(out_dir=out)
+        sink = started_sink(out)
         exchange = HttpExchange(
             request=request,
             status=status,
@@ -506,14 +518,14 @@ def test_event_and_wire_bytes_match_the_reference_writer(
         sink.record_test(3, steps, result, None)
         sink.close()
         emit_report(out)
-        events = (out / EVENTS_FILENAME).read_bytes()
+        _, events = (out / EVENTS_FILENAME).read_bytes().splitlines(keepends=True)
         wire = (out / WIRE_LOG_FILENAME).read_bytes()
     elapsed = json.loads(events)["elapsed"]  # when the sink took the test
     exchange_elapsed = exchange.started + exchange.duration - sink._start_monotonic
     line, wire_record = reference_records(
         exchange, 3, steps, final_class, failure, elapsed, exchange_elapsed, auth_header_name
     )
-    assert events.startswith(line)
+    assert events == line
     failure = "Transport failure (read): read: timed out \u00e9\n\n"
     assert wire == wire_record + failure.encode("utf-8")
 
@@ -531,7 +543,7 @@ def test_report_files_match_the_recorded_stream(tmp_path):
         [elapsed[1], "1", "1", "PUT /x", "500", "5xx", "bug", "1", "0", "1"],
         [elapsed[2], "3", "1", "PUT /x", "500", "5xx", "bug", "1", "0", "2"],
     ]
-    assert csv_rows(tmp_path / "per_length.csv")[1:] == [["1", "4", "2", "1"]]
+    assert csv_rows(tmp_path / "per_length.csv")[1:] == [["1", "4", "1", "1"]]
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert summary[-4:] == [
         "bug buckets: 1",
@@ -546,7 +558,7 @@ def test_report_files_match_the_recorded_stream(tmp_path):
         "total_tests": 4,
         "status_totals": {"bug": 2, "invalid": 1, "valid": 1},
         "status_group_totals": {"2xx": 1, "5xx": 2},
-        "per_length": [[1, 4, 2, 1]],
+        "per_length": [[1, 4, 1, 1]],
         "buckets": [
             {"bucket_id": "abc123def456", "defining_sequence": ["POST /x", "PUT /x"],
              "instances": 2},
@@ -588,12 +600,10 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
 
     def peak_bytes(exchanges):
         run_dir = tmp_path / str(exchanges)
-        sink = TelemetrySink(out_dir=run_dir)
-        sink.record_run_start({"strategy": "bfs"})
+        sink = started_sink(run_dir)
         for test_index in range(exchanges - 1):
             record(sink, [make_exchange()], "valid", test_index=test_index)
         record_bug(sink, exchanges - 1, created=True, defining=("PUT /x",))
-        sink.record_length_stats(PerLengthRow(1, exchanges, exchanges - 1, 0))
         sink.record_run_end("completed", 1.0)
         sink.close()
         tracemalloc.start()
@@ -622,7 +632,7 @@ def test_unwritable_out_dir_degrades_without_raising(tmp_path):
 
 
 def test_midstream_write_error_degrades_once(tmp_path, caplog):
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     record(sink, [make_exchange()], "valid")
 
     class Exploding:
@@ -654,17 +664,15 @@ def test_midstream_write_error_degrades_once(tmp_path, caplog):
 @pytest.fixture()
 def report_dir(tmp_path):
     """A run directory whose stream holds four one-exchange tests at 0.1,
-    0.2, 0.3 and 0.4 s, the last two filed in one bucket, two length rows
-    and the run's end, with the report files built from it."""
-    sink = TelemetrySink(out_dir=tmp_path)
-    sink.record_run_start({"strategy": "bfs"})
-    record(sink, [exchange_at(sink, 0.1, 200)], "valid", template="POST /x")
+    0.2, 0.3 and 0.4 s, the last two filed in one bucket, and the run's end,
+    with the report files built from it. The tests run at lengths 1, 1, 2
+    and 1: the last, a bug, starts a second iteration at length 1."""
+    sink = started_sink(tmp_path)
+    record(sink, [exchange_at(sink, 0.1, 200)], "valid", template="POST /x", extracted=1)
     record(sink, [exchange_at(sink, 0.2, 404)], "invalid", test_index=1, template="GET /x")
     record(sink, [exchange_at(sink, 0.3, 500)], "bug", test_index=2, length=2, template="PUT /x",
-           filed=("abc123def456", ("POST /x", "PUT /x"), True))
+           filed=("abc123def456", ("POST /x", "PUT /x"), True), extracted=2)
     record_bug(sink, 3, created=False, exchange=exchange_at(sink, 0.4, 500))
-    sink.record_length_stats(PerLengthRow(1, 3, 2, 1))
-    sink.record_length_stats(PerLengthRow(2, 9, 6, 8))
     sink.record_run_end("completed", 0.5)
     sink.close()
     emit_report(tmp_path)
@@ -694,20 +702,18 @@ def test_timeline_csv_has_cumulative_columns(report_dir):
 def test_per_length_csv(report_dir):
     assert csv_rows(report_dir / "per_length.csv") == [
         ["length", "tests", "seqset_size", "dynamic_objects"],
-        ["1", "3", "2", "1"],
-        ["2", "9", "6", "8"],
+        ["1", "3", "0", "1"],
+        ["2", "1", "0", "2"],
     ]
 
 
 def test_report_json_round_trips(report_dir):
     """report.json is the report folded from the facts the stream records."""
-    report = FuzzReport("bfs")
-    report.add_test([("POST /x", "2xx")], "valid", transport_failed=False)
-    report.add_test([("GET /x", "4xx")], "invalid", transport_failed=False)
-    report.add_test([("PUT /x", "5xx")], "bug", transport_failed=False)
-    report.add_test([("PUT /x", "5xx")], "bug", transport_failed=False)
-    report.add_length_row(PerLengthRow(1, 3, 2, 1))
-    report.add_length_row(PerLengthRow(2, 9, 6, 8))
+    report = FuzzReport({"strategy": "bfs"})
+    report.add_test(1, [("POST /x", "2xx")], "valid", False, 1)
+    report.add_test(1, [("GET /x", "4xx")], "invalid", False, 0)
+    report.add_test(2, [("PUT /x", "5xx")], "bug", False, 2)
+    report.add_test(1, [("PUT /x", "5xx")], "bug", False, 0)
     report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
     report.add_bucket_instance("abc123def456", ("POST /x", "PUT /x"))
     report.stopped_reason = "completed"
@@ -723,3 +729,65 @@ def test_summary_mentions_the_essentials(report_dir):
     assert "bug buckets: 1" in summary
     assert "abc123def456" in summary
     assert "POST /x" in summary
+
+
+def per_length(report):
+    return [(r.length, r.tests, r.seqset_size, r.dynamic_objects) for r in report.per_length]
+
+
+def test_per_length_rows_are_folded_from_the_tests():
+    """A length's row counts its tests and their objects; its sequence-set
+    size is the retained tests of the latest iteration at that length,
+    which starts when the length changes or after a restart."""
+    report = FuzzReport({"strategy": "random-walk"})
+    for length, final_class, extracted in [
+        (1, "valid", 1), (1, "invalid", 0), (2, "valid", 2), (2, "bug", 0), (2, "valid", 1),
+    ]:
+        report.add_test(length, [], final_class, False, extracted)
+    assert per_length(report) == [(1, 2, 1, 1), (2, 3, 2, 3)]
+    report.add_restart()
+    report.add_test(1, [], "valid", False, 1)
+    report.add_test(1, [], "valid", False, 0)
+    report.add_test(2, [], "invalid", False, 0)
+    assert per_length(report) == [(1, 4, 2, 2), (2, 4, 0, 3)]
+    # A walk stuck at length 1 restarts into another iteration at length 1.
+    report.add_restart()
+    report.add_test(1, [], "valid", False, 0)
+    report.add_restart()
+    report.add_test(1, [], "invalid", False, 0)
+    assert per_length(report) == [(1, 6, 0, 2), (2, 4, 0, 3)]
+    assert report.max_length_reached == 2
+    assert sum(row.tests for row in report.per_length) == report.total_tests == 10
+
+
+def test_without_feedback_every_test_is_retained():
+    report = FuzzReport({"strategy": "bfs", "no_feedback": True})
+    report.add_test(1, [], "invalid", False, 0)
+    report.add_test(2, [], "bug", False, 0)
+    assert per_length(report) == [(1, 1, 1, 0), (2, 1, 1, 0)]
+    assert report.max_length_reached == 2
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        {"type": "run_start", "config": {}},
+        {"type": "run_start", "schema": EVENTS_SCHEMA + 1, "config": {}},
+        {"type": "test", "test_index": 0},
+    ],
+    ids=["no-schema", "other-schema", "no-run-start"],
+)
+def test_a_file_of_another_schema_is_refused(tmp_path, first):
+    """Only a file that starts with a run_start of this schema is read; the
+    report files are not opened for another."""
+    sink = started_sink(tmp_path)
+    record(sink, [make_exchange()], "valid")
+    sink.close()
+    lines = (tmp_path / EVENTS_FILENAME).read_text().splitlines(keepends=True)
+    (tmp_path / EVENTS_FILENAME).write_text(json.dumps(first) + "\n" + lines[1])
+    with pytest.raises(EventFormatError, match=f"reads only a run that starts with a 'run_start' "
+                       f"of schema {EVENTS_SCHEMA}"):
+        next(iter_events(tmp_path / EVENTS_FILENAME))
+    with pytest.raises(EventFormatError):
+        emit_report(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [EVENTS_FILENAME]
