@@ -16,6 +16,12 @@ concurrency check) it raises, and the framework wrapper surfaces that as a
 500. Every other path answers 2xx or 4xx, so a fuzzer's 5xx report isolates
 exactly this branch.
 
+The handler's routes live in a plain mixin. ``serve()`` imports
+``http.server`` (and with it ``http.client``, ``email`` and
+``socketserver``) and joins the mixin to ``BaseHTTPRequestHandler``, so a
+process that imports this module only for ``bundled_spec_path`` never loads
+the HTTP stack.
+
 Run standalone with ``python -m restfuzz.blogserver --port 8888``.
 """
 
@@ -29,7 +35,10 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +95,10 @@ class _HttpError(Exception):
         self.message = message
 
 
-class _BlogHandler(BaseHTTPRequestHandler):
+class _BlogRoutes:
+    """The handler's methods and settings, joined to
+    ``BaseHTTPRequestHandler`` by ``serve()``."""
+
     protocol_version = "HTTP/1.1"
     server_version = "BlogPosts/0.1"
     # Head and body go out in separate writes. With Nagle on, the second
@@ -273,8 +285,11 @@ class ServerHandle:
 
 def serve(port: int = 0, store: BlogStore | None = None) -> ServerHandle:
     """Start the service on 127.0.0.1 (port 0 picks a free one)."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    handler = type("_BlogHandler", (_BlogRoutes, BaseHTTPRequestHandler), {})
     store = store or BlogStore()
-    server = ThreadingHTTPServer(("127.0.0.1", port), _BlogHandler)
+    server = ThreadingHTTPServer(("127.0.0.1", port), handler)
     server.daemon_threads = True
     server.store = store  # type: ignore[attr-defined]
     thread = threading.Thread(target=server.serve_forever, name="blogserver", daemon=True)

@@ -37,6 +37,11 @@ Strategies differ only in the extension step:
 
 Dependency checks compute one produced-set per frontier sequence (and one
 consumed-set per template) per iteration, then only compare the two.
+
+Retained sequences share their step objects: each template's
+``SequenceStep``s are built once, one per rendering, next to its renderings,
+and every sequence that ends in (or extends) that rendering holds that one
+object. A retained sequence then costs its own tuple and nothing per step.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ from .grammar import (
     FuzzingDictionary,
     GrammarProgram,
     RenderedRequest,
-    RequestTemplate,
     ResourceType,
     consumes,
     produces,
@@ -152,7 +156,7 @@ class SequenceStep(NamedTuple):
 RenderedSteps = tuple[SequenceStep, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateExtension:
     """A validated prefix plus one not-yet-rendered template to append."""
 
@@ -167,12 +171,6 @@ def sequence_produces(
     for step in steps:
         produced |= produces(grammar.template_by_id(step.template_id))
     return frozenset(produced)
-
-
-def dependencies_satisfied(
-    steps: RenderedSteps, template: RequestTemplate, grammar: GrammarProgram
-) -> bool:
-    return consumes(template) <= sequence_produces(steps, grammar)
 
 
 def extend(
@@ -251,25 +249,29 @@ class FuzzEngine:
         self.bucket_store = BucketStore()
         self.probe = probe
         self.stop_requested = threading.Event()
-        self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}
+        # template id -> (its renderings, the one step naming each of them)
+        self._render_cache: dict[str, tuple[tuple[RenderedRequest, ...], RenderedSteps]] = {}
         self._status_labels = Memo(status_class_label)
         self.report = FuzzReport(config.to_dict())
         self._stats_lock = threading.Lock()  # guards self.report while workers run
 
     # -- helpers -----------------------------------------------------------
 
-    def _renderings(self, template_id: str) -> tuple[RenderedRequest, ...]:
+    def _renderings(self, template_id: str) -> tuple[tuple[RenderedRequest, ...], RenderedSteps]:
+        """The template's renderings and, at the same offsets, the steps that
+        every retained sequence holds for them."""
         cached = self._render_cache.get(template_id)
         if cached is None:
             template = self.grammar.template_by_id(template_id)
-            cached = tuple(
+            renderings = tuple(
                 render_combinations(template, self.dictionary, self.config.combination_cap)
             )
-            self._render_cache[template_id] = cached
+            steps = tuple(SequenceStep(template_id, r.rendering_index) for r in renderings)
+            cached = self._render_cache[template_id] = renderings, steps
         return cached
 
     def _rendered_request(self, step: SequenceStep) -> RenderedRequest:
-        return self._renderings(step.template_id)[step.rendering_index]
+        return self._renderings(step.template_id)[0][step.rendering_index]
 
     def _make_executor(self) -> SequenceExecutor:
         return SequenceExecutor(
@@ -323,19 +325,19 @@ class FuzzEngine:
         the rendering counts, so they are stable no matter how many workers
         execute the partitions.
         """
-        plans = []  # (candidate_index, first_test_index, renderings)
+        plans = []  # (candidate_index, first_test_index, (renderings, steps))
         next_index = self.report.total_tests
         for position, candidate in enumerate(candidates):
-            renderings = self._renderings(candidate.template_id)
-            plans.append((position, next_index, renderings))
-            next_index += len(renderings)
+            rendered = self._renderings(candidate.template_id)
+            plans.append((position, next_index, rendered))
+            next_index += len(rendered[0])
 
         results: list[list[RenderedSteps]] = [[] for _ in candidates]
         stop_flag = threading.Event()
 
         def run_partition(worker_id: int) -> None:
             executor = executors[worker_id]
-            for position, first_index, renderings in plans[worker_id :: len(executors)]:
+            for position, first_index, (renderings, shared) in plans[worker_id :: len(executors)]:
                 candidate = candidates[position]
                 prefix = [self._rendered_request(s) for s in candidate.prefix]
                 retained: list[RenderedSteps] = []
@@ -345,9 +347,7 @@ class FuzzEngine:
                     if budget.expired() or self.stop_requested.is_set():
                         stop_flag.set()
                         break
-                    steps = candidate.prefix + (
-                        SequenceStep(candidate.template_id, last_rendering.rendering_index),
-                    )
+                    steps = candidate.prefix + (shared[offset],)
                     result = executor.execute_sequence(prefix + [last_rendering])
                     self._record_test(first_index + offset, steps, result)
                     if result.final_class == ResponseClass.VALID or self.config.no_feedback:

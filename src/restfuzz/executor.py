@@ -18,7 +18,9 @@ Bug (matches the configured error classes, 5xx by default) or Invalid
 With ``ConnectionConfig.secure`` each connection is wrapped in TLS by a
 context built once per transport, so per worker, with verification off. On a
 2-vCPU VM a context takes 44-56 ms to build, a new TLS connection to a
-loopback target 2.4-2.8 ms, and a plain TCP connect 0.04-0.14 ms.
+loopback target 2.4-2.8 ms, and a plain TCP connect 0.04-0.14 ms. The
+``ssl`` module is imported only by a secure transport, so a plain run never
+loads it.
 
 While a sequence runs, values extracted from 2xx responses live in a
 DynamicObjectPool private to that one execution. Consumers receive values in
@@ -39,7 +41,6 @@ import logging
 import re
 import select
 import socket
-import ssl
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +51,9 @@ from .grammar import ProducerSpec, RenderedRequest, RequestTemplate, ResourceTyp
 logger = logging.getLogger(__name__)
 
 DEFAULT_AUTH_HEADER = "PRIVATE-TOKEN"
-_MAX_HEAD_BYTES = 1 << 20
+_MAX_HEAD_BYTES = 1 << 20  # also bounds one chunk-size or trailer line
 _MAX_BODY_BYTES = 1 << 26
+_MAX_INTERIM_RESPONSES = 16  # 1xx heads allowed before the final response
 
 
 class ExecutorError(Exception):
@@ -274,8 +276,11 @@ class SocketTransport:
         self.conn = conn
         self.auth = auth
         self.sock: socket.socket | None = None
-        self.tls = ssl.create_default_context() if conn.secure else None
-        if self.tls is not None:
+        self.tls = None
+        if conn.secure:
+            import ssl
+
+            self.tls = ssl.create_default_context()
             self.tls.check_hostname = False
             self.tls.verify_mode = ssl.CERT_NONE
 
@@ -375,13 +380,19 @@ def _recv(sock: socket.socket) -> bytes:
 
 
 def _read_line(sock: socket.socket, buffer: bytearray) -> bytes:
-    while b"\r\n" not in buffer:
+    """One chunk-size or trailer line, at most ``_MAX_HEAD_BYTES`` long.
+    Each ``recv`` scans only the bytes it added."""
+    start = 0
+    while (end := buffer.find(b"\r\n", start)) < 0:
+        if len(buffer) > _MAX_HEAD_BYTES:
+            raise TransportFailure("frame", "chunked framing line too long")
+        start = max(len(buffer) - 1, 0)
         chunk = _recv(sock)
         if not chunk:
             raise TransportFailure("frame", "connection closed inside chunked framing")
         buffer.extend(chunk)
-    line, _, rest = bytes(buffer).partition(b"\r\n")
-    del buffer[: len(line) + 2]
+    line = bytes(buffer[:end])
+    del buffer[: end + 2]
     return line
 
 
@@ -425,11 +436,18 @@ def _read_response(
 
     Returns (version, status, reason, headers, body, reusable);
     ``reusable`` says whether the connection may carry another request.
-    Interim 1xx heads other than 101 are skipped.
+    Up to ``_MAX_INTERIM_RESPONSES`` interim 1xx heads other than 101 are
+    skipped; one more is a frame failure.
     """
     buffer = bytearray()
     version, status, reason, headers = _read_head(sock, buffer)
+    interim = 0
     while 100 <= status < 200 and status != 101:
+        interim += 1
+        if interim > _MAX_INTERIM_RESPONSES:
+            raise TransportFailure(
+                "frame", f"more than {_MAX_INTERIM_RESPONSES} interim responses"
+            )
         version, status, reason, headers = _read_head(sock, buffer)
 
     def header(name: str) -> str | None:

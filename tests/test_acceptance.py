@@ -28,7 +28,6 @@ from restfuzz.engine import (
     FuzzEngine,
     SequenceStep,
     Strategy,
-    dependencies_satisfied,
     extend,
 )
 from restfuzz.executor import ConnectionConfig, SocketTransport
@@ -45,6 +44,8 @@ from restfuzz.grammar import (
     render_combinations,
 )
 from restfuzz.telemetry import FuzzReport
+
+from helpers import dependencies_satisfied
 
 SPEC = str(bundled_spec_path())
 POST = "POST /api/blog/posts"

@@ -10,11 +10,15 @@ import base64
 import contextlib
 import itertools
 import json
+import os
 import shutil
 import socket
 import struct
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,26 @@ class TestParseTarget:
 def test_baked_host_round_trips(blog_model):
     assert baked_host(compile_grammar(blog_model)) == "localhost:8888"
     assert baked_host(compile_grammar(blog_model, host="10.0.0.5:9999")) == "10.0.0.5:9999"
+
+
+def test_a_plain_fuzz_process_loads_neither_tls_nor_an_http_stack():
+    """What ``restfuzz fuzz`` (and the bench) imports leaves TLS to a secure
+    transport and the HTTP server stack to ``blogserver.serve``."""
+    unused = ("ssl", "http.server", "http.client", "email", "socketserver")
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import restfuzz.cli, restfuzz.blogserver; "
+        f"print([m for m in {unused!r} if m in sys.modules and m not in before])"
+    )
+    source_root = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from restfuzz.engine import (
     FuzzEngine,
     SequenceStep,
     Strategy,
-    dependencies_satisfied,
     extend,
     sequence_produces,
 )
@@ -52,6 +51,8 @@ from restfuzz.grammar import (
     StaticSlot,
 )
 from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report, iter_events
+
+from helpers import dependencies_satisfied
 
 GET_COLL = "GET /api/blog/posts"
 POST = "POST /api/blog/posts"
@@ -396,6 +397,32 @@ class TestBfsCampaigns:
         ]
         assert report.buckets == []
         assert report.status_totals.get("bug", 0) == 0
+
+
+    def test_retained_sequences_share_their_step_objects(self, blog_server, blog_model):
+        grammar = compile_grammar(blog_model, host=f"127.0.0.1:{blog_server.port}")
+        conn = ConnectionConfig("127.0.0.1", blog_server.port)
+        engine = FuzzEngine(
+            grammar,
+            FuzzingDictionary.default(),
+            EngineConfig(strategy=Strategy.BFS, max_length=3),
+            transport_factory=lambda: SocketTransport(conn),
+        )
+        frontiers = []
+        execute_candidates = engine._execute_candidates
+
+        def recorded(*args):
+            frontiers.append(execute_candidates(*args))
+            return frontiers[-1]
+
+        engine._execute_candidates = recorded
+        engine.run()
+        assert [len(frontier) for frontier in frontiers] == [2, 6, 20]
+        held = [step for frontier in frontiers for steps in frontier for step in steps]
+        # Many retained sequences hold the same (template, rendering) step ...
+        assert len(held) > 2 * len(set(held))
+        # ... and all of them hold one object for it.
+        assert len({id(step) for step in held}) == len(set(held))
 
 
 class TestWalkCampaigns:

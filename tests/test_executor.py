@@ -32,6 +32,8 @@ from restfuzz.executor import (
     TargetUnreachable,
     TransportFailure,
     UnresolvableConsumer,
+    _MAX_HEAD_BYTES,
+    _MAX_INTERIM_RESPONSES,
     classify_status,
     extract_objects,
     inject_header,
@@ -508,6 +510,63 @@ class TestFraming:
             ex = send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
         assert (ex.reason, ex.headers[0]) == ("Cr\u00e9\u00e9", ("X-Note", "caf\u00e9"))
         assert ex.response_head() + ex.body == script
+
+    def test_unending_chunk_size_line_is_a_frame_failure(self):
+        # Past the head bound with no CRLF, the line is refused at once
+        # rather than left to grow until the read timeout.
+        script = (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"f" * (_MAX_HEAD_BYTES + 1)
+        )
+        with stalling_server(script) as port:
+            t0 = time.monotonic()
+            with pytest.raises(TransportFailure) as info:
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port, read_timeout=5))
+            assert time.monotonic() - t0 < 1.0
+        assert info.value.phase == "frame"
+
+    def test_endless_interim_responses_are_a_frame_failure(self):
+        script = b"HTTP/1.1 100 Continue\r\n\r\n" * 10_000
+        with stalling_server(script) as port:
+            t0 = time.monotonic()
+            with pytest.raises(TransportFailure) as info:
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port, read_timeout=5))
+            assert time.monotonic() - t0 < 1.0
+        assert info.value.phase == "frame"
+        assert str(_MAX_INTERIM_RESPONSES) in str(info.value)
+
+
+@contextmanager
+def stalling_server(script: bytes):
+    """Answer one request with ``script``, then send nothing more until the
+    client hangs up. A client that stops reading early may reset the
+    connection under the write; that is expected, not an error."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def run():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.settimeout(10)
+            try:
+                if _read_request(conn) is not None:
+                    conn.sendall(script)
+                    while conn.recv(65536):
+                        pass
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        listener.close()
+        thread.join(timeout=10)
 
 
 # --------------------------------------------------------------------------

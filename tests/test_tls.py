@@ -22,31 +22,42 @@ from restfuzz.executor import ConnectionConfig, SocketTransport, TransportFailur
 LIST_POSTS = b"GET /api/blog/posts HTTP/1.1\r\nHost: t\r\n\r\n"
 
 
+@pytest.fixture()
+def contexts(monkeypatch):
+    """One entry per TLS client context built while the test runs."""
+    built = []
+    create_default_context = ssl.create_default_context
+
+    def counted_context(*args, **kwargs):
+        built.append(None)
+        return create_default_context(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", counted_context)
+    return built
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_secure_campaign_reports_what_the_plain_one_does(run_campaign, run_tls_campaign, workers):
+def test_secure_campaign_reports_what_the_plain_one_does(
+    run_campaign, run_tls_campaign, workers, contexts
+):
     config = dict(strategy=Strategy.BFS, max_length=3, worker_count=workers)
     plain = run_campaign(**config)
+    assert contexts == []
     secure = run_tls_campaign(**config)
+    assert len(contexts) == workers  # one per worker's transport
     assert secure.fingerprint() == plain.fingerprint()
     assert secure.transport_failures == 0
     assert secure.status_totals["bug"] > 0
 
 
-def test_tls_context_is_built_once_per_transport(tls_blog_server, monkeypatch):
-    contexts = []
+def test_tls_context_is_built_once_per_transport(tls_blog_server, monkeypatch, contexts):
     connects = []
-    create_default_context = ssl.create_default_context
     create_connection = socket.create_connection
-
-    def counted_context(*args, **kwargs):
-        contexts.append(None)
-        return create_default_context(*args, **kwargs)
 
     def counted_connect(*args, **kwargs):
         connects.append(None)
         return create_connection(*args, **kwargs)
 
-    monkeypatch.setattr(ssl, "create_default_context", counted_context)
     monkeypatch.setattr(socket, "create_connection", counted_connect)
     transport = SocketTransport(ConnectionConfig("127.0.0.1", tls_blog_server.port, secure=True))
     try:
