@@ -15,9 +15,14 @@ The compiler runs in three stages:
    produces a matching resource type, otherwise they stay fuzzable.
 3. :func:`compile_grammar` emits one request template per operation: request
    line, headers and a compact JSON body skeleton as static slots, with
-   fuzzable/consumer slots where values go. Operations whose path parameters
-   cannot be satisfied by any producer are excluded (iterated to a fixpoint,
-   since dropping an operation can orphan other producers) and reported.
+   fuzzable/consumer slots where values go. Each operation's consumer
+   bindings are decided once, in one table keyed by (location, lowercased
+   name): the inferred bindings, then ``suppress_consumers`` removes some,
+   then ``consumers`` forces others; a forced binding opts its optional
+   parameter or field in, as ``include_optional`` would. Operations whose
+   path parameters cannot be satisfied by any producer are excluded
+   (iterated to a fixpoint, since dropping an operation can orphan other
+   producers) and reported.
 """
 
 from __future__ import annotations
@@ -91,7 +96,6 @@ class Operation:
     op_id: str
     parameters: tuple[Parameter, ...]
     response_schema: Schema | None
-    declaration_index: int
 
     @property
     def path_parameters(self) -> tuple[Parameter, ...]:
@@ -208,7 +212,6 @@ def parse_spec(text: str | bytes) -> SpecModel:
         paths = {}
     if not isinstance(paths, dict):
         raise MalformedDocument("paths section must be an object")
-    index = 0
     for raw_path, path_item in paths.items():
         if not isinstance(path_item, dict):
             warnings.append(f"ignoring non-object path item {raw_path!r}")
@@ -223,7 +226,7 @@ def parse_spec(text: str | bytes) -> SpecModel:
             if not isinstance(op_obj, dict):
                 warnings.append(f"ignoring non-object operation {method} {raw_path}")
                 continue
-            op = _parse_operation(
+            operations.append(_parse_operation(
                 method=method,
                 raw_path=str(raw_path),
                 base_path=base_path,
@@ -231,10 +234,7 @@ def parse_spec(text: str | bytes) -> SpecModel:
                 shared_params=shared_params,
                 definitions=definitions,
                 warnings=warnings,
-                index=index,
-            )
-            operations.append(op)
-            index += 1
+            ))
 
     return SpecModel(
         base_path=base_path,
@@ -281,7 +281,6 @@ def _parse_operation(
     shared_params,
     definitions: dict,
     warnings: list[str],
-    index: int,
 ) -> Operation:
     full_path = _join_paths(base_path, raw_path)
     op_id = f"{method.upper()} {full_path}"
@@ -335,7 +334,6 @@ def _parse_operation(
         op_id=op_id,
         parameters=tuple(parameters),
         response_schema=response_schema,
-        declaration_index=index,
     )
 
 
@@ -456,21 +454,18 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
     Producers never depend on consumer decisions, so inference is two
     passes with no fixpoint.
     """
+    per_op = [(op, _stem_for_fields(op.path), _required_body_fields(op)) for op in model.operations]
+
     # Fields that originate with the client under each stem: some operation
     # requires them as body input and echoes them back in its own response.
     client_originating: dict[str, set[str]] = {}
-    for op in model.operations:
-        stem = _stem_for_fields(op.path)
-        echoes = _required_body_fields(op) & {
-            name.lower() for name, _ in _response_fields(op)
-        }
+    for op, stem, own_required in per_op:
+        echoes = own_required & {name.lower() for name, _ in _response_fields(op)}
         client_originating.setdefault(stem, set()).update(echoes)
 
     producers: dict[str, tuple[ProducerSpec, ...]] = {}
-    for op in model.operations:
-        stem = _stem_for_fields(op.path)
+    for op, stem, own_required in per_op:
         own_path_params = {p.name.lower() for p in op.path_parameters}
-        own_required = _required_body_fields(op)
         specs: list[ProducerSpec] = []
         for name, _sub in _response_fields(op):
             lowered = name.lower()
@@ -478,26 +473,25 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
                 continue  # echo of the operation's own address
             if lowered in own_required:
                 continue  # echo of what the client just sent
-            if lowered in client_originating.get(stem, ()):
+            if lowered in client_originating[stem]:
                 continue  # some operation under this stem authors the field
             specs.append(
                 ProducerSpec(ResourceType(f"{stem}/{lowered}"), (name,))
             )
         producers[op.op_id] = tuple(specs)
 
-    produced: set[ResourceType] = set()
-    for specs in producers.values():
-        produced |= {p.resource for p in specs}
+    produced = {p.resource for specs in producers.values() for p in specs}
 
     consumers: dict[str, tuple[ConsumerBinding, ...]] = {}
-    for op in model.operations:
-        stem = _stem_for_fields(op.path)
-        bindings: list[ConsumerBinding] = []
-        for param in op.path_parameters:
-            resource = ResourceType(
-                f"{_stem_for_path_param(op.path, param.name)}/{param.name.lower()}"
+    for op, stem, _ in per_op:
+        bindings = [
+            ConsumerBinding(
+                "path",
+                param.name,
+                ResourceType(f"{_stem_for_path_param(op.path, param.name)}/{param.name.lower()}"),
             )
-            bindings.append(ConsumerBinding("path", param.name, resource))
+            for param in op.path_parameters
+        ]
         schema = op.body_schema
         if schema is not None and schema.type == "object":
             for name, _sub in schema.properties:
@@ -537,20 +531,28 @@ def compile_grammar(
 
     deps = infer_dependencies(model)
     producers = {op: list(specs) for op, specs in deps.producers.items()}
-
     for op_id, resource, path in overrides.producers:
-        producers.setdefault(op_id, []).append(
-            ProducerSpec(ResourceType(resource), tuple(path))
-        )
+        producers[op_id].append(ProducerSpec(ResourceType(resource), tuple(path)))
     for op_id, resource in overrides.suppress_producers:
         rt = ResourceType(resource)
-        producers[op_id] = [p for p in producers.get(op_id, []) if p.resource != rt]
+        producers[op_id] = [p for p in producers[op_id] if p.resource != rt]
 
+    # Each operation's consumer bindings by (location, lowercased name): the
+    # inferred ones, less the suppressed names, then the forced ones.
     suppressed = {(op_id, name.lower()) for op_id, name in overrides.suppress_consumers}
-    forced: dict[tuple[str, str], ResourceType] = {
-        (op_id, name.lower()): ResourceType(resource)
-        for op_id, name, resource in overrides.consumers
+    bindings: dict[str, dict[tuple[str, str], ConsumerBinding]] = {
+        op_id: {
+            (b.location, b.name.lower()): b
+            for b in inferred
+            if (op_id, b.name.lower()) not in suppressed
+        }
+        for op_id, inferred in deps.consumers.items()
     }
+    for op_id, name, resource in overrides.consumers:
+        location = _consumer_locations(ops[op_id])[name.lower()]
+        bindings[op_id][location, name.lower()] = ConsumerBinding(
+            location, name, ResourceType(resource)
+        )
 
     # Exclude operations whose path parameters nothing can satisfy; iterate,
     # because dropping an operation drops its producers too. The pass that
@@ -560,25 +562,19 @@ def compile_grammar(
     while True:
         produced = set(external)
         for op_id, specs in producers.items():
-            if op_id not in excluded and op_id in ops:
+            if op_id not in excluded:
                 produced |= {p.resource for p in specs}
         changed = False
         for op in model.operations:
             if op.op_id in excluded:
                 continue
-            for binding in deps.consumers[op.op_id]:
-                if binding.location != "path":
-                    continue
-                key = (op.op_id, binding.name.lower())
-                if key in suppressed:
-                    continue
-                resource = forced.get(key, binding.resource)
-                if resource not in produced:
+            for binding in bindings[op.op_id].values():
+                if binding.location == "path" and binding.resource not in produced:
                     excluded[op.op_id] = (
-                        f"path parameter {binding.name!r} needs {resource} "
+                        f"path parameter {binding.name!r} needs {binding.resource} "
                         "which nothing produces"
                     )
-                    unsatisfiable.add(resource)
+                    unsatisfiable.add(binding.resource)
                     changed = True
                     break
         if not changed:
@@ -597,59 +593,25 @@ def compile_grammar(
     for warning in model.warnings:
         logger.warning("%s", warning)
 
-    templates: list[RequestTemplate] = []
-    declaration = 0
-    for op in model.operations:
-        if op.op_id in excluded:
-            continue
-        body_bindings: dict[str, ResourceType] = {}
-        path_bindings: dict[str, ResourceType] = {}
-        query_bindings: dict[str, ResourceType] = {}
-        for binding in deps.consumers[op.op_id]:
-            key = (op.op_id, binding.name.lower())
-            if key in suppressed:
-                continue
-            resource = forced.get(key, binding.resource)
-            if binding.location == "path":
-                path_bindings[binding.name] = resource
-            elif binding.location == "body" and resource in produced:
-                # An exclusion above may have dropped the producer this field
-                # was wired to; in that case it reverts to fuzzable.
-                body_bindings[binding.name.lower()] = resource
-        for (op_id, name_lc), resource in forced.items():
-            if op_id != op.op_id:
-                continue
-            locations = {p.name.lower(): p.location for p in op.parameters}
-            where = locations.get(name_lc)
-            if where == "path":
-                original = next(p.name for p in op.path_parameters if p.name.lower() == name_lc)
-                path_bindings[original] = resource
-            elif where == "query":
-                query_bindings[name_lc] = resource
-            else:
-                body_bindings[name_lc] = resource
-
-        template = _build_template(
+    # A kept operation's path bindings are all produced. A body binding an
+    # exclusion above left without its producer reverts to fuzzable.
+    templates = tuple(
+        _build_template(
             op=op,
             host=host_value,
-            producers=tuple(producers.get(op.op_id, ())),
-            path_bindings=path_bindings,
-            body_bindings=body_bindings,
-            query_bindings=query_bindings,
+            producers=tuple(producers[op.op_id]),
+            bindings={
+                key: b.resource
+                for key, b in bindings[op.op_id].items()
+                if b.resource in produced
+            },
             include_lc=include_lc,
-            declaration_index=declaration,
         )
-        templates.append(template)
-        declaration += 1
-
-    referenced: set[ResourceType] = set(external)
-    for t in templates:
-        referenced |= {s.resource for s in t.slots if isinstance(s, ConsumerSlot)}
-        referenced |= {p.resource for p in t.producers}
-
+        for op in model.operations
+        if op.op_id not in excluded
+    )
     return GrammarProgram(
-        templates=tuple(templates),
-        resource_types=frozenset(referenced),
+        templates=templates,
         unsatisfiable=frozenset(unsatisfiable),
         excluded_operations=tuple(sorted(excluded.items())),
         external_values=external,
@@ -666,44 +628,49 @@ def _check_override_targets(ops: dict[str, Operation], overrides: AnnotationOver
     for op_id, name in named:
         if op_id not in ops:
             raise CompileError(f"override names operation {op_id!r}, which the document lacks")
-        body = ops[op_id].body_schema
-        names = {p.name.lower() for p in ops[op_id].parameters if p.location != "body"}
-        names |= {field.lower() for field, _ in (body.properties if body else ())}
-        if name is not None and name.lower() not in names:
+        if name is not None and name.lower() not in _consumer_locations(ops[op_id]):
             raise CompileError(f"override names parameter {name!r} of {op_id}, which it lacks")
+
+
+def _consumer_locations(op: Operation) -> dict[str, str]:
+    """Where each lowercased name an override may bind is: a path or query
+    parameter of that name, else a top-level body field."""
+    body = op.body_schema
+    locations = {field.lower(): "body" for field, _ in (body.properties if body else ())}
+    locations.update((p.name.lower(), p.location) for p in op.parameters if p.location != "body")
+    return locations
 
 
 def _build_template(
     op: Operation,
     host: str,
     producers: tuple[ProducerSpec, ...],
-    path_bindings: dict[str, ResourceType],
-    body_bindings: dict[str, ResourceType],
-    query_bindings: dict[str, ResourceType],
+    bindings: dict[tuple[str, str], ResourceType],
     include_lc: frozenset[str],
-    declaration_index: int,
 ) -> RequestTemplate:
+    """``bindings`` maps (location, lowercased name) to the resource type a
+    parameter or top-level body field consumes; a bound optional one is
+    emitted as if ``include_lc`` named it."""
     slots: list[Slot] = [StaticSlot(f"{op.method} ".encode())]
 
     param_kinds = {p.name: (p.kind or "string") for p in op.path_parameters}
     for kind, chunk in _split_path(op.path):
         if kind == "static":
             slots.append(StaticSlot(chunk.encode()))
+        elif (bound := bindings.get(("path", chunk.lower()))) is not None:
+            slots.append(ConsumerSlot(bound))
         else:
-            if chunk in path_bindings:
-                slots.append(ConsumerSlot(path_bindings[chunk]))
-            else:
-                slots.append(FuzzableSlot(param_kinds.get(chunk, "string")))
+            slots.append(FuzzableSlot(param_kinds.get(chunk, "string")))
 
     active_query = [
         p
         for p in op.query_parameters
-        if p.required or p.name.lower() in include_lc
+        if p.required or p.name.lower() in include_lc or ("query", p.name.lower()) in bindings
     ]
     for i, param in enumerate(active_query):
         sep = "?" if i == 0 else "&"
         slots.append(StaticSlot(f"{sep}{param.name}=".encode()))
-        bound = query_bindings.get(param.name.lower())
+        bound = bindings.get(("query", param.name.lower()))
         if bound is not None:
             slots.append(ConsumerSlot(bound))
         else:
@@ -717,9 +684,7 @@ def _build_template(
     body_start = len(slots)
     schema = op.body_schema
     if schema is not None:
-        body_slots, skipped = _object_slots(
-            schema, body_bindings, include_lc, depth=0
-        )
+        body_slots, skipped = _object_slots(schema, bindings, include_lc, depth=0)
         for message in skipped:
             logger.warning("%s: %s", op.op_id, message)
         slots.extend(body_slots)
@@ -729,7 +694,6 @@ def _build_template(
         method=op.method,
         slots=tuple(slots),
         producers=producers,
-        declaration_index=declaration_index,
         body_start=body_start if schema is not None else len(slots),
     )
 
@@ -750,7 +714,7 @@ def _split_path(path: str) -> list[tuple[str, str]]:
 
 def _object_slots(
     schema: Schema,
-    body_bindings: dict[str, ResourceType],
+    bindings: dict[tuple[str, str], ResourceType],
     include_lc: frozenset[str],
     depth: int,
 ) -> tuple[list[Slot], list[str]]:
@@ -758,9 +722,10 @@ def _object_slots(
     skipped: list[str] = []
     groups: list[list[Slot]] = []
     for name, sub in schema.properties:
-        if name not in schema.required and name.lower() not in include_lc:
+        opted_in = name.lower() in include_lc or (depth == 0 and ("body", name.lower()) in bindings)
+        if name not in schema.required and not opted_in:
             continue
-        value, why = _value_slots(name, sub, body_bindings, include_lc, depth + 1)
+        value, why = _value_slots(name, sub, bindings, include_lc, depth + 1)
         if value is None:
             skipped.append(why or f"skipping field {name!r}")
             continue
@@ -778,11 +743,11 @@ def _object_slots(
 def _value_slots(
     name: str,
     schema: Schema,
-    body_bindings: dict[str, ResourceType],
+    bindings: dict[tuple[str, str], ResourceType],
     include_lc: frozenset[str],
     depth: int,
 ) -> tuple[list[Slot] | None, str | None]:
-    bound = body_bindings.get(name.lower()) if depth == 1 else None
+    bound = bindings.get(("body", name.lower())) if depth == 1 else None
     if bound is not None:
         inner: Slot = ConsumerSlot(bound)
         if schema.type == "string":
@@ -796,7 +761,7 @@ def _value_slots(
     if schema.type == "object":
         if depth > 1:
             return None, f"skipping field {name!r}: object nesting deeper than one level"
-        slots, skipped = _object_slots(schema, body_bindings, include_lc, depth)
+        slots, skipped = _object_slots(schema, bindings, include_lc, depth)
         if skipped:
             return None, f"skipping field {name!r}: {'; '.join(skipped)}"
         return slots, None
@@ -805,7 +770,7 @@ def _value_slots(
             return [StaticSlot(b"[]")], None
         if depth > 2:
             return None, f"skipping field {name!r}: array nesting deeper than supported"
-        item, why = _value_slots(name, schema.items, body_bindings, include_lc, depth + 1)
+        item, why = _value_slots(name, schema.items, bindings, include_lc, depth + 1)
         if item is None:
             return None, why
         return [StaticSlot(b"[")] + item + [StaticSlot(b"]")], None

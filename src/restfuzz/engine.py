@@ -31,7 +31,8 @@ Strategies differ only in the extension step:
   it — so the frontier stays at most |templates| wide while every
   satisfiable template still appears as a final request each iteration.
 * RandomWalk: a single uniformly random satisfiable (sequence, template)
-  draw. It ignores max_length, needs a time budget, and restarts from
+  draw. It ignores max_length, needs a time budget and one worker (each
+  step is one candidate, so a second worker would sit idle), and restarts from
   scratch (without memoizing) whenever the walk cannot be extended; a
   restart that makes no progress past the empty sequence ends the run.
 
@@ -122,6 +123,8 @@ class EngineConfig:
             raise ConfigError("time_budget must be positive")
         if self.strategy is Strategy.RANDOM_WALK and self.time_budget is None:
             raise ConfigError("random-walk has no length bound; a time budget is required")
+        if self.strategy is Strategy.RANDOM_WALK and self.worker_count > 1:
+            raise ConfigError("random-walk runs one test at a time; it takes one worker")
         try:
             validate_status_patterns(self.error_status_classes)
         except Exception as exc:

@@ -400,8 +400,11 @@ def _read_head(
     sock: socket.socket, buffer: bytearray
 ) -> tuple[bytes, int, str, list[tuple[str, str]]]:
     """Status line and headers of one response: (version, status, reason,
-    headers). What follows the head stays in ``buffer``."""
-    while b"\r\n\r\n" not in buffer:
+    headers). What follows the head stays in ``buffer``. Each ``recv``
+    scans only the bytes it added."""
+    start = 0
+    while buffer.find(b"\r\n\r\n", start) < 0:
+        start = max(len(buffer) - 3, 0)
         chunk = _recv(sock)
         if not chunk:
             raise TransportFailure("frame", "connection closed before response head")

@@ -62,21 +62,22 @@ def _normalize_resource_name(raw: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ResourceType:
+class ResourceType(str):
     """Name of one kind of server-created value, e.g. ``posts/id``.
 
     Names are normalized (lowercase, collapsed separators) so equality is
-    plain string equality.
+    plain string equality; being a ``str``, a resource type hashes and
+    compares in C on every pool lookup and dependency check.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "name", _normalize_resource_name(self.name))
+    def __new__(cls, raw: str) -> "ResourceType":
+        return super().__new__(cls, _normalize_resource_name(raw))
 
-    def __str__(self) -> str:
-        return self.name
+    @property
+    def name(self) -> str:
+        return str(self)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,6 @@ class RequestTemplate:
     method: str
     slots: tuple[Slot, ...]
     producers: tuple[ProducerSpec, ...] = ()
-    declaration_index: int = 0
     body_start: int = -1
 
     def __post_init__(self):
@@ -358,7 +358,6 @@ class GrammarProgram:
     """
 
     templates: tuple[RequestTemplate, ...]
-    resource_types: frozenset[ResourceType] = frozenset()
     unsatisfiable: frozenset[ResourceType] = frozenset()
     excluded_operations: tuple[tuple[str, str], ...] = ()
     external_values: Mapping[ResourceType, str] = field(default_factory=dict)
@@ -379,6 +378,15 @@ class GrammarProgram:
                     f"template {t.id!r} consumes unproduced, undeclared "
                     f"resource types: {sorted(str(m) for m in missing)}"
                 )
+
+    @property
+    def resource_types(self) -> frozenset[ResourceType]:
+        """Every resource type a template consumes or produces, and the
+        external ones."""
+        referenced = set(self.external_values)
+        for t in self.templates:
+            referenced |= consumes(t) | produces(t)
+        return frozenset(referenced)
 
     def template_by_id(self, template_id: str) -> RequestTemplate:
         return self._by_id[template_id]
@@ -402,14 +410,11 @@ class GrammarProgram:
                     method=t.method,
                     slots=slots,
                     producers=t.producers,
-                    declaration_index=t.declaration_index,
                     body_start=t.body_start,
                 )
             )
-        produced = frozenset().union(*(produces(t) for t in new_templates)) if new_templates else frozenset()
         return GrammarProgram(
             templates=tuple(new_templates),
-            resource_types=produced | frozenset(self.external_values),
             unsatisfiable=frozenset(),
             excluded_operations=self.excluded_operations,
             external_values=dict(self.external_values),
@@ -445,7 +450,6 @@ def dump_grammar(program: GrammarProgram) -> str:
             {
                 "id": t.id,
                 "method": t.method,
-                "declaration_index": t.declaration_index,
                 "body_start": t.body_start,
                 "slots": [_slot_to_json(s) for s in t.slots],
                 "producers": [
@@ -464,7 +468,10 @@ def dump_grammar(program: GrammarProgram) -> str:
 
 
 def load_grammar(text: str) -> GrammarProgram:
-    """Parse a document produced by :func:`dump_grammar`."""
+    """Parse a document produced by :func:`dump_grammar`.
+
+    The document's ``resource_types``, and the ``declaration_index`` of
+    each template that older versions wrote, are derived and not read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -488,16 +495,12 @@ def load_grammar(text: str) -> GrammarProgram:
                     )
                     for p in t.get("producers", ())
                 ),
-                declaration_index=t.get("declaration_index", i),
                 body_start=t["body_start"],
             )
-            for i, t in enumerate(doc.get("templates", ()))
+            for t in doc.get("templates", ())
         )
         program = GrammarProgram(
             templates=templates,
-            resource_types=frozenset(
-                ResourceType(r) for r in doc.get("resource_types", ())
-            ),
             unsatisfiable=frozenset(
                 ResourceType(r) for r in doc.get("unsatisfiable", ())
             ),

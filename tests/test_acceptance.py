@@ -151,7 +151,6 @@ def abstract_grammar(produce_sets, consume_sets):
                 method="GET",
                 slots=tuple(slots),
                 producers=tuple(ProducerSpec(ResourceType(r), ("x",)) for r in sorted(prod)),
-                declaration_index=i,
             )
         )
     return GrammarProgram(templates=tuple(templates))
@@ -227,7 +226,7 @@ def test_criterion_05_render_count_oracle(capsys):
         )
         slots = [StaticSlot(b"GET /x HTTP/1.1\r\n")] + [FuzzableSlot(k) for k in kinds]
         template = RequestTemplate(
-            id="T", method="GET", slots=tuple(slots), producers=(), declaration_index=0
+            id="T", method="GET", slots=tuple(slots), producers=()
         )
         brute_force = list(product(*[dictionary.candidates(k) for k in kinds]))
         got = render_combinations(template, dictionary, cap)

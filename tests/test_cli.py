@@ -190,6 +190,17 @@ class TestUsage:
         assert code == EXIT_CONFIG
         assert "time budget" in capsys.readouterr().err
 
+    def test_walk_with_several_workers(self, tmp_path, capsys):
+        # A walk runs one test at a time, so a second worker would sit idle.
+        out = tmp_path / "o"
+        code = main(
+            ["fuzz", "--spec", SPEC, "--strategy", "random-walk", "--time-budget", "1",
+             "--workers", "2", "--out", str(out), "--target", "localhost:1"]
+        )
+        assert code == EXIT_CONFIG
+        assert "one worker" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_target_is_exit_3(self, tmp_path, capsys):
         code = main(
             ["fuzz", "--spec", SPEC, "--max-length", "1",

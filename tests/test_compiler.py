@@ -28,6 +28,8 @@ from restfuzz.grammar import (
     ResourceType,
     StaticSlot,
     consumes,
+    dump_grammar,
+    load_grammar,
     produces,
     render_combinations,
     FuzzingDictionary,
@@ -529,6 +531,77 @@ def test_override_names_match_parameters_and_body_fields_in_any_case(blog_model)
     grammar = compile_grammar(blog_model, AnnotationOverrides.from_json(json.dumps(overrides)))
     plain = compile_grammar(blog_model)
     assert [t.id for t in grammar.templates] == [t.id for t in plain.templates]
+
+
+def test_consumer_override_opts_in_an_optional_body_field(blog_model):
+    # POST's ``id`` is optional; binding it emits it, as --include-optional would.
+    overrides = {"consumers": [
+        {"operation": "POST /api/blog/posts", "parameter": "id", "resource": "posts/id"}
+    ]}
+    grammar = compile_grammar(blog_model, AnnotationOverrides.from_json(json.dumps(overrides)))
+    post = grammar.template_by_id("POST /api/blog/posts")
+    assert consumes(post) == {rt("posts/id")}
+    assert post.slots[post.body_start :][-3:] == (
+        StaticSlot(b'"id":'), ConsumerSlot(rt("posts/id")), StaticSlot(b"}")
+    )
+
+
+def test_consumer_override_opts_in_an_optional_query_parameter():
+    doc = _doc(
+        {
+            "/things": {
+                "get": {
+                    "parameters": [{"in": "query", "name": "after", "type": "string"}],
+                    "responses": {"200": {}},
+                }
+            }
+        }
+    )
+    overrides = AnnotationOverrides.from_json(json.dumps({
+        "consumers": [{"operation": "GET /api/things", "parameter": "after",
+                       "resource": "cursors/after"}],
+        "external": {"cursors/after": "c1"},
+    }))
+    (template,) = _compile(doc, overrides=overrides).templates
+    (rendering,) = render_combinations(template, FuzzingDictionary.default())
+    request = rendering.assemble({rt("cursors/after"): b"c1"})
+    assert request.startswith(b"GET /api/things?after=c1 HTTP/1.1\r\n")
+
+
+# ---------------------------------------------------------------------------
+# The compiler's output, pinned byte for byte
+
+
+@pytest.mark.parametrize(
+    ("golden", "kwargs"),
+    [
+        ("blog_grammar.json", {}),
+        ("blog_grammar_optional.json", {"include_optional": ("id",)}),
+        ("blog_grammar_overrides.json", {"overrides": "blog_overrides.json"}),
+    ],
+    ids=["plain", "include-optional", "overrides"],
+)
+def test_bundled_document_compiles_to_its_golden_grammar(blog_model, golden, kwargs):
+    """The overrides use all five kinds: a producer added and one suppressed
+    (which reverts PUT's checksum to fuzzable), a path and a body consumer
+    forced to external values, and a path consumer suppressed."""
+    if "overrides" in kwargs:
+        kwargs = {"overrides": AnnotationOverrides.from_json((DATA / kwargs["overrides"]).read_text())}
+    text = dump_grammar(compile_grammar(blog_model, **kwargs)) + "\n"
+    assert text == (DATA / golden).read_text()
+
+
+def test_grammar_with_derived_keys_loads_to_an_equal_program():
+    """A grammar.json that still holds ``declaration_index`` and
+    ``resource_types`` loads to the program it was written from."""
+    text = (DATA / "blog_grammar_overrides.json").read_text()
+    doc = json.loads(text)
+    for index, template in enumerate(doc["templates"]):
+        template["declaration_index"] = index
+    doc["resource_types"] = ["stale/type"]
+    loaded = load_grammar(json.dumps(doc))
+    assert loaded == load_grammar(text)
+    assert dump_grammar(loaded) + "\n" == text
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,7 @@ class TestConfig:
             {"combination_cap": 0},
             {"time_budget": -1.0},
             {"strategy": Strategy.RANDOM_WALK},  # needs a budget
+            {"strategy": Strategy.RANDOM_WALK, "time_budget": 5.0, "worker_count": 2},
             {"error_status_classes": ("5xxx",)},
         ],
     )
@@ -135,7 +136,6 @@ class TestDependencies:
             method="GET",
             slots=(StaticSlot(b"GET /t HTTP/1.1\r\n"), ConsumerSlot(key)),
             producers=(),
-            declaration_index=0,
         )
         grammar = GrammarProgram(templates=(template,), external_values={key: "abc"})
         assert key in sequence_produces((), grammar)
@@ -210,7 +210,6 @@ def abstract_grammar(produce_sets, consume_sets, external=()):
                 method="GET",
                 slots=tuple(slots),
                 producers=tuple(ProducerSpec(ResourceType(r), ("x",)) for r in sorted(prod)),
-                declaration_index=i,
             )
         )
     return GrammarProgram(

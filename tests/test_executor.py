@@ -34,6 +34,7 @@ from restfuzz.executor import (
     UnresolvableConsumer,
     _MAX_HEAD_BYTES,
     _MAX_INTERIM_RESPONSES,
+    _read_head,
     classify_status,
     extract_objects,
     inject_header,
@@ -534,6 +535,40 @@ class TestFraming:
             assert time.monotonic() - t0 < 1.0
         assert info.value.phase == "frame"
         assert str(_MAX_INTERIM_RESPONSES) in str(info.value)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 3, 5])
+    def test_head_split_into_small_reads_parses_as_one_read(self, read_size):
+        # Each recv ends at another byte of the head, so the blank line that
+        # ends it arrives split every way across two reads.
+        script = (
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 201 Created\r\nX-A:v\r\nX-B:   w  \r\nContent-Length: 2\r\n\r\nhi"
+        )
+
+        def read_heads(size):
+            sock = ChunkedSocket(script, size)
+            buffer = bytearray()
+            heads = [_read_head(sock, buffer), _read_head(sock, buffer)]
+            return heads, bytes(buffer) + sock.rest
+
+        whole = read_heads(len(script))
+        assert whole == ([
+            (b"HTTP/1.1", 100, "Continue", []),
+            (b"HTTP/1.1", 201, "Created", [("X-A", "v"), ("X-B", "w"), ("Content-Length", "2")]),
+        ], b"hi")
+        assert read_heads(read_size) == whole
+
+
+class ChunkedSocket:
+    """A socket whose ``recv`` hands over ``data`` at most ``size`` bytes at
+    a time."""
+
+    def __init__(self, data: bytes, size: int):
+        self.rest, self.size = data, size
+
+    def recv(self, limit: int) -> bytes:
+        chunk, self.rest = self.rest[: self.size], self.rest[self.size :]
+        return chunk
 
 
 @contextmanager

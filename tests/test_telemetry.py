@@ -130,9 +130,8 @@ def run_into(sink, statuses, error_classes=("5xx",)):
                 id=f"GET /{status}",
                 method="GET",
                 slots=(StaticSlot(f"GET /{status} HTTP/1.1\r\nHost: h\r\n".encode()),),
-                declaration_index=index,
             )
-            for index, status in enumerate(statuses)
+            for status in statuses
         )
     )
     config = EngineConfig(strategy=Strategy.BFS, max_length=1, error_status_classes=error_classes)
