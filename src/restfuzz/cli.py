@@ -61,8 +61,11 @@ def _add_target_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", metavar="HOST[:PORT]", help="address to connect to")
     parser.add_argument("--secure", action="store_true",
                         help="wrap connections in TLS (replay does so when the recording run did)")
-    parser.add_argument("--connect-timeout", type=float, default=5.0, metavar="SECONDS")
-    parser.add_argument("--read-timeout", type=float, default=30.0, metavar="SECONDS")
+    parser.add_argument("--connect-timeout", type=float, default=5.0, metavar="SECONDS",
+                        help="bound on a connect and its TLS handshake (default 5)")
+    parser.add_argument("--read-timeout", type=float, default=30.0, metavar="SECONDS",
+                        help="bound on one exchange, from the start of the request write "
+                        "to the last byte of the response (default 30)")
 
 
 def _add_auth_options(parser: argparse.ArgumentParser) -> None:

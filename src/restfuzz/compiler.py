@@ -31,6 +31,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import yaml
 
@@ -315,10 +316,11 @@ def _parse_operation(
         else:
             warnings.append(f"{op_id}: ignoring unsupported parameter location {location!r}")
 
-    # Every placeholder in the path template must have a parameter entry.
-    declared = {p.name for p in parameters if p.location == "path"}
+    # Every placeholder in the path template must have a parameter entry,
+    # matched case-insensitively as parameters are deduplicated.
+    declared = {p.name.lower() for p in parameters if p.location == "path"}
     for placeholder in _PATH_PARAM_RE.findall(full_path):
-        if placeholder not in declared:
+        if placeholder.lower() not in declared:
             warnings.append(
                 f"{op_id}: path parameter {placeholder!r} undeclared, assuming string"
             )
@@ -427,7 +429,7 @@ def _stem_for_path_param(path: str, param_name: str) -> str:
     last_static = None
     for seg in (s for s in path.split("/") if s):
         match = _PATH_PARAM_RE.fullmatch(seg)
-        if match and match.group(1) == param_name:
+        if match and match.group(1).lower() == param_name.lower():
             break
         if not match:
             last_static = seg
@@ -520,13 +522,24 @@ def compile_grammar(
 
     ``host`` fills the Host header (falling back to the document's host
     field, then a localhost default). ``include_optional`` names optional
-    parameters/fields to fuzz; everything optional is otherwise omitted.
+    parameters/fields to fuzz; everything optional is otherwise omitted. A
+    name that no query parameter or body field (at any depth) of the
+    document has is a CompileError, as it would change nothing.
     """
     overrides = overrides or AnnotationOverrides()
     ops = {op.op_id: op for op in model.operations}
     _check_override_targets(ops, overrides)
     host_value = host or model.host or DEFAULT_HOST
     include_lc = frozenset(n.lower() for n in include_optional)
+    optional_names: set[str] = set()
+    for op in model.operations:
+        optional_names.update(p.name.lower() for p in op.query_parameters)
+        optional_names.update(_field_names(op.body_schema))
+    if unknown := sorted(include_lc - optional_names):
+        raise CompileError(
+            f"include_optional names {', '.join(unknown)}, which no query parameter "
+            "or body field of the document has"
+        )
     external = overrides.external_values()
 
     deps = infer_dependencies(model)
@@ -632,6 +645,16 @@ def _check_override_targets(ops: dict[str, Operation], overrides: AnnotationOver
             raise CompileError(f"override names parameter {name!r} of {op_id}, which it lacks")
 
 
+def _field_names(schema: Schema | None) -> Iterator[str]:
+    """The lowercased property names of ``schema``, at any depth."""
+    if schema is None:
+        return
+    for name, sub in schema.properties:
+        yield name.lower()
+        yield from _field_names(sub)
+    yield from _field_names(schema.items)
+
+
 def _consumer_locations(op: Operation) -> dict[str, str]:
     """Where each lowercased name an override may bind is: a path or query
     parameter of that name, else a top-level body field."""
@@ -653,14 +676,14 @@ def _build_template(
     emitted as if ``include_lc`` named it."""
     slots: list[Slot] = [StaticSlot(f"{op.method} ".encode())]
 
-    param_kinds = {p.name: (p.kind or "string") for p in op.path_parameters}
+    param_kinds = {p.name.lower(): (p.kind or "string") for p in op.path_parameters}
     for kind, chunk in _split_path(op.path):
         if kind == "static":
             slots.append(StaticSlot(chunk.encode()))
         elif (bound := bindings.get(("path", chunk.lower()))) is not None:
             slots.append(ConsumerSlot(bound))
         else:
-            slots.append(FuzzableSlot(param_kinds.get(chunk, "string")))
+            slots.append(FuzzableSlot(param_kinds.get(chunk.lower(), "string")))
 
     active_query = [
         p

@@ -14,7 +14,10 @@ connection when it returns or raises.
 
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
 of a finished test: it files a bug, whose bucket the bucket index names,
-adds the test and any bug instance to the run's ``FuzzReport``, and hands
+adds the test and any bug instance to the run's ``FuzzReport``, whose
+``add_test`` alone applies the feedback rule that decides whether the
+search retains the test (so the frontier and the per-length sequence-set
+sizes cannot disagree), and hands
 the test to the sink in one call, which writes it as one ``test`` event:
 the test's steps, exchanges, final class, objects extracted, any transport
 failure or unresolvable consumer, and its bucket. That event is the only
@@ -284,9 +287,10 @@ class FuzzEngine:
             external_values=self.grammar.external_values,
         )
 
-    def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> None:
+    def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> bool:
         """File a finished test when its final response was a bug, add it
-        to the report, and hand it to the sink."""
+        to the report, and hand it to the sink. Return whether the search
+        retains it, as the report decides."""
         filed = None
         if result.final_class == ResponseClass.BUG:
             instance = BugInstance(
@@ -306,12 +310,13 @@ class FuzzEngine:
             for step, exchange in zip(steps, result.exchanges)
         ]
         with self._stats_lock:
-            self.report.add_test(len(steps), behaviors, result.final_class,
-                                 result.failure is not None, result.extracted)
+            retained = self.report.add_test(len(steps), behaviors, result.final_class,
+                                            result.failure is not None, result.extracted)
             if filed is not None:
                 self.report.add_bucket_instance(bucket_id, defining_sequence)
         if self.sink is not None:
             self.sink.record_test(test_index, steps, result, filed)
+        return retained
 
     # -- validation --------------------------------------------------------
 
@@ -352,8 +357,7 @@ class FuzzEngine:
                         break
                     steps = candidate.prefix + (shared[offset],)
                     result = executor.execute_sequence(prefix + [last_rendering])
-                    self._record_test(first_index + offset, steps, result)
-                    if result.final_class == ResponseClass.VALID or self.config.no_feedback:
+                    if self._record_test(first_index + offset, steps, result):
                         retained.append(steps)
                     elif result.exchanges and logger.isEnabledFor(logging.DEBUG):
                         logger.debug(

@@ -15,6 +15,18 @@ Content-Length, chunked, connection close) and classified as Valid (2xx),
 Bug (matches the configured error classes, 5xx by default) or Invalid
 (everything else; redirects are never followed).
 
+Every response byte goes through one ``_Reader``, the only caller of
+``recv``. ``ConnectionConfig.read_timeout`` bounds one exchange, from the
+start of the request write to the last byte of the response, interim 1xx
+heads and trailers included: each ``recv`` waits at most the time left, and
+past the deadline the request is a ``read`` failure, so a target that drips
+its reply byte by byte cannot hold a worker longer. Each request, on a kept
+connection too, gets a deadline of its own. ``connect_timeout`` bounds the
+connect and the TLS handshake. A head, chunk-size line or trailer line over
+``_MAX_HEAD_BYTES`` (1 MiB), a body over ``_MAX_BODY_BYTES`` (64 MiB;
+refused before it is read whenever a length or chunk size announces it) and
+more than ``_MAX_INTERIM_RESPONSES`` interim heads are ``frame`` failures.
+
 With ``ConnectionConfig.secure`` each connection is wrapped in TLS by a
 context built once per transport, so per worker, with verification off. On a
 2-vCPU VM a context takes 44-56 ms to build, a new TLS connection to a
@@ -311,7 +323,6 @@ class SocketTransport:
             except OSError as exc:  # ssl.SSLError included
                 _close(sock)
                 raise TransportFailure("connect", f"TLS handshake failed: {exc}") from exc
-        sock.settimeout(self.conn.read_timeout)
         return sock
 
     def close(self) -> None:
@@ -326,20 +337,24 @@ _REQUEST_CLOSE = re.compile(rb"\r\nconnection:[^\r\n]*\bclose\b", re.IGNORECASE)
 def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
     """One complete HTTP/1.1 round trip on ``transport``'s connection.
 
-    The connection goes back to the transport when the response allows
-    another request on it, and is closed otherwise. Nothing is retried: a
-    request is written at most once.
+    The write and the whole response share one deadline, ``read_timeout``
+    seconds after the write starts. The connection goes back to the
+    transport when the response allows another request on it, and is
+    closed otherwise. Nothing is retried: a request is written at most once.
     """
     started = time.monotonic()
     sock = transport.connection()
     reusable = False
     try:
+        timeout = transport.conn.read_timeout
+        reader = _Reader(sock, time.monotonic() + timeout)
         try:
+            sock.settimeout(timeout)
             sock.sendall(request)
         except OSError as exc:
             raise TransportFailure("write", str(exc)) from exc
         method = request.split(b" ", 1)[0].decode("latin-1")
-        version, status, reason, headers, body, reusable = _read_response(sock, method)
+        version, status, reason, headers, body, reusable = _read_response(reader, method)
         head = request.partition(b"\r\n\r\n")[0]
         reusable = reusable and not _REQUEST_CLOSE.search(head)
     finally:
@@ -359,62 +374,69 @@ def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
     )
 
 
-def _read_exact(sock: socket.socket, buffer: bytearray, count: int) -> bytes:
-    while len(buffer) < count:
-        chunk = _recv(sock)
-        if not chunk:
-            raise TransportFailure("frame", "connection closed mid-body")
-        buffer.extend(chunk)
-    out = bytes(buffer[:count])
-    del buffer[:count]
-    return out
+class _Reader:
+    """Reads one exchange's response from ``sock`` before ``deadline`` (a
+    ``time.monotonic()`` reading). ``buffer`` holds what was read and not
+    yet taken. ``fill`` is the only caller of ``recv``."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self.sock = sock
+        self.buffer = bytearray()
+        self.deadline = deadline
+
+    def fill(self) -> bool:
+        """Add one ``recv``'s bytes to the buffer, waiting at most the time
+        left; False when the peer has closed."""
+        left = self.deadline - time.monotonic()
+        try:
+            if left <= 0:
+                raise socket.timeout
+            self.sock.settimeout(left)
+            chunk = self.sock.recv(65536)
+        except socket.timeout as exc:
+            raise TransportFailure("read", "timed out waiting for response") from exc
+        except OSError as exc:
+            raise TransportFailure("read", str(exc)) from exc
+        self.buffer.extend(chunk)
+        return bool(chunk)
+
+    def until(self, delimiter: bytes, what: str) -> bytes:
+        """The bytes before the next ``delimiter``, which is taken too; at
+        most ``_MAX_HEAD_BYTES`` of them. ``what`` names them in a frame
+        failure. Each ``recv`` scans only the bytes it added."""
+        buffer = self.buffer
+        start = 0
+        while (end := buffer.find(delimiter, start)) < 0:
+            if len(buffer) > _MAX_HEAD_BYTES:
+                raise TransportFailure("frame", f"{what} too long")
+            start = max(len(buffer) - len(delimiter) + 1, 0)
+            if not self.fill():
+                raise TransportFailure("frame", f"connection closed inside {what}")
+        out = bytes(buffer[:end])
+        del buffer[: end + len(delimiter)]
+        return out
+
+    def exact(self, count: int) -> bytes:
+        """The next ``count`` bytes."""
+        while len(self.buffer) < count:
+            if not self.fill():
+                raise TransportFailure("frame", "connection closed mid-body")
+        out = bytes(self.buffer[:count])
+        del self.buffer[:count]
+        return out
+
+    def to_close(self) -> bytes:
+        """Everything until the peer closes, at most ``_MAX_BODY_BYTES``."""
+        while len(self.buffer) <= _MAX_BODY_BYTES:
+            if not self.fill():
+                return self.exact(len(self.buffer))
+        raise TransportFailure("frame", "response body too large")
 
 
-def _recv(sock: socket.socket) -> bytes:
-    try:
-        return sock.recv(65536)
-    except socket.timeout as exc:
-        raise TransportFailure("read", "timed out waiting for response") from exc
-    except OSError as exc:
-        raise TransportFailure("read", str(exc)) from exc
-
-
-def _read_line(sock: socket.socket, buffer: bytearray) -> bytes:
-    """One chunk-size or trailer line, at most ``_MAX_HEAD_BYTES`` long.
-    Each ``recv`` scans only the bytes it added."""
-    start = 0
-    while (end := buffer.find(b"\r\n", start)) < 0:
-        if len(buffer) > _MAX_HEAD_BYTES:
-            raise TransportFailure("frame", "chunked framing line too long")
-        start = max(len(buffer) - 1, 0)
-        chunk = _recv(sock)
-        if not chunk:
-            raise TransportFailure("frame", "connection closed inside chunked framing")
-        buffer.extend(chunk)
-    line = bytes(buffer[:end])
-    del buffer[: end + 2]
-    return line
-
-
-def _read_head(
-    sock: socket.socket, buffer: bytearray
-) -> tuple[bytes, int, str, list[tuple[str, str]]]:
+def _read_head(reader: _Reader) -> tuple[bytes, int, str, list[tuple[str, str]]]:
     """Status line and headers of one response: (version, status, reason,
-    headers). What follows the head stays in ``buffer``. Each ``recv``
-    scans only the bytes it added."""
-    start = 0
-    while buffer.find(b"\r\n\r\n", start) < 0:
-        start = max(len(buffer) - 3, 0)
-        chunk = _recv(sock)
-        if not chunk:
-            raise TransportFailure("frame", "connection closed before response head")
-        buffer.extend(chunk)
-        if len(buffer) > _MAX_HEAD_BYTES:
-            raise TransportFailure("frame", "response head too large")
-    head, _, remainder = bytes(buffer).partition(b"\r\n\r\n")
-    buffer[:] = remainder
-
-    lines = head.split(b"\r\n")
+    headers). What follows the head stays in the reader's buffer."""
+    lines = reader.until(b"\r\n\r\n", "response head").split(b"\r\n")
     parts = lines[0].split(None, 2)
     if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
         raise TransportFailure("frame", f"bad status line {lines[0]!r}")
@@ -433,7 +455,7 @@ def _read_head(
 
 
 def _read_response(
-    sock: socket.socket, method: str
+    reader: _Reader, method: str
 ) -> tuple[bytes, int, str, tuple[tuple[str, str], ...], bytes, bool]:
     """Read the final response to a ``method`` request.
 
@@ -442,8 +464,7 @@ def _read_response(
     Up to ``_MAX_INTERIM_RESPONSES`` interim 1xx heads other than 101 are
     skipped; one more is a frame failure.
     """
-    buffer = bytearray()
-    version, status, reason, headers = _read_head(sock, buffer)
+    version, status, reason, headers = _read_head(reader)
     interim = 0
     while 100 <= status < 200 and status != 101:
         interim += 1
@@ -451,7 +472,7 @@ def _read_response(
             raise TransportFailure(
                 "frame", f"more than {_MAX_INTERIM_RESPONSES} interim responses"
             )
-        version, status, reason, headers = _read_head(sock, buffer)
+        version, status, reason, headers = _read_head(reader)
 
     def header(name: str) -> str | None:
         for key, value in headers:
@@ -470,21 +491,23 @@ def _read_response(
     elif "chunked" in transfer:
         chunks = bytearray()
         while True:
-            size_line = _read_line(sock, buffer)
+            size_line = reader.until(b"\r\n", "chunked framing line")
             try:
                 size = int(size_line.split(b";", 1)[0].strip(), 16)
+                if size < 0:
+                    raise ValueError(size)
             except ValueError as exc:
                 raise TransportFailure("frame", f"bad chunk size {size_line!r}") from exc
             if size == 0:
                 # consume trailer lines until the final blank
-                while _read_line(sock, buffer) != b"":
+                while reader.until(b"\r\n", "chunked framing line") != b"":
                     pass
                 break
-            chunks.extend(_read_exact(sock, buffer, size))
-            if _read_exact(sock, buffer, 2) != b"\r\n":
-                raise TransportFailure("frame", "chunk missing terminator")
-            if len(chunks) > _MAX_BODY_BYTES:
+            if len(chunks) + size > _MAX_BODY_BYTES:
                 raise TransportFailure("frame", "response body too large")
+            chunks.extend(reader.exact(size))
+            if reader.exact(2) != b"\r\n":
+                raise TransportFailure("frame", "chunk missing terminator")
         body = bytes(chunks)
     elif length_value is not None:
         try:
@@ -495,21 +518,12 @@ def _read_response(
             raise TransportFailure("frame", f"bad Content-Length {length_value!r}") from exc
         if length > _MAX_BODY_BYTES:
             raise TransportFailure("frame", "response body too large")
-        body = _read_exact(sock, buffer, length)
+        body = reader.exact(length)
     else:
         # No framing header: read until the server closes the connection.
-        chunks = bytearray(buffer)
-        buffer.clear()
-        while True:
-            chunk = _recv(sock)
-            if not chunk:
-                break
-            chunks.extend(chunk)
-            if len(chunks) > _MAX_BODY_BYTES:
-                raise TransportFailure("frame", "response body too large")
-        body = bytes(chunks)
+        body = reader.to_close()
         reusable = False
-    return version, status, reason, tuple(headers), body, reusable and not buffer
+    return version, status, reason, tuple(headers), body, reusable and not reader.buffer
 
 
 # --------------------------------------------------------------------------

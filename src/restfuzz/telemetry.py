@@ -124,13 +124,15 @@ class FuzzReport:
         self._buckets: dict[str, dict] = {}
 
     def add_test(self, length: int, behaviors: Iterable[tuple[str, str]], final_class: str,
-                 transport_failed: bool, extracted: int) -> None:
+                 transport_failed: bool, extracted: int) -> bool:
         """One finished test of ``length`` steps: the (template id, status
         group) pair of each of its exchanges, its final class, whether a
         transport failure ended it, and the objects extracted during it.
-        A test at another length than the one before, or the first after a
-        restart, starts a search iteration, whose retained tests (Valid, or
-        all when feedback is off) are the length's sequence-set size."""
+        Return whether the search retains it: the paper's feedback rule
+        keeps a Valid test, or every test when feedback is off. A test at
+        another length than the one before, or the first after a restart,
+        starts a search iteration, whose retained tests are the length's
+        sequence-set size."""
         self.total_tests += 1
         self.status_totals[final_class] += 1
         self.transport_failures += transport_failed
@@ -145,9 +147,11 @@ class FuzzReport:
             row.seqset_size = 0
         row.tests += 1
         row.dynamic_objects += extracted
-        if self._retain_all or final_class == ResponseClass.VALID:
+        retained = self._retain_all or final_class == ResponseClass.VALID
+        if retained:
             row.seqset_size += 1
             self.max_length_reached = max(self.max_length_reached, length)
+        return retained
 
     def add_bucket_instance(self, bucket_id: str, defining_sequence: Sequence[str]) -> int:
         """One bug instance filed under ``bucket_id``; return how many that

@@ -157,6 +157,13 @@ class TestUsage:
         assert code == EXIT_CONFIG
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_unknown_include_optional_name(self, tmp_path, capsys):
+        out = tmp_path / "grammar.json"
+        code = main(["compile", "--spec", SPEC, "--include-optional", "nosuch", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "include_optional names nosuch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_error_status_pattern(self, tmp_path, capsys):
         code = main(
             ["fuzz", "--spec", SPEC, "--error-status", "5xxx", "--out", str(tmp_path / "o"),

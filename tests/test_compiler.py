@@ -616,6 +616,47 @@ def test_undeclared_path_placeholder_synthesized():
     assert [p.name for p in op.path_parameters] == ["x"]
 
 
+def test_path_placeholders_match_declared_names_in_any_case():
+    get_one = "GET /api/groups/{groupId}/things/{thingId}"
+    doc = _doc(
+        {
+            "/groups/{groupId}/things/{thingId}": {
+                "get": {
+                    "parameters": [
+                        {"in": "path", "name": "groupid", "type": "string"},
+                        {"in": "path", "name": "thingid", "type": "integer"},
+                    ],
+                    "responses": {"200": {}},
+                }
+            }
+        }
+    )
+    model = parse_spec(json.dumps(doc))
+    assert not model.warnings
+    (op,) = model.operations
+    assert [(p.name, p.kind) for p in op.path_parameters] == [
+        ("groupid", "string"), ("thingid", "integer")
+    ]
+    # Each placeholder is a resource of the segment before it.
+    assert {b.resource for b in infer_dependencies(model).consumers[get_one]} == {
+        rt("groups/groupid"), rt("things/thingid")
+    }
+    # With its binding suppressed, a placeholder is fuzzed as declared.
+    overrides = AnnotationOverrides.from_json(json.dumps({"suppress_consumers": [
+        {"operation": get_one, "parameter": "groupid"},
+        {"operation": get_one, "parameter": "thingid"},
+    ]}))
+    (template,) = compile_grammar(model, overrides).templates
+    assert [s for s in template.slots if isinstance(s, FuzzableSlot)][:2] == [
+        FuzzableSlot("string"), FuzzableSlot("integer")
+    ]
+
+
+def test_include_optional_name_the_document_lacks_is_refused(blog_model):
+    with pytest.raises(CompileError, match="include_optional names nosuch, "):
+        compile_grammar(blog_model, include_optional=("id", "nosuch"))
+
+
 def test_number_coerced_to_integer_with_warning():
     doc = _doc(
         {

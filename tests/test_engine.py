@@ -585,7 +585,7 @@ def recorded_campaign(grammar, transport_factory, run_dir, **config_kwargs):
 
     def keep(test_index, steps, result):
         tests[test_index] = (steps, [exchange.status for exchange in result.exchanges])
-        record_test(test_index, steps, result)
+        return record_test(test_index, steps, result)
 
     engine._record_test = keep
     try:

@@ -8,6 +8,7 @@ one; sequence semantics run against the live reference service.
 
 from __future__ import annotations
 
+import itertools
 import re
 import socket
 import threading
@@ -34,7 +35,9 @@ from restfuzz.executor import (
     UnresolvableConsumer,
     _MAX_HEAD_BYTES,
     _MAX_INTERIM_RESPONSES,
+    _Reader,
     _read_head,
+    _read_response,
     classify_status,
     extract_objects,
     inject_header,
@@ -340,8 +343,9 @@ def _read_request(conn: socket.socket) -> bytes | None:
 
 
 @contextmanager
-def scripted_server(*scripts: bytes, close_after=None):
-    """Answer the n-th request with the n-th canned script.
+def scripted_server(*scripts: bytes, close_after=None, delay: float = 0.0):
+    """Answer the n-th request with the n-th canned script, ``delay``
+    seconds after reading the request.
 
     Requests are read from one connection until the client closes it, then
     from the next one accepted. The server closes a connection itself after
@@ -373,6 +377,7 @@ def scripted_server(*scripts: bytes, close_after=None):
                     log.append(request)
                     if served == len(scripts):
                         break  # nothing left to answer with
+                    time.sleep(delay)
                     conn.sendall(scripts[served])
                     hang_up = served in close_after
                     served += 1
@@ -451,6 +456,13 @@ class TestFraming:
         with scripted_server(script) as (port, _):
             with pytest.raises(TransportFailure):
                 send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+
+    def test_negative_chunk_size_is_a_frame_failure(self):
+        script = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\nxx\r\n"
+        with scripted_server(script) as (port, _):
+            with pytest.raises(TransportFailure) as info:
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port))
+        assert str(info.value) == "frame: bad chunk size b'-2'"
 
     def test_unparseable_content_length_is_a_frame_failure(self):
         script = b"HTTP/1.1 200 OK\r\nContent-Length: lots\r\n\r\n"
@@ -546,10 +558,9 @@ class TestFraming:
         )
 
         def read_heads(size):
-            sock = ChunkedSocket(script, size)
-            buffer = bytearray()
-            heads = [_read_head(sock, buffer), _read_head(sock, buffer)]
-            return heads, bytes(buffer) + sock.rest
+            reader = chunked_reader(script, size)
+            heads = [_read_head(reader), _read_head(reader)]
+            return heads, bytes(reader.buffer) + reader.sock.rest
 
         whole = read_heads(len(script))
         assert whole == ([
@@ -560,22 +571,33 @@ class TestFraming:
 
 
 class ChunkedSocket:
-    """A socket whose ``recv`` hands over ``data`` at most ``size`` bytes at
-    a time."""
+    """A socket whose ``recv`` hands over ``data`` in pieces of at most
+    ``sizes[0]``, ``sizes[1]``, ... bytes, starting over after the last."""
 
-    def __init__(self, data: bytes, size: int):
-        self.rest, self.size = data, size
+    def __init__(self, data: bytes, *sizes: int):
+        self.rest, self.sizes = data, itertools.cycle(sizes)
 
     def recv(self, limit: int) -> bytes:
-        chunk, self.rest = self.rest[: self.size], self.rest[self.size :]
+        size = next(self.sizes)
+        chunk, self.rest = self.rest[:size], self.rest[size:]
         return chunk
+
+    def settimeout(self, timeout: float) -> None:
+        pass
+
+
+def chunked_reader(data: bytes, *sizes: int) -> _Reader:
+    """A reader over ``data`` split as ``ChunkedSocket`` splits it, with a
+    deadline it never reaches."""
+    return _Reader(ChunkedSocket(data, *sizes), time.monotonic() + 60)
 
 
 @contextmanager
-def stalling_server(script: bytes):
-    """Answer one request with ``script``, then send nothing more until the
-    client hangs up. A client that stops reading early may reset the
-    connection under the write; that is expected, not an error."""
+def stalling_server(script: bytes, drip: bytes = b""):
+    """Answer one request with ``script``, then with ``drip`` one byte every
+    0.3 s, then send nothing more until the client hangs up.
+    A client that stops reading early may reset the connection under the
+    write; that is expected, not an error."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -590,6 +612,9 @@ def stalling_server(script: bytes):
             try:
                 if _read_request(conn) is not None:
                     conn.sendall(script)
+                    for byte in drip:
+                        time.sleep(0.3)
+                        conn.sendall(bytes([byte]))
                     while conn.recv(65536):
                         pass
             except OSError:
@@ -602,6 +627,161 @@ def stalling_server(script: bytes):
     finally:
         listener.close()
         thread.join(timeout=10)
+
+
+HEADER_VALUES = st.text(alphabet="abcXYZ019 ;=,/\u00e9", max_size=10)
+EXTRA_HEADERS = st.lists(
+    st.tuples(st.sampled_from(["X-A", "Server", "ETag"]), HEADER_VALUES), max_size=3
+)
+CHUNK_EXTENSIONS = st.sampled_from([b"", b";a=1", b";note", b' ; x="y"'])
+
+
+def head_bytes(version: str, status: int, reason: str, headers) -> bytes:
+    lines = [f"{version} {status} {reason}"] + [f"{k}: {v}" for k, v in headers]
+    return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n"
+
+
+def dechunk(framed: bytes) -> bytes:
+    """Plain RFC 9112 section 7.1 de-chunking of one complete chunked body."""
+    body = b""
+    while True:
+        line, framed = framed.split(b"\r\n", 1)
+        size = int(line.split(b";")[0], 16)
+        if size == 0:
+            return body
+        body, framed = body + framed[:size], framed[size + 2 :]
+
+
+@st.composite
+def valid_responses(draw):
+    """One valid response to GET or HEAD after up to three interim heads:
+    (the bytes sent, the method, what ``_read_response`` must return)."""
+    interim = draw(st.lists(st.tuples(st.sampled_from([100, 102, 103]), EXTRA_HEADERS), max_size=3))
+    wire = b"".join(head_bytes("HTTP/1.1", status, "Wait", h) for status, h in interim)
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    reason = draw(st.sampled_from(["OK", "", "Not Found", "Cr\u00e9\u00e9"]))
+    headers = draw(EXTRA_HEADERS)
+    reusable = version == "HTTP/1.1"
+    if draw(st.booleans()):
+        connection = draw(st.sampled_from(["close", "keep-alive", "Keep-Alive, Close"]))
+        headers.append(("Connection", connection))
+        reusable = reusable and "close" not in connection.lower()
+    method, status = "GET", draw(st.sampled_from([200, 201, 404, 500]))
+    body = draw(st.binary(max_size=300))
+    kind = draw(st.sampled_from(["length", "chunked", "bodiless", "head", "close"]))
+    if kind == "length":
+        headers.append(("Content-Length", str(len(body))))
+        framed = body
+    elif kind == "chunked":
+        headers.append(("Transfer-Encoding", "chunked"))
+        framed = b""
+        for chunk in draw(st.lists(st.binary(min_size=1, max_size=60), max_size=4)) + [b""]:
+            size = draw(st.sampled_from(["%x", "%X", "0%x"])) % len(chunk)
+            framed += size.encode() + draw(CHUNK_EXTENSIONS) + b"\r\n" + chunk
+            framed += b"\r\n" if chunk else b""
+        trailers = draw(EXTRA_HEADERS)
+        framed += b"".join(f"{k}: {v}\r\n".encode("latin-1") for k, v in trailers) + b"\r\n"
+        body = dechunk(framed)
+    elif kind == "bodiless":
+        status = draw(st.sampled_from([204, 304]))
+        framed = body = b""
+    elif kind == "head":
+        method = "HEAD"
+        headers.append(("Content-Length", str(len(body))))
+        framed = body = b""
+    else:  # no framing header: the body ends when the connection does
+        framed = body
+        reusable = False
+    wire += head_bytes(version, status, reason, headers) + framed
+    parsed_headers = tuple((k, v.strip()) for k, v in headers)
+    return wire, method, (version.encode(), status, reason, parsed_headers, body, reusable)
+
+
+@given(valid_responses(), st.lists(st.integers(1, 64), min_size=1, max_size=6))
+def test_a_response_read_in_pieces_reads_as_it_does_whole(response, sizes):
+    wire, method, expected = response
+    assert _read_response(chunked_reader(wire, len(wire)), method) == expected
+    reader = chunked_reader(wire, *sizes)
+    assert _read_response(reader, method) == expected
+    assert reader.buffer == reader.sock.rest == b""
+
+
+class TestDeadline:
+    """``read_timeout`` bounds one whole exchange, not each ``recv``."""
+
+    @pytest.mark.parametrize(
+        ("script", "drip"),
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n", b"0123456789"),
+            (b"", b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"),
+        ],
+        ids=["body", "head"],
+    )
+    def test_a_dripped_response_is_a_read_failure_at_the_deadline(self, script, drip):
+        # One byte every 0.3 s: every recv returns well inside 0.5 s.
+        with stalling_server(script, drip) as port:
+            t0 = time.monotonic()
+            with pytest.raises(TransportFailure) as info:
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port, read_timeout=0.5))
+            elapsed = time.monotonic() - t0
+        assert info.value.phase == "read"
+        assert 0.5 <= elapsed < 0.5 + 0.5
+
+    def test_each_exchange_on_a_kept_connection_gets_a_full_deadline(self):
+        # Each answer takes 70 % of the deadline, so a deadline that the
+        # connection's exchanges shared would run out in the second one.
+        with scripted_server(OK_HI, OK_HI, close_after=(), delay=0.7) as (port, log):
+            transport = SocketTransport(ConnectionConfig("127.0.0.1", port, read_timeout=1.0))
+            try:
+                bodies = [transport.roundtrip(PLAIN_GET).body for _ in range(2)]
+            finally:
+                transport.close()
+        assert bodies == [b"hi", b"hi"]
+        assert log.accepts == 1
+
+
+class TestBodyBound:
+    """``_MAX_BODY_BYTES`` holds for every framing. It is lowered here, so
+    that no test sends 64 MiB."""
+
+    @pytest.mark.parametrize("read_size", [64, 1 << 16])
+    @pytest.mark.parametrize("framing", ["content-length", "chunked", "close"])
+    def test_a_body_past_the_bound_is_a_frame_failure(self, framing, read_size, monkeypatch):
+        monkeypatch.setattr("restfuzz.executor._MAX_BODY_BYTES", 1000)
+
+        def read(size: int) -> bytes:
+            body = b"x" * size
+            if framing == "content-length":
+                wire = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % size + body
+            elif framing == "chunked":
+                half = size // 2
+                wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                wire += b"%x\r\n%s\r\n" % (half, body[:half])
+                wire += b"%x\r\n%s\r\n0\r\n\r\n" % (size - half, body[half:])
+            else:
+                wire = b"HTTP/1.1 200 OK\r\n\r\n" + body
+            return _read_response(chunked_reader(wire, read_size), "GET")[4]
+
+        assert read(1000) == b"x" * 1000
+        with pytest.raises(TransportFailure) as info:
+            read(1001)
+        assert (info.value.phase, str(info.value)) == ("frame", "frame: response body too large")
+
+    def test_a_chunk_past_the_bound_is_refused_before_its_data_is_read(self, monkeypatch):
+        # The chunk announces 8 GiB, 4 MiB of it arrive, then nothing more:
+        # a client that read the chunk before checking it would wait for
+        # the deadline.
+        monkeypatch.setattr("restfuzz.executor._MAX_BODY_BYTES", 1 << 20)
+        script = (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n200000000\r\n"
+            + b"x" * (4 << 20)
+        )
+        with stalling_server(script) as port:
+            t0 = time.monotonic()
+            with pytest.raises(TransportFailure) as info:
+                send_once(PLAIN_GET, ConnectionConfig("127.0.0.1", port, read_timeout=5))
+            assert time.monotonic() - t0 < 1.0
+        assert info.value.phase == "frame"
 
 
 # --------------------------------------------------------------------------

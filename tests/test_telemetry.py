@@ -739,10 +739,14 @@ def test_per_length_rows_are_folded_from_the_tests():
     size is the retained tests of the latest iteration at that length,
     which starts when the length changes or after a restart."""
     report = FuzzReport({"strategy": "random-walk"})
-    for length, final_class, extracted in [
-        (1, "valid", 1), (1, "invalid", 0), (2, "valid", 2), (2, "bug", 0), (2, "valid", 1),
-    ]:
+    retained = [
         report.add_test(length, [], final_class, False, extracted)
+        for length, final_class, extracted in [
+            (1, "valid", 1), (1, "invalid", 0), (2, "valid", 2), (2, "bug", 0), (2, "valid", 1),
+        ]
+    ]
+    # The search retains what the rows count: the Valid tests.
+    assert retained == [True, False, True, False, True]
     assert per_length(report) == [(1, 2, 1, 1), (2, 3, 2, 3)]
     report.add_restart()
     report.add_test(1, [], "valid", False, 1)
@@ -761,8 +765,8 @@ def test_per_length_rows_are_folded_from_the_tests():
 
 def test_without_feedback_every_test_is_retained():
     report = FuzzReport({"strategy": "bfs", "no_feedback": True})
-    report.add_test(1, [], "invalid", False, 0)
-    report.add_test(2, [], "bug", False, 0)
+    assert report.add_test(1, [], "invalid", False, 0)
+    assert report.add_test(2, [], "bug", False, 0)
     assert per_length(report) == [(1, 1, 1, 0), (2, 1, 1, 0)]
     assert report.max_length_reached == 2
 
