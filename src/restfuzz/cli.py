@@ -312,6 +312,8 @@ def cmd_fuzz(args) -> int:
                 "config": config.to_dict(),
                 "target": f"{conn.host}:{conn.port}",
                 "secure": conn.secure,
+                "connect_timeout": conn.connect_timeout,
+                "read_timeout": conn.read_timeout,
                 "auth_header": auth_header,
             },
             indent=2,

@@ -12,6 +12,14 @@ it was 2xx; after any other final class, or a transport failure, the next
 candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
 connection when it returns or raises.
 
+One partition runner serves every worker count: worker ``w`` of ``n`` runs
+candidates ``w``, ``w + n``, ... of an iteration, the engine's own thread as
+worker 0 and each other worker on a thread of its own. One check,
+``FuzzEngine._stop_reason``, stops the run: each worker asks it before each
+test, and the loop before each iteration, which records its answer. A worker
+that raises stops the others at their next test, and its exception is
+re-raised once they have returned.
+
 The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
 of a finished test: it files a bug, whose bucket the bucket index names,
 adds the test and any bug instance to the run's ``FuzzReport``, whose
@@ -213,14 +221,6 @@ def extend(
     return satisfiable
 
 
-class _Budget:
-    def __init__(self, seconds: float | None):
-        self._deadline = None if seconds is None else time.monotonic() + seconds
-
-    def expired(self) -> bool:
-        return self._deadline is not None and time.monotonic() >= self._deadline
-
-
 # ----------------------------------------------------------------------------
 # Engine
 
@@ -229,12 +229,12 @@ class FuzzEngine:
     """Wires the search loop to executors, the bucket index and telemetry.
 
     ``transport_factory`` is called once per worker so each worker owns its
-    own connection handling; with the default single worker everything runs
-    inline and the whole campaign is deterministic against a deterministic
-    target. With several workers the candidate list of each iteration is
-    partitioned round-robin; retained sequences are merged back in candidate
-    order, so the search frontier stays deterministic even though bucket
-    discovery order may not.
+    own connection handling. The candidate list of each iteration is
+    partitioned round-robin over the workers, the thread that calls ``run``
+    being worker 0, so a single worker starts no thread and the whole
+    campaign is deterministic against a deterministic target. Retained
+    sequences are merged back in candidate order, so the search frontier is
+    the same at any worker count even though bucket discovery order may not.
     """
 
     def __init__(
@@ -255,6 +255,7 @@ class FuzzEngine:
         self.bucket_store = BucketStore()
         self.probe = probe
         self.stop_requested = threading.Event()
+        self._deadline: float | None = None  # the time budget's end, set by run
         # template id -> (its renderings, the one step naming each of them)
         self._render_cache: dict[str, tuple[tuple[RenderedRequest, ...], RenderedSteps]] = {}
         self._status_labels = Memo(status_class_label)
@@ -318,20 +319,29 @@ class FuzzEngine:
             self.sink.record_test(test_index, steps, result, filed)
         return retained
 
+    def _stop_reason(self) -> str | None:
+        """Why the run stops before its next test: ``"interrupted"`` once
+        ``stop_requested`` is set, ``"time_budget"`` once the budget has run
+        out, else None."""
+        if self.stop_requested.is_set():
+            return "interrupted"
+        if self._deadline is not None and time.monotonic() >= self._deadline:
+            return "time_budget"
+        return None
+
     # -- validation --------------------------------------------------------
 
     def _execute_candidates(
         self,
         candidates: Sequence[CandidateExtension],
         executors: Sequence[SequenceExecutor],
-        budget: _Budget,
     ) -> list[RenderedSteps]:
         """Render and run every candidate; return the retained sequences in
         candidate order.
 
         Test indices are assigned up front, from the report's test count and
         the rendering counts, so they are stable no matter how many workers
-        execute the partitions.
+        execute the partitions. Worker 0 runs on this thread.
         """
         plans = []  # (candidate_index, first_test_index, (renderings, steps))
         next_index = self.report.total_tests
@@ -341,57 +351,41 @@ class FuzzEngine:
             next_index += len(rendered[0])
 
         results: list[list[RenderedSteps]] = [[] for _ in candidates]
-        stop_flag = threading.Event()
+        errors: list[BaseException] = []
 
         def run_partition(worker_id: int) -> None:
-            executor = executors[worker_id]
-            for position, first_index, (renderings, shared) in plans[worker_id :: len(executors)]:
-                candidate = candidates[position]
-                prefix = [self._rendered_request(s) for s in candidate.prefix]
-                retained: list[RenderedSteps] = []
-                for offset, last_rendering in enumerate(renderings):
-                    if stop_flag.is_set():
-                        break
-                    if budget.expired() or self.stop_requested.is_set():
-                        stop_flag.set()
-                        break
-                    steps = candidate.prefix + (shared[offset],)
-                    result = executor.execute_sequence(prefix + [last_rendering])
-                    if self._record_test(first_index + offset, steps, result):
-                        retained.append(steps)
-                    elif result.exchanges and logger.isEnabledFor(logging.DEBUG):
-                        logger.debug(
-                            "dropped %s (final status %d)",
-                            " -> ".join(s.template_id for s in steps),
-                            result.exchanges[-1].status,
-                        )
-                results[position] = retained
-                if stop_flag.is_set():
-                    break
+            executor, partition = executors[worker_id], plans[worker_id :: len(executors)]
+            try:
+                for position, first_index, (renderings, shared) in partition:
+                    candidate = candidates[position]
+                    prefix = [self._rendered_request(s) for s in candidate.prefix]
+                    for offset, last_rendering in enumerate(renderings):
+                        if errors or self._stop_reason() is not None:
+                            return
+                        steps = candidate.prefix + (shared[offset],)
+                        result = executor.execute_sequence(prefix + [last_rendering])
+                        if self._record_test(first_index + offset, steps, result):
+                            results[position].append(steps)
+                        elif result.exchanges and logger.isEnabledFor(logging.DEBUG):
+                            logger.debug(
+                                "dropped %s (final status %d)",
+                                " -> ".join(s.template_id for s in steps),
+                                result.exchanges[-1].status,
+                            )
+            except BaseException as exc:
+                errors.append(exc)
 
-        if len(executors) == 1:
-            run_partition(0)
-        else:
-            errors: list[BaseException] = []
-
-            def run_worker(worker_id: int) -> None:
-                try:
-                    run_partition(worker_id)
-                except BaseException as exc:
-                    errors.append(exc)
-                    stop_flag.set()
-
-            threads = [
-                threading.Thread(target=run_worker, args=(i,), daemon=True)
-                for i in range(len(executors))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-
+        threads = [
+            threading.Thread(target=run_partition, args=(worker_id,), daemon=True)
+            for worker_id in range(1, len(executors))
+        ]
+        for thread in threads:
+            thread.start()
+        run_partition(0)
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
         return [steps for retained in results for steps in retained]
 
     # -- main loop ---------------------------------------------------------
@@ -404,7 +398,8 @@ class FuzzEngine:
             self.sink.record_run_start(self.config.to_dict())
 
         executors = [self._make_executor() for _ in range(self.config.worker_count)]
-        budget = _Budget(self.config.time_budget)
+        if self.config.time_budget is not None:
+            self._deadline = time.monotonic() + self.config.time_budget
         rng = random.Random(self.config.rng_seed)
 
         seq_set: list[RenderedSteps] = [()]
@@ -415,10 +410,8 @@ class FuzzEngine:
         try:
             while True:
                 # Also where an iteration that a stop cut short ends the run.
-                if budget.expired() or self.stop_requested.is_set():
-                    self.report.stopped_reason = (
-                        "interrupted" if self.stop_requested.is_set() else "time_budget"
-                    )
+                if (stopped := self._stop_reason()) is not None:
+                    self.report.stopped_reason = stopped
                     break
                 if not is_walk and length >= self.config.max_length:
                     self.report.stopped_reason = "max_length"
@@ -440,7 +433,7 @@ class FuzzEngine:
                     self.report.stopped_reason = "exhausted"
                     break
 
-                seq_set = self._execute_candidates(candidates, executors, budget)
+                seq_set = self._execute_candidates(candidates, executors)
                 length += 1
                 if seq_set:
                     progressed_since_restart = True

@@ -11,7 +11,10 @@ out on a fresh connection or on one whose earlier responses were all 2xx; a
 target that answers 4xx/5xx without reading the request body cannot spill
 into the next test. A written request is never sent twice. Responses are
 parsed with the framing rules of RFC 9112 (bodiless responses,
-Content-Length, chunked, connection close) and classified as Valid (2xx),
+Content-Length, chunked, connection close), whose numbers are strict: a
+status code is three digits, a Content-Length ``1*DIGIT`` (repeated only
+as the same value) and a chunk size ``1*HEXDIG``; anything else is a
+``frame`` failure. Responses are classified as Valid (2xx),
 Bug (matches the configured error classes, 5xx by default) or Invalid
 (everything else; redirects are never followed).
 
@@ -66,6 +69,10 @@ DEFAULT_AUTH_HEADER = "PRIVATE-TOKEN"
 _MAX_HEAD_BYTES = 1 << 20  # also bounds one chunk-size or trailer line
 _MAX_BODY_BYTES = 1 << 26
 _MAX_INTERIM_RESPONSES = 16  # 1xx heads allowed before the final response
+# RFC 9112's numbers; Python's int() also takes signs, underscores and 0x.
+_STATUS_CODE = re.compile(rb"[0-9]{3}")
+_CONTENT_LENGTH = re.compile(r"[0-9]+")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 
 
 class ExecutorError(Exception):
@@ -440,10 +447,9 @@ def _read_head(reader: _Reader) -> tuple[bytes, int, str, list[tuple[str, str]]]
     parts = lines[0].split(None, 2)
     if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
         raise TransportFailure("frame", f"bad status line {lines[0]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise TransportFailure("frame", f"bad status code in {lines[0]!r}") from exc
+    if not _STATUS_CODE.fullmatch(parts[1]):
+        raise TransportFailure("frame", f"bad status code in {lines[0]!r}")
+    status = int(parts[1])
     reason = parts[2].decode("latin-1") if len(parts) == 3 else ""
 
     headers: list[tuple[str, str]] = []
@@ -474,17 +480,16 @@ def _read_response(
             )
         version, status, reason, headers = _read_head(reader)
 
-    def header(name: str) -> str | None:
-        for key, value in headers:
-            if key.lower() == name:
-                return value
-        return None
+    def field_values(name: str) -> list[str]:
+        """The values of every ``name`` header, in order (RFC 9110 section
+        5.3: repeated list fields combine)."""
+        return [value for key, value in headers if key.lower() == name]
 
-    tokens = {t.strip().lower() for t in (header("connection") or "").split(",")}
+    tokens = {t.strip().lower() for t in ",".join(field_values("connection")).split(",")}
     reusable = version == b"HTTP/1.1" and status >= 200 and "close" not in tokens
 
-    transfer = (header("transfer-encoding") or "").lower()
-    length_value = header("content-length")
+    transfer = ",".join(field_values("transfer-encoding")).lower()
+    lengths = field_values("content-length")
     if method == "HEAD" or status < 200 or status in (204, 304):
         # RFC 9112 section 6.3: these responses end with their head.
         body = b""
@@ -492,12 +497,10 @@ def _read_response(
         chunks = bytearray()
         while True:
             size_line = reader.until(b"\r\n", "chunked framing line")
-            try:
-                size = int(size_line.split(b";", 1)[0].strip(), 16)
-                if size < 0:
-                    raise ValueError(size)
-            except ValueError as exc:
-                raise TransportFailure("frame", f"bad chunk size {size_line!r}") from exc
+            size_text = size_line.split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size_text):
+                raise TransportFailure("frame", f"bad chunk size {size_line!r}")
+            size = int(size_text, 16)
             if size == 0:
                 # consume trailer lines until the final blank
                 while reader.until(b"\r\n", "chunked framing line") != b"":
@@ -509,13 +512,11 @@ def _read_response(
             if reader.exact(2) != b"\r\n":
                 raise TransportFailure("frame", "chunk missing terminator")
         body = bytes(chunks)
-    elif length_value is not None:
-        try:
-            length = int(length_value)
-            if length < 0:
-                raise ValueError(length)
-        except ValueError as exc:
-            raise TransportFailure("frame", f"bad Content-Length {length_value!r}") from exc
+    elif lengths:
+        # Repeats must agree; a recipient may take one of equal values.
+        if len(set(lengths)) > 1 or not _CONTENT_LENGTH.fullmatch(lengths[0]):
+            raise TransportFailure("frame", f"bad Content-Length {', '.join(lengths)!r}")
+        length = int(lengths[0])
         if length > _MAX_BODY_BYTES:
             raise TransportFailure("frame", "response body too large")
         body = reader.exact(length)
@@ -609,7 +610,7 @@ def extract_objects(
         if ok:
             out.append((spec.resource, node))
         else:
-            key = (spec.resource.name, repr(spec.extraction_path))
+            key = (spec.resource, repr(spec.extraction_path))
             if warned is not None:
                 if key in warned:
                     continue

@@ -75,10 +75,6 @@ class ResourceType(str):
     def __new__(cls, raw: str) -> "ResourceType":
         return super().__new__(cls, _normalize_resource_name(raw))
 
-    @property
-    def name(self) -> str:
-        return str(self)
-
 
 @dataclass(frozen=True)
 class StaticSlot:
@@ -156,10 +152,6 @@ class RequestTemplate:
         if not self.slots:
             raise GrammarError("a template needs at least one slot")
         object.__setattr__(self, "method", self.method.upper())
-
-    @property
-    def has_body(self) -> bool:
-        return self.body_start < len(self.slots)
 
     def fuzzable_slots(self) -> tuple[FuzzableSlot, ...]:
         return tuple(s for s in self.slots if isinstance(s, FuzzableSlot))
@@ -426,7 +418,7 @@ def _slot_to_json(slot: Slot) -> dict:
         return {"static": slot.text.decode("utf-8")}
     if isinstance(slot, FuzzableSlot):
         return {"fuzzable": slot.kind}
-    return {"consumer": slot.resource.name}
+    return {"consumer": slot.resource}
 
 
 def _slot_from_json(raw: dict) -> Slot:
@@ -453,16 +445,16 @@ def dump_grammar(program: GrammarProgram) -> str:
                 "body_start": t.body_start,
                 "slots": [_slot_to_json(s) for s in t.slots],
                 "producers": [
-                    {"resource": p.resource.name, "path": list(p.extraction_path)}
+                    {"resource": p.resource, "path": list(p.extraction_path)}
                     for p in t.producers
                 ],
             }
             for t in program.templates
         ],
-        "resource_types": sorted(r.name for r in program.resource_types),
-        "unsatisfiable": sorted(r.name for r in program.unsatisfiable),
+        "resource_types": sorted(program.resource_types),
+        "unsatisfiable": sorted(program.unsatisfiable),
         "excluded_operations": [list(pair) for pair in program.excluded_operations],
-        "external_values": {r.name: v for r, v in program.external_values.items()},
+        "external_values": dict(program.external_values),
     }
     return json.dumps(doc, indent=2)
 

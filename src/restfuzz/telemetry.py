@@ -263,23 +263,20 @@ class TelemetrySink:
     def record_run_start(self, config: dict) -> None:
         self._record("run_start", schema=EVENTS_SCHEMA, wall_time=self._start_wall, config=config)
 
-    def record_exchange(self, exchange: HttpExchange) -> str:
-        """One exchange's entry in its test's ``exchanges``, encoded with the
-        default encoder over keys written in sorted order. Its ``elapsed``
+    def record_exchange(self, exchange: HttpExchange) -> dict:
+        """One exchange's entry in its test's ``exchanges``. Its ``elapsed``
         is when its response arrived, taken from its own start and
         duration."""
-        return json.dumps(
-            {
-                "duration": exchange.duration,
-                "elapsed": exchange.started + exchange.duration - self._start_monotonic,
-                "reason": exchange.reason,
-                "request_b64": base64.b64encode(exchange.request).decode("ascii"),
-                "response_b64": base64.b64encode(
-                    exchange.response_head() + exchange.body
-                ).decode("ascii"),
-                "status": exchange.status,
-            }
-        )
+        return {
+            "duration": exchange.duration,
+            "elapsed": exchange.started + exchange.duration - self._start_monotonic,
+            "reason": exchange.reason,
+            "request_b64": base64.b64encode(exchange.request).decode("ascii"),
+            "response_b64": base64.b64encode(
+                exchange.response_head() + exchange.body
+            ).decode("ascii"),
+            "status": exchange.status,
+        }
 
     def record_test(
         self,
@@ -291,37 +288,30 @@ class TelemetrySink:
         """Append test ``test_index``, whose steps are (template id,
         rendering index) pairs, as one ``test`` line, and flush it.
         ``filed`` is the bucket index's (bucket id, defining sequence,
-        created) when the test hit a bug.
-
-        The line is encoded before the lock is taken, in the bytes
-        ``sort_keys=True`` gives: the entries are spliced between the keys
-        that sort before ``exchanges`` and those after it.
-        """
-        head: dict = {"elapsed": self.elapsed()}
-        if filed is not None:
-            bucket_id, defining_sequence, created = filed
-            head["bucket"] = {
-                "bucket_id": bucket_id,
-                "created": created,
-                "defining_sequence": list(defining_sequence),
-            }
-        tail: dict = {
+        created) when the test hit a bug. The line is encoded by one
+        ``json.dumps`` before the lock is taken."""
+        event: dict = {
+            "elapsed": self.elapsed(),
+            "exchanges": [self.record_exchange(exchange) for exchange in result.exchanges],
             "extracted": result.extracted,
             "final_class": result.final_class,
             "steps": steps,
             "test_index": test_index,
             "type": "test",
         }
+        if filed is not None:
+            bucket_id, defining_sequence, created = filed
+            event["bucket"] = {
+                "bucket_id": bucket_id,
+                "created": created,
+                "defining_sequence": list(defining_sequence),
+            }
         if result.failure is not None:
-            tail["failure"] = {"detail": str(result.failure), "phase": result.failure.phase}
+            event["failure"] = {"detail": str(result.failure), "phase": result.failure.phase}
         if result.unresolved is not None:
-            tail["unresolved"] = str(result.unresolved)
-        exchanges = ", ".join(self.record_exchange(exchange) for exchange in result.exchanges)
-        line = (
-            f'{json.dumps(head, sort_keys=True)[:-1]}, "exchanges": [{exchanges}], '
-            f"{json.dumps(tail, sort_keys=True)[1:]}\n"
-        )
-        del exchanges  # hold only the line while waiting for the lock
+            event["unresolved"] = str(result.unresolved)
+        line = json.dumps(event, sort_keys=True) + "\n"
+        del event  # hold only the line while waiting for the lock
         with self._lock:
             self._write(line)
 
@@ -388,8 +378,8 @@ def iter_events(path: Path) -> Iterator[dict]:
 
 def run_config(run_dir: Path) -> dict:
     """The ``config.json`` that ``restfuzz fuzz`` wrote in ``run_dir``: the
-    engine config, target, ``secure`` and ``auth_header``. A directory only
-    a sink wrote has none, and reads as ``{}``."""
+    engine config, target, ``secure``, both timeouts and ``auth_header``.
+    A directory only a sink wrote has none, and reads as ``{}``."""
     path = Path(run_dir) / CONFIG_FILENAME
     return json.loads(path.read_text()) if path.is_file() else {}
 
@@ -409,7 +399,7 @@ def emit_report(run_dir: Path) -> int:
     # The schema check reads the first event, before a report file is opened.
     start = next(events, None)
     report = FuzzReport(start["config"] if start is not None else None)
-    # An older run's config may name no header.
+    # Only a directory without config.json (one a sink wrote) names no header.
     auth_header = run_config(run_dir).get("auth_header") or DEFAULT_AUTH_HEADER
     cumulative: Counter[str] = Counter()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \

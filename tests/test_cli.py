@@ -344,6 +344,23 @@ class TestFuzzArtifacts:
         assert code == EXIT_CONFIG
         assert "already holds a recorded run" in capsys.readouterr().err
 
+    def test_config_records_both_timeouts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        handle = serve()
+        try:
+            code = main(
+                ["fuzz", "--spec", SPEC, "--max-length", "1", "--connect-timeout", "2.5",
+                 "--read-timeout", "7", "--target", f"127.0.0.1:{handle.port}",
+                 "--out", str(out)]
+            )
+        finally:
+            handle.stop()
+        capsys.readouterr()
+        assert code == EXIT_OK
+        config = json.loads((out / "config.json").read_text())
+        assert config["target"] == f"127.0.0.1:{handle.port}"
+        assert (config["connect_timeout"], config["read_timeout"]) == (2.5, 7.0)
+
 
 def copy_run(run_dir, dest, rewrite=None):
     """Copy a run directory; ``rewrite(events)`` may edit its event list."""

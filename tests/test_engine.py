@@ -12,11 +12,14 @@ the engine ran them and adds up to the report.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import random
 import shutil
+import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -457,6 +460,20 @@ class TestRunControl:
         assert report.stopped_reason == "time_budget"
         assert report.total_tests == 0
 
+    def test_an_interrupt_stops_every_worker_before_its_next_test(
+        self, blog_server, blog_model
+    ):
+        engine, _ = lifetime_engine(
+            blog_server, blog_model, acting_on_roundtrip(20, lambda: engine.stop_requested.set()),
+            strategy=Strategy.BFS, max_length=3, worker_count=2,
+        )
+        starts = watch_test_starts(engine, engine.stop_requested.is_set)
+        report = engine.run()
+        assert report.stopped_reason == "interrupted"
+        assert 0 < report.total_tests < 41
+        assert len(starts.workers) == 2
+        assert starts.late == []
+
 
 # --------------------------------------------------------------------------
 # Connection lifetime
@@ -474,6 +491,50 @@ class ExplodingTransport(SocketTransport):
         if self.roundtrips == 3:
             raise RuntimeError("transport exploded")
         return super().roundtrip(request)
+
+
+def acting_on_roundtrip(number, action):
+    """A socket transport class that calls ``action()`` on the run's
+    ``number``-th round trip, whichever worker makes it. The 20th comes
+    early in a BFS length-3 campaign's last iteration."""
+    lock, roundtrips = threading.Lock(), itertools.count(1)
+
+    class Acting(SocketTransport):
+        def roundtrip(self, request):
+            with lock:
+                if next(roundtrips) == number:
+                    action()
+            return super().roundtrip(request)
+
+    return Acting
+
+
+def watch_test_starts(engine, stopped):
+    """Watch every test the engine's workers start. The result's ``workers``
+    are the executors that ran a test; its ``late`` names, once per test,
+    each that started a test after finishing one with ``stopped()`` true."""
+    starts = SimpleNamespace(workers=set(), late=[])
+    make_executor = engine._make_executor
+
+    def make_watched_executor():
+        executor, saw_stop = make_executor(), []
+        execute = executor.execute_sequence
+
+        def watched(requests):
+            starts.workers.add(executor)
+            if saw_stop:
+                starts.late.append(executor)
+            try:
+                return execute(requests)
+            finally:
+                if stopped():
+                    saw_stop.append(True)
+
+        executor.execute_sequence = watched
+        return executor
+
+    engine._make_executor = make_watched_executor
+    return starts
 
 
 def lifetime_engine(blog_server, blog_model, transport_class, **config_kwargs):
@@ -529,6 +590,62 @@ class TestConnectionLifetime:
         assert len(transports) == workers
         assert all(t.sock is None for t in transports)
 
+    def test_a_raising_worker_stops_the_other_before_its_next_test(
+        self, blog_server, blog_model
+    ):
+        exploded = threading.Event()
+
+        def explode():
+            exploded.set()
+            raise RuntimeError("transport exploded")
+
+        engine, transports = lifetime_engine(
+            blog_server, blog_model, acting_on_roundtrip(20, explode),
+            strategy=Strategy.BFS, max_length=3, worker_count=2,
+        )
+        starts = watch_test_starts(engine, exploded.is_set)
+        with pytest.raises(RuntimeError, match="transport exploded"):
+            engine.run()
+        assert len(starts.workers) == 2
+        assert starts.late == []
+        assert all(t.sock is None for t in transports)
+
+    def test_a_two_worker_iteration_starts_one_thread(self, pure_grammar, monkeypatch):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        workers = set()
+
+        class Stub(EmptyObjectStub):
+            def roundtrip(self, request):
+                workers.add(threading.current_thread())
+                return super().roundtrip(request)
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        engine = FuzzEngine(
+            pure_grammar,
+            FuzzingDictionary.default(),
+            EngineConfig(strategy=Strategy.BFS, max_length=2, worker_count=2),
+            transport_factory=Stub,
+        )
+        per_iteration = []
+        execute_candidates = engine._execute_candidates
+
+        def counted(*args):
+            before = len(started)
+            retained = execute_candidates(*args)
+            per_iteration.append(len(started) - before)
+            return retained
+
+        engine._execute_candidates = counted
+        assert engine.run().stopped_reason == "max_length"
+        assert per_iteration == [1, 1]
+        assert workers == {threading.main_thread(), *started}
+
 
 # --------------------------------------------------------------------------
 # Determinism
@@ -556,12 +673,13 @@ class TestDeterminism:
         second = run_on_fresh_server(blog_model, strategy=Strategy.BFS, max_length=2)
         assert first.fingerprint() == second.fingerprint()
 
-    def test_worker_count_does_not_change_the_outcome(self, blog_model):
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_count_does_not_change_the_outcome(self, blog_model, workers):
         solo = run_on_fresh_server(blog_model, strategy=Strategy.BFS, max_length=3)
-        duo = run_on_fresh_server(
-            blog_model, strategy=Strategy.BFS, max_length=3, worker_count=2
+        several = run_on_fresh_server(
+            blog_model, strategy=Strategy.BFS, max_length=3, worker_count=workers
         )
-        assert duo.fingerprint() == solo.fingerprint()
+        assert several.fingerprint() == solo.fingerprint()
 
 
 # --------------------------------------------------------------------------

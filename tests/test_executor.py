@@ -706,6 +706,47 @@ def test_a_response_read_in_pieces_reads_as_it_does_whole(response, sizes):
     assert reader.buffer == reader.sock.rest == b""
 
 
+class TestStrictNumbers:
+    """RFC 9112's numbers are digits only: what Python's ``int`` accepts
+    beyond them (a sign, ``_``, a ``0x`` prefix) is a frame failure, and so
+    are repeated Content-Length headers that disagree."""
+
+    @pytest.mark.parametrize(
+        ("wire", "detail"),
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: +10\r\n\r\n0123456789",
+             "bad Content-Length '+10'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1_0\r\n\r\n0123456789",
+             "bad Content-Length '1_0'"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\nContent-Length: 3\r\n\r\n0123456789",
+             "bad Content-Length '10, 3'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\nhello\r\n0\r\n\r\n",
+             "bad chunk size b'0x5'"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+5\r\nhello\r\n0\r\n\r\n",
+             "bad chunk size b'+5'"),
+            (b"HTTP/1.1 +200 OK\r\nContent-Length: 0\r\n\r\n",
+             "bad status code in b'HTTP/1.1 +200 OK'"),
+            (b"HTTP/1.1 2_00 OK\r\nContent-Length: 0\r\n\r\n",
+             "bad status code in b'HTTP/1.1 2_00 OK'"),
+        ],
+        ids=["length-sign", "length-underscore", "length-conflict", "chunk-0x", "chunk-sign",
+             "status-sign", "status-underscore"],
+    )
+    def test_a_number_python_reads_but_rfc_9112_does_not_is_a_frame_failure(self, wire, detail):
+        with pytest.raises(TransportFailure) as info:
+            _read_response(chunked_reader(wire, len(wire)), "GET")
+        assert (info.value.phase, str(info.value)) == ("frame", f"frame: {detail}")
+
+    def test_repeated_equal_content_lengths_frame_the_body(self):
+        wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"
+        reader = chunked_reader(wire, len(wire))
+        assert _read_response(reader, "GET")[4:] == (b"hello", True)
+
+    def test_a_close_in_any_connection_header_closes(self):
+        wire = b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nConnection: close\r\n\r\n"
+        assert _read_response(chunked_reader(wire, len(wire)), "HEAD")[5] is False
+
+
 class TestDeadline:
     """``read_timeout`` bounds one whole exchange, not each ``recv``."""
 

@@ -37,8 +37,8 @@ def template_of(*slots, body_start=-1, tid="T /x", method="GET", producers=()):
 
 class TestResourceType:
     def test_normalization(self):
-        assert ResourceType("Posts/Id").name == "posts/id"
-        assert ResourceType(" posts//id/ ").name == "posts/id"
+        assert ResourceType("Posts/Id") == "posts/id"
+        assert ResourceType(" posts//id/ ") == "posts/id"
         assert ResourceType("posts/id") == ResourceType("POSTS/ID")
 
     def test_empty_rejected(self):
