@@ -516,8 +516,10 @@ def _read_response(
         # Repeats must agree; a recipient may take one of equal values.
         if len(set(lengths)) > 1 or not _CONTENT_LENGTH.fullmatch(lengths[0]):
             raise TransportFailure("frame", f"bad Content-Length {', '.join(lengths)!r}")
-        length = int(lengths[0])
-        if length > _MAX_BODY_BYTES:
+        # int() refuses a decimal string of over 4300 digits, leading zeros
+        # included, so the digit count is bounded before the conversion.
+        digits = lengths[0].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or (length := int(digits)) > _MAX_BODY_BYTES:
             raise TransportFailure("frame", "response body too large")
         body = reader.exact(length)
     else:

@@ -509,11 +509,16 @@ def acting_on_roundtrip(number, action):
     return Acting
 
 
-def watch_test_starts(engine, stopped):
+def watch_test_starts(engine, stopped=None):
     """Watch every test the engine's workers start. The result's ``workers``
     are the executors that ran a test; its ``late`` names, once per test,
-    each that started a test after finishing one with ``stopped()`` true."""
+    each that started a test after finishing one with ``stopped()`` true.
+    ``stopped()`` defaults to "some test has raised": from there to the
+    engine's error list the exception passes no blocking call, so no other
+    worker can finish a test and start one in between."""
     starts = SimpleNamespace(workers=set(), late=[])
+    raised = []
+    stopped = stopped or (lambda: bool(raised))
     make_executor = engine._make_executor
 
     def make_watched_executor():
@@ -526,6 +531,9 @@ def watch_test_starts(engine, stopped):
                 starts.late.append(executor)
             try:
                 return execute(requests)
+            except BaseException:
+                raised.append(executor)
+                raise
             finally:
                 if stopped():
                     saw_stop.append(True)
@@ -593,17 +601,14 @@ class TestConnectionLifetime:
     def test_a_raising_worker_stops_the_other_before_its_next_test(
         self, blog_server, blog_model
     ):
-        exploded = threading.Event()
-
         def explode():
-            exploded.set()
             raise RuntimeError("transport exploded")
 
         engine, transports = lifetime_engine(
             blog_server, blog_model, acting_on_roundtrip(20, explode),
             strategy=Strategy.BFS, max_length=3, worker_count=2,
         )
-        starts = watch_test_starts(engine, exploded.is_set)
+        starts = watch_test_starts(engine)
         with pytest.raises(RuntimeError, match="transport exploded"):
             engine.run()
         assert len(starts.workers) == 2

@@ -737,6 +737,17 @@ class TestStrictNumbers:
             _read_response(chunked_reader(wire, len(wire)), "GET")
         assert (info.value.phase, str(info.value)) == ("frame", f"frame: {detail}")
 
+    def test_a_content_length_past_the_int_digit_limit_is_a_frame_failure(self):
+        # int() raises ValueError on a decimal string of over 4300 digits.
+        wire = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\nhello"
+        with pytest.raises(TransportFailure) as info:
+            _read_response(chunked_reader(wire, len(wire)), "GET")
+        assert (info.value.phase, str(info.value)) == ("frame", "frame: response body too large")
+
+    def test_leading_zeros_past_the_int_digit_limit_still_frame_the_body(self):
+        wire = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"0" * 5000 + b"5\r\n\r\nhello"
+        assert _read_response(chunked_reader(wire, len(wire)), "GET")[4] == b"hello"
+
     def test_repeated_equal_content_lengths_frame_the_body(self):
         wire = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello"
         reader = chunked_reader(wire, len(wire))
