@@ -179,7 +179,7 @@ def replay_bucket(
 
     result = executor.execute_sequence(rendered_steps)
     # A step that failed below HTTP, or whose consumer nothing produced, got no response.
-    answered = len(result.exchanges) == result.steps_executed
+    answered = result.failure is None and result.unresolved is None
     final_status = result.exchanges[-1].status if answered else None
 
     diverged: int | None = None

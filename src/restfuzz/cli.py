@@ -379,7 +379,6 @@ def cmd_replay(args) -> int:
     auth = _auth_from_args(args, auth_header)
     executor = SequenceExecutor(
         transport=SocketTransport(conn, auth),
-        template_lookup=grammar.template_by_id,
         error_classes=error_classes,
         external_values=grammar.external_values,
     )

@@ -7,10 +7,10 @@ last request every way the dictionary allows (capped), executes each
 candidate front to back on its worker's connection, and keeps the renderings
 whose final response was 2xx. Bug-class finals are filed in the bucket
 index; nothing non-2xx is extended further unless feedback is disabled. A worker's
-connection carries on into its next candidate only while every response on
-it was 2xx; after any other final class, or a transport failure, the next
-candidate starts on a new one. ``FuzzEngine.run`` closes every worker's
-connection when it returns or raises.
+connection carries on into its next request, in this test or the next, only
+while every response on it was 2xx; after any other response, or a transport
+failure, the transport opens a new one. ``FuzzEngine.run`` closes every
+worker's connection when it returns or raises.
 
 One partition runner serves every worker count: worker ``w`` of ``n`` runs
 candidates ``w``, ``w + n``, ... of an iteration, the engine's own thread as
@@ -50,10 +50,12 @@ Strategies differ only in the extension step:
 Dependency checks compute one produced-set per frontier sequence (and one
 consumed-set per template) per iteration, then only compare the two.
 
-Retained sequences share their step objects: each template's
-``SequenceStep``s are built once, one per rendering, next to its renderings,
-and every sequence that ends in (or extends) that rendering holds that one
-object. A retained sequence then costs its own tuple and nothing per step.
+A sequence is the renderings it runs: each template's ``RenderedRequest``s
+are built once, and every sequence that ends in (or extends) one of them
+holds that one object, which the executor runs as it is. A retained sequence
+then costs its own tuple and nothing per step. The (template id, rendering
+index) pairs that name a test's steps are built only where they are
+written: in a bug's ``BugInstance`` and in the sink's ``test`` event.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .buckets import BucketStore, BugInstance
 from .executor import (
@@ -155,19 +157,7 @@ class EngineConfig:
         }
 
 
-class SequenceStep(NamedTuple):
-    """One rendered step of a retained sequence.
-
-    A named tuple rather than a frozen dataclass, so it is the (template id,
-    rendering index) pair that a ``BugInstance`` and the sink's ``test``
-    event hold, with no conversion.
-    """
-
-    template_id: str
-    rendering_index: int
-
-
-RenderedSteps = tuple[SequenceStep, ...]
+RenderedSteps = tuple[RenderedRequest, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,7 +169,7 @@ class CandidateExtension:
 
 
 def sequence_produces(
-    steps: Iterable[SequenceStep], grammar: GrammarProgram
+    steps: Iterable[RenderedRequest], grammar: GrammarProgram
 ) -> frozenset[ResourceType]:
     produced: set[ResourceType] = set(grammar.external_values)
     for step in steps:
@@ -221,6 +211,12 @@ def extend(
     return satisfiable
 
 
+def _pairs(steps: RenderedSteps) -> tuple[tuple[str, int], ...]:
+    """The (template id, rendering index) pairs that name ``steps`` where
+    they are written."""
+    return tuple((step.template_id, step.rendering_index) for step in steps)
+
+
 # ----------------------------------------------------------------------------
 # Engine
 
@@ -256,34 +252,27 @@ class FuzzEngine:
         self.probe = probe
         self.stop_requested = threading.Event()
         self._deadline: float | None = None  # the time budget's end, set by run
-        # template id -> (its renderings, the one step naming each of them)
-        self._render_cache: dict[str, tuple[tuple[RenderedRequest, ...], RenderedSteps]] = {}
+        self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}  # by template id
         self._status_labels = Memo(status_class_label)
         self.report = FuzzReport(config.to_dict())
         self._stats_lock = threading.Lock()  # guards self.report while workers run
 
     # -- helpers -----------------------------------------------------------
 
-    def _renderings(self, template_id: str) -> tuple[tuple[RenderedRequest, ...], RenderedSteps]:
-        """The template's renderings and, at the same offsets, the steps that
-        every retained sequence holds for them."""
+    def _renderings(self, template_id: str) -> tuple[RenderedRequest, ...]:
+        """The template's renderings, built on first use; every retained
+        sequence holds these objects."""
         cached = self._render_cache.get(template_id)
         if cached is None:
             template = self.grammar.template_by_id(template_id)
-            renderings = tuple(
-                render_combinations(template, self.dictionary, self.config.combination_cap)
+            cached = self._render_cache[template_id] = render_combinations(
+                template, self.dictionary, self.config.combination_cap
             )
-            steps = tuple(SequenceStep(template_id, r.rendering_index) for r in renderings)
-            cached = self._render_cache[template_id] = renderings, steps
         return cached
-
-    def _rendered_request(self, step: SequenceStep) -> RenderedRequest:
-        return self._renderings(step.template_id)[0][step.rendering_index]
 
     def _make_executor(self) -> SequenceExecutor:
         return SequenceExecutor(
             transport=self.transport_factory(),
-            template_lookup=self.grammar.template_by_id,
             error_classes=self.config.error_status_classes,
             external_values=self.grammar.external_values,
         )
@@ -295,7 +284,8 @@ class FuzzEngine:
         filed = None
         if result.final_class == ResponseClass.BUG:
             instance = BugInstance(
-                steps=steps[: len(result.exchanges)], final_status=result.exchanges[-1].status
+                steps=_pairs(steps[: len(result.exchanges)]),
+                final_status=result.exchanges[-1].status,
             )
             filed = self.bucket_store.record(instance)
             bucket_id, defining_sequence, created = filed
@@ -316,7 +306,7 @@ class FuzzEngine:
             if filed is not None:
                 self.report.add_bucket_instance(bucket_id, defining_sequence)
         if self.sink is not None:
-            self.sink.record_test(test_index, steps, result, filed)
+            self.sink.record_test(test_index, _pairs(steps), result, filed)
         return retained
 
     def _stop_reason(self) -> str | None:
@@ -343,27 +333,27 @@ class FuzzEngine:
         the rendering counts, so they are stable no matter how many workers
         execute the partitions. Worker 0 runs on this thread.
         """
-        plans = []  # (candidate_index, first_test_index, (renderings, steps))
+        plans = []  # (first test index, renderings), one per candidate
         next_index = self.report.total_tests
-        for position, candidate in enumerate(candidates):
-            rendered = self._renderings(candidate.template_id)
-            plans.append((position, next_index, rendered))
-            next_index += len(rendered[0])
+        for candidate in candidates:
+            renderings = self._renderings(candidate.template_id)
+            plans.append((next_index, renderings))
+            next_index += len(renderings)
 
         results: list[list[RenderedSteps]] = [[] for _ in candidates]
         errors: list[BaseException] = []
 
         def run_partition(worker_id: int) -> None:
-            executor, partition = executors[worker_id], plans[worker_id :: len(executors)]
+            executor = executors[worker_id]
             try:
-                for position, first_index, (renderings, shared) in partition:
-                    candidate = candidates[position]
-                    prefix = [self._rendered_request(s) for s in candidate.prefix]
-                    for offset, last_rendering in enumerate(renderings):
+                for position in range(worker_id, len(plans), len(executors)):
+                    first_index, renderings = plans[position]
+                    prefix = candidates[position].prefix
+                    for offset, rendering in enumerate(renderings):
                         if errors or self._stop_reason() is not None:
                             return
-                        steps = candidate.prefix + (shared[offset],)
-                        result = executor.execute_sequence(prefix + [last_rendering])
+                        steps = prefix + (rendering,)
+                        result = executor.execute_sequence(steps)
                         if self._record_test(first_index + offset, steps, result):
                             results[position].append(steps)
                         elif result.exchanges and logger.isEnabledFor(logging.DEBUG):

@@ -3,18 +3,21 @@
 Requests go out as raw bytes, because the whole point of a fuzzer is that
 nothing between the grammar and the wire "helpfully" rewrites the message.
 A SequenceExecutor's transport keeps one TCP connection across requests and
-across sequences: it is kept after an HTTP/1.1 response framed by
-Content-Length or chunked encoding, with no ``Connection: close`` and no
-bytes left over, and replaced by a new one otherwise. The executor closes it
-after every sequence whose final class is not Valid, so each request goes
-out on a fresh connection or on one whose earlier responses were all 2xx; a
+across sequences. ``send_request`` alone decides whether to keep it: only
+after a 2xx HTTP/1.1 response framed by Content-Length or a final chunked
+coding, with no ``Connection: close`` and no bytes left over; otherwise it
+closes it, and the next request opens a new one. So each request goes out
+on a fresh connection or on one whose earlier responses were all 2xx; a
 target that answers 4xx/5xx without reading the request body cannot spill
 into the next test. A written request is never sent twice. Responses are
 parsed with the framing rules of RFC 9112 (bodiless responses,
 Content-Length, chunked, connection close), whose numbers are strict: a
 status code is three digits, a Content-Length ``1*DIGIT`` (repeated only
 as the same value) and a chunk size ``1*HEXDIG``; anything else is a
-``frame`` failure. Responses are classified as Valid (2xx),
+``frame`` failure. A Transfer-Encoding overrides a Content-Length: its body
+is de-chunked when its final coding is chunked and read to the close
+otherwise, and a response with both headers never keeps its connection.
+Responses are classified as Valid (2xx),
 Bug (matches the configured error classes, 5xx by default) or Invalid
 (everything else; redirects are never followed).
 
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .grammar import ProducerSpec, RenderedRequest, RequestTemplate, ResourceType
+from .grammar import ProducerSpec, RenderedRequest, ResourceType
 
 logger = logging.getLogger(__name__)
 
@@ -280,8 +283,8 @@ def _close(sock: socket.socket) -> None:
 
 class Transport(Protocol):
     """Sends one request and returns its exchange. A transport may also
-    have a ``close()``, which the executor calls after a sequence whose
-    final class is not Valid or that raised, and from its own ``close()``."""
+    have a ``close()``, which the executor's own ``close()`` calls; whether
+    a connection outlives an exchange is the transport's to decide."""
 
     def roundtrip(self, request: bytes) -> HttpExchange: ...
 
@@ -346,8 +349,8 @@ def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
 
     The write and the whole response share one deadline, ``read_timeout``
     seconds after the write starts. The connection goes back to the
-    transport when the response allows another request on it, and is
-    closed otherwise. Nothing is retried: a request is written at most once.
+    transport after a 2xx response that allows another request on it, and
+    is closed otherwise. Nothing is retried: a request is written at most once.
     """
     started = time.monotonic()
     sock = transport.connection()
@@ -363,7 +366,7 @@ def send_request(request: bytes, transport: SocketTransport) -> HttpExchange:
         method = request.split(b" ", 1)[0].decode("latin-1")
         version, status, reason, headers, body, reusable = _read_response(reader, method)
         head = request.partition(b"\r\n\r\n")[0]
-        reusable = reusable and not _REQUEST_CLOSE.search(head)
+        reusable = reusable and 200 <= status < 300 and not _REQUEST_CLOSE.search(head)
     finally:
         if reusable:
             transport.sock = sock
@@ -481,19 +484,26 @@ def _read_response(
         version, status, reason, headers = _read_head(reader)
 
     def field_values(name: str) -> list[str]:
-        """The values of every ``name`` header, in order (RFC 9110 section
-        5.3: repeated list fields combine)."""
+        """The values of every ``name`` header, in order."""
         return [value for key, value in headers if key.lower() == name]
 
-    tokens = {t.strip().lower() for t in ",".join(field_values("connection")).split(",")}
-    reusable = version == b"HTTP/1.1" and status >= 200 and "close" not in tokens
+    def tokens(name: str) -> list[str]:
+        """The elements of every ``name`` header, trimmed and lowercased, in
+        order (RFC 9110 section 5.3: repeated list fields combine; empty
+        elements are ignored)."""
+        return [t.strip().lower() for v in field_values(name) for t in v.split(",") if t.strip()]
 
-    transfer = ",".join(field_values("transfer-encoding")).lower()
+    reusable = version == b"HTTP/1.1" and status >= 200 and "close" not in tokens("connection")
+    transfer = tokens("transfer-encoding")
     lengths = field_values("content-length")
+    if transfer and lengths:
+        # RFC 9112 section 6.3: Transfer-Encoding overrides Content-Length,
+        # and a reply with both may be smuggling another after its body.
+        reusable = False
     if method == "HEAD" or status < 200 or status in (204, 304):
         # RFC 9112 section 6.3: these responses end with their head.
         body = b""
-    elif "chunked" in transfer:
+    elif transfer[-1:] == ["chunked"]:
         chunks = bytearray()
         while True:
             size_line = reader.until(b"\r\n", "chunked framing line")
@@ -512,7 +522,7 @@ def _read_response(
             if reader.exact(2) != b"\r\n":
                 raise TransportFailure("frame", "chunk missing terminator")
         body = bytes(chunks)
-    elif lengths:
+    elif lengths and not transfer:
         # Repeats must agree; a recipient may take one of equal values.
         if len(set(lengths)) > 1 or not _CONTENT_LENGTH.fullmatch(lengths[0]):
             raise TransportFailure("frame", f"bad Content-Length {', '.join(lengths)!r}")
@@ -523,7 +533,8 @@ def _read_response(
             raise TransportFailure("frame", "response body too large")
         body = reader.exact(length)
     else:
-        # No framing header: read until the server closes the connection.
+        # No framing header, or a final coding other than chunked: the body
+        # ends when the server closes the connection.
         body = reader.to_close()
         reusable = False
     return version, status, reason, tuple(headers), body, reusable and not reader.buffer
@@ -641,24 +652,28 @@ class ExecutionResult:
 
     exchanges: list[HttpExchange]
     final_class: str
-    steps_executed: int
     extracted: int = 0
     failure: TransportFailure | None = None
     unresolved: ResourceType | None = None
 
+    @property
+    def steps_executed(self) -> int:
+        """The steps attempted: one per exchange, and the step that ended
+        the sequence without one."""
+        return len(self.exchanges) + (self.failure is not None or self.unresolved is not None)
+
 
 class SequenceExecutor:
-    """Executes rendered request sequences against one transport."""
+    """Executes rendered request sequences against one transport, whose
+    connection it closes only when it is closed itself."""
 
     def __init__(
         self,
         transport: Transport,
-        template_lookup: Callable[[str], RequestTemplate],
         error_classes: Sequence[str] = DEFAULT_ERROR_STATUS_CLASSES,
         external_values: Mapping[ResourceType, str] | None = None,
     ):
         self.transport = transport
-        self.template_lookup = template_lookup
         self.error_classes = tuple(error_classes)
         self.external_values = external_values or {}
         self.status_classes = Memo(
@@ -668,41 +683,22 @@ class SequenceExecutor:
         self.warned_missing_paths: set[tuple[str, str]] = set()
 
     def execute_sequence(self, steps: Sequence[RenderedRequest]) -> ExecutionResult:
-        """Run the steps in order with a fresh pool.
+        """Run the steps in order with a fresh pool, extracting each 2xx
+        step's values by its rendering's ``producers``.
 
         Execution stops at the first non-2xx step; the returned class is the
         last executed step's class (an empty sequence is trivially valid).
         A transport failure is logged and returned, and the sequence ends
-        Invalid. The transport's connection carries on into the next
-        sequence only when this one ended Valid; otherwise, or when this
-        raises, it is closed.
+        Invalid.
         """
-        try:
-            result = self._execute(steps)
-        except BaseException:
-            self.close()
-            raise
-        if result.final_class != ResponseClass.VALID:
-            self.close()
-        return result
-
-    def close(self) -> None:
-        """Close the transport's connection, when the transport has one."""
-        close = getattr(self.transport, "close", None)
-        if close is not None:
-            close()
-
-    def _execute(self, steps: Sequence[RenderedRequest]) -> ExecutionResult:
         pool = DynamicObjectPool(self.external_values)
         exchanges: list[HttpExchange] = []
         extracted = 0
-        attempted = 0
         final_class = ResponseClass.VALID
         failure: TransportFailure | None = None
         unresolved: ResourceType | None = None
 
         for step_index, rendered in enumerate(steps):
-            attempted += 1
             try:
                 values: dict[ResourceType, bytes] = {}
                 for resource in rendered.consumer_resources():
@@ -729,11 +725,10 @@ class SequenceExecutor:
             if final_class != ResponseClass.VALID:
                 break
 
-            template = self.template_lookup(rendered.template_id)
-            if template.producers:
+            if rendered.producers:
                 try:
                     for resource, value in extract_objects(
-                        exchange, template.producers, self.warned_missing_paths
+                        exchange, rendered.producers, self.warned_missing_paths
                     ):
                         pool.add(resource, value)
                         extracted += 1
@@ -743,8 +738,13 @@ class SequenceExecutor:
         return ExecutionResult(
             exchanges=exchanges,
             final_class=final_class,
-            steps_executed=attempted,
             extracted=extracted,
             failure=failure,
             unresolved=unresolved,
         )
+
+    def close(self) -> None:
+        """Close the transport's connection, when the transport has one."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()

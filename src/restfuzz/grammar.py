@@ -222,7 +222,8 @@ class RenderedRequest:
     """A template with fuzzable slots filled; consumers still symbolic.
 
     ``parts`` mirrors the template's slots: filled slots became bytes,
-    consumer slots survive as :class:`ConsumerSlot` markers.
+    consumer slots survive as :class:`ConsumerSlot` markers. ``producers``
+    are the template's, so a rendering is all the executor needs to run it.
 
     Renderings are built once per template and then executed many times, so
     what does not depend on consumer values is computed at construction: the
@@ -237,6 +238,7 @@ class RenderedRequest:
     rendering_index: int
     parts: tuple[Union[bytes, ConsumerSlot], ...]
     body_start: int
+    producers: tuple[ProducerSpec, ...] = ()
     _consumers: tuple[ResourceType, ...] = field(init=False, repr=False, compare=False)
     _sections: tuple[tuple, tuple] = field(init=False, repr=False, compare=False)
     _request: bytes | None = field(init=False, repr=False, compare=False)
@@ -333,6 +335,7 @@ def render_combinations(
                 rendering_index=index,
                 parts=tuple(parts),
                 body_start=template.body_start,
+                producers=template.producers,
             )
         )
     return tuple(rendered)

@@ -26,7 +26,6 @@ from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import (
     EngineConfig,
     FuzzEngine,
-    SequenceStep,
     Strategy,
     extend,
 )
@@ -38,6 +37,7 @@ from restfuzz.grammar import (
     FuzzingDictionary,
     GrammarProgram,
     ProducerSpec,
+    RenderedRequest,
     RequestTemplate,
     ResourceType,
     StaticSlot,
@@ -175,7 +175,7 @@ def grammar_and_frontier(draw):
         candidates = extend(seq_set, grammar, Strategy.BFS)
         if not candidates:
             break
-        seq_set = [c.prefix + (SequenceStep(c.template_id, 0),) for c in candidates]
+        seq_set = [c.prefix + (RenderedRequest(c.template_id, 0, (), 0),) for c in candidates]
     return grammar, seq_set
 
 

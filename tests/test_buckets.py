@@ -101,7 +101,7 @@ class RecordedRun:
                 exchange.status, exchange.reason = responses[step_index]
             exchanges.append(exchange)
         filed = self.store.record(instance)
-        result = ExecutionResult(exchanges, "bug", steps_executed=len(ids))
+        result = ExecutionResult(exchanges, "bug")
         self.sink.record_test(self.tests, instance.steps, result, filed)
         bucket_id = filed[0]
         self.tests += 1
@@ -463,7 +463,7 @@ DELETE_ONE = "DELETE /api/blog/posts/{id}"
 
 @pytest.fixture()
 def live_executor(blog_conn, blog_grammar):
-    executor = SequenceExecutor(SocketTransport(blog_conn), blog_grammar.template_by_id)
+    executor = SequenceExecutor(SocketTransport(blog_conn))
     yield executor
     executor.close()
 
@@ -510,7 +510,7 @@ class TestReplay:
         run = RecordedRun(tmp_path)
         bucket_id = run.bug([POST, GET_ONE, PUT_ONE])
         run.close()
-        executor = SequenceExecutor(FailingFetch(blog_conn), blog_grammar.template_by_id)
+        executor = SequenceExecutor(FailingFetch(blog_conn))
         try:
             result = replay_stored(run, bucket_id, blog_grammar, dictionary, executor)
         finally:

@@ -255,7 +255,7 @@ class TestExtraction:
         assert got == [(rt("posts/id"), 1), (rt("posts/last"), 9)]
 
     def test_missing_path_warns_once_and_yields_nothing(self, caplog):
-        warned = SequenceExecutor(SimpleNamespace(), {}.get).warned_missing_paths
+        warned = SequenceExecutor(SimpleNamespace()).warned_missing_paths
         spec = (ProducerSpec(rt("posts/gone"), ("nope",)),)
         with caplog.at_level("WARNING"):
             assert extract_objects(exchange_with_body(b"{}"), spec, warned) == []
@@ -274,7 +274,7 @@ class TestExtraction:
         transport = SimpleNamespace(roundtrip=lambda request: exchange_with_body(b"{}"))
 
         def executor():
-            return SequenceExecutor(transport, {template.id: template}.__getitem__)
+            return SequenceExecutor(transport)
 
         with caplog.at_level("WARNING"):
             first = executor()
@@ -287,6 +287,45 @@ class TestExtraction:
         # Once per executor, nothing carried over between them; without a
         # set every occurrence is logged.
         assert len(hits) == 4
+
+    def test_a_rendering_extracts_by_its_own_producers(self):
+        post = RenderedRequest(
+            template_id="POST /w",
+            rendering_index=0,
+            parts=(b"POST /w HTTP/1.1\r\n",),
+            body_start=1,
+            producers=(ProducerSpec(rt("w/id"), ("id",)),),
+        )
+        get = RenderedRequest(
+            template_id="GET /w/{id}",
+            rendering_index=0,
+            parts=(b"GET /w/", ConsumerSlot(rt("w/id")), b" HTTP/1.1\r\n"),
+            body_start=3,
+        )
+        bodies = iter([b'{"id": 42}', b"{}"])
+        transport = SimpleNamespace(
+            roundtrip=lambda request: HttpExchange(request, 200, "OK", (), next(bodies), 0.0, 0.0)
+        )
+        # No grammar anywhere: the renderings are all the executor is given.
+        result = SequenceExecutor(transport).execute_sequence([post, get])
+        assert result.extracted == 1
+        assert result.exchanges[1].request.startswith(b"GET /w/42 HTTP/1.1")
+
+    @pytest.mark.parametrize("producers", [(), (ProducerSpec(rt("w/id"), ("id",)),)])
+    def test_only_a_rendering_with_producers_parses_its_body(self, producers, caplog):
+        rendered = RenderedRequest(
+            template_id="GET /w",
+            rendering_index=0,
+            parts=(b"GET /w HTTP/1.1\r\n",),
+            body_start=1,
+            producers=producers,
+        )
+        transport = SimpleNamespace(roundtrip=lambda request: exchange_with_body(b"<html>"))
+        with caplog.at_level("WARNING"):
+            result = SequenceExecutor(transport).execute_sequence([rendered])
+        assert result.final_class == ResponseClass.VALID
+        unparsed = [r for r in caplog.records if "not valid JSON" in r.getMessage()]
+        assert len(unparsed) == len(producers)
 
     def test_unstructured_body_raises(self):
         spec = (ProducerSpec(rt("posts/id"), ("id",)),)
@@ -668,7 +707,7 @@ def valid_responses(draw):
         reusable = reusable and "close" not in connection.lower()
     method, status = "GET", draw(st.sampled_from([200, 201, 404, 500]))
     body = draw(st.binary(max_size=300))
-    kind = draw(st.sampled_from(["length", "chunked", "bodiless", "head", "close"]))
+    kind = draw(st.sampled_from(["length", "chunked", "bodiless", "head", "close", "coded"]))
     if kind == "length":
         headers.append(("Content-Length", str(len(body))))
         framed = body
@@ -689,7 +728,12 @@ def valid_responses(draw):
         method = "HEAD"
         headers.append(("Content-Length", str(len(body))))
         framed = body = b""
-    else:  # no framing header: the body ends when the connection does
+    else:  # the body ends when the connection does
+        if kind == "coded":  # a final coding other than chunked overrides any Content-Length
+            codings = draw(st.sampled_from(["gzip", "chunked, gzip", "notchunked"]))
+            headers.append(("Transfer-Encoding", codings))
+            if draw(st.booleans()):
+                headers.append(("Content-Length", str(len(body) // 2)))
         framed = body
         reusable = False
     wire += head_bytes(version, status, reason, headers) + framed
@@ -756,6 +800,37 @@ class TestStrictNumbers:
     def test_a_close_in_any_connection_header_closes(self):
         wire = b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nConnection: close\r\n\r\n"
         assert _read_response(chunked_reader(wire, len(wire)), "HEAD")[5] is False
+
+
+class TestTransferCodings:
+    """RFC 9112 section 6.3: a Transfer-Encoding overrides a Content-Length.
+    A final ``chunked`` coding is de-chunked, any other final coding reads
+    to the close, and a reply with both headers never keeps its connection."""
+
+    CHUNKED = b"5\r\nhello\r\n0\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        ("fields", "payload", "body", "reusable"),
+        [
+            (b"Transfer-Encoding: gzip\r\nContent-Length: 5\r\n", b"helloNOISE",
+             b"helloNOISE", False),
+            (b"Transfer-Encoding: chunked, gzip\r\n", CHUNKED, CHUNKED, False),
+            (b"Transfer-Encoding: notchunked\r\n", CHUNKED, CHUNKED, False),
+            (b"Transfer-Encoding: gzip, chunked\r\n", CHUNKED, b"hello", True),
+            (b"Transfer-Encoding: gzip\r\nTransfer-Encoding:  Chunked ,\r\n", CHUNKED,
+             b"hello", True),
+            (b"Transfer-Encoding: chunked\r\nContent-Length: 3\r\n", CHUNKED, b"hello", False),
+        ],
+        ids=["gzip-over-length", "chunked-then-gzip", "notchunked", "gzip-then-chunked",
+             "repeated-header-final-chunked", "chunked-and-length"],
+    )
+    def test_the_final_coding_frames_the_body(self, fields, payload, body, reusable):
+        wire = b"HTTP/1.1 200 OK\r\n" + fields + b"\r\n" + payload
+        assert _read_response(chunked_reader(wire, len(wire)), "GET")[4:] == (body, reusable)
+
+    def test_a_bodiless_reply_with_both_headers_is_not_kept(self):
+        wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n"
+        assert _read_response(chunked_reader(wire, len(wire)), "HEAD")[4:] == (b"", False)
 
 
 class TestDeadline:
@@ -870,7 +945,7 @@ class TestKeepAlive:
             response("500 Internal Server Error", b'{"error": "internal server error"}'),
         )
         with scripted_server(*scripts, close_after=()) as (port, log):
-            executor = SequenceExecutor(SocketTransport(quick(port)), grammar.template_by_id)
+            executor = SequenceExecutor(SocketTransport(quick(port)))
             result = executor.execute_sequence([
                 rendering_of(grammar, POST, dictionary),
                 rendering_of(grammar, GET_ONE, dictionary),
@@ -884,9 +959,7 @@ class TestKeepAlive:
 
     def test_all_2xx_sequences_share_one_connection(self):
         with scripted_server(OK_HI, OK_HI, OK_HI, close_after=()) as (port, log):
-            executor = SequenceExecutor(
-                SocketTransport(quick(port)), lambda tid: SimpleNamespace(producers=())
-            )
+            executor = SequenceExecutor(SocketTransport(quick(port)))
             try:
                 first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
                 second = executor.execute_sequence([plain_step(b"/c")])
@@ -908,9 +981,7 @@ class TestKeepAlive:
     def test_sequence_not_ending_2xx_closes_its_connection(self, final):
         # The server would keep the connection: only the client closes it.
         with scripted_server(OK_HI, final, OK_HI, close_after=()) as (port, log):
-            executor = SequenceExecutor(
-                SocketTransport(quick(port)), lambda tid: SimpleNamespace(producers=())
-            )
+            executor = SequenceExecutor(SocketTransport(quick(port)))
             try:
                 first = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
                 assert executor.transport.sock is None
@@ -922,21 +993,18 @@ class TestKeepAlive:
         assert log.accepts == 2
         assert [r.split(b" ")[1] for r in log] == [b"/a", b"/b", b"/c"]
 
-    def test_sequence_that_raises_closes_its_connection(self):
-        class Explodes:
-            closes = 0
-
-            def roundtrip(self, request):
-                raise RuntimeError("boom")
-
-            def close(self):
-                self.closes += 1
-
-        transport = Explodes()
-        executor = SequenceExecutor(transport, lambda tid: SimpleNamespace(producers=()))
-        with pytest.raises(RuntimeError, match="boom"):
-            executor.execute_sequence([plain_step(b"/a")])
-        assert transport.closes == 1
+    def test_only_the_responses_status_decides_reuse_not_the_bug_oracle(self):
+        # Every response on the connection was 2xx, so it is kept although
+        # the error classes call the first sequence a bug.
+        with scripted_server(OK_HI, OK_HI, close_after=()) as (port, log):
+            executor = SequenceExecutor(SocketTransport(quick(port)), error_classes=("2xx",))
+            try:
+                first = executor.execute_sequence([plain_step(b"/a")])
+                second = executor.execute_sequence([plain_step(b"/b")])
+            finally:
+                executor.close()
+        assert first.final_class == second.final_class == ResponseClass.BUG
+        assert log.accepts == 1
 
     @pytest.mark.parametrize(
         ("first", "close_after"),
@@ -972,9 +1040,7 @@ class TestKeepAlive:
                 return exchange
 
         with scripted_server(OK_HI, OK_HI, close_after={0}) as (port, log):
-            executor = SequenceExecutor(
-                WaitForHangUp(quick(port)), lambda tid: SimpleNamespace(producers=())
-            )
+            executor = SequenceExecutor(WaitForHangUp(quick(port)))
             try:
                 result = executor.execute_sequence([plain_step(b"/a"), plain_step(b"/b")])
             finally:
@@ -1079,9 +1145,7 @@ class StatusTransport:
 )
 def test_memoized_status_class_matches_classify_status(error_classes):
     transport = StatusTransport()
-    executor = SequenceExecutor(
-        transport, lambda tid: SimpleNamespace(producers=()), error_classes=error_classes
-    )
+    executor = SequenceExecutor(transport, error_classes=error_classes)
     step = plain_step(b"/")
     for _ in range(2):  # the first pass fills the memo, the second reads it
         for status in range(1000):
@@ -1102,11 +1166,7 @@ def blog_executor(blog_conn, blog_grammar):
 
     def make(error_classes=("5xx",)):
         made.append(
-            SequenceExecutor(
-                SocketTransport(blog_conn),
-                blog_grammar.template_by_id,
-                error_classes=error_classes,
-            )
+            SequenceExecutor(SocketTransport(blog_conn), error_classes=error_classes)
         )
         return made[-1]
 
@@ -1200,7 +1260,6 @@ class TestSequenceExecution:
         with scripted_server(script) as (port, captured):
             executor = SequenceExecutor(
                 SocketTransport(ConnectionConfig("127.0.0.1", port)),
-                lambda tid: SimpleNamespace(producers=()),
                 external_values={rt("widgets/id"): "777"},
             )
             try:

@@ -92,7 +92,6 @@ def record(sink, exchanges, final_class, test_index=0, length=None, template="PO
     result = ExecutionResult(
         exchanges=list(exchanges),
         final_class=final_class,
-        steps_executed=len(exchanges) + (failure is not None),
         extracted=extracted,
         failure=failure,
     )
@@ -326,7 +325,7 @@ def test_bucket_event_carries_the_instance(tmp_path):
 def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
     sink = started_sink(tmp_path)
     result = ExecutionResult(
-        exchanges=[make_exchange(201)], final_class="invalid", steps_executed=2,
+        exchanges=[make_exchange(201)], final_class="invalid",
         unresolved=ResourceType("x/id"),
     )
     sink.record_test(0, (("POST /x", 0), ("GET /x/{id}", 0)), result, None)
@@ -353,14 +352,14 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
     sink = started_sink(tmp_path)
     bug = ExecutionResult(
         exchanges=[make_exchange(201), make_exchange(500, body=b"boom")],
-        final_class="bug", steps_executed=2,
+        final_class="bug",
     )
     other = ExecutionResult(
         exchanges=[make_exchange(201, body=b"other"), make_exchange(200, body=b"other")],
-        final_class="valid", steps_executed=2,
+        final_class="valid",
     )
     failed = ExecutionResult(
-        exchanges=[], final_class="invalid", steps_executed=1,
+        exchanges=[], final_class="invalid",
         failure=TransportFailure("read", "timed out"),
     )
     bug_steps = (("POST /x", 0), ("PUT /x", 0))
@@ -513,7 +512,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
             duration=0.0125,
         )
         failure = TransportFailure("read", "timed out \u00e9")
-        result = ExecutionResult([exchange], final_class, steps_executed=2, failure=failure)
+        result = ExecutionResult([exchange], final_class, failure=failure)
         sink.record_test(3, steps, result, None)
         sink.close()
         emit_report(out)
