@@ -11,20 +11,20 @@ reaches the bug.
 
 The store is only that suffix index: each bucket's defining sequence and
 id. It counts nothing and writes nothing; the run's ``FuzzReport`` counts
-each bucket's instances. A bug instance is recorded once, in
-``events.jsonl``: the ``test`` event of the test that hit the bug names its
-bucket, and the instance is that test's (template id, rendering index)
-steps up to its last exchange, with that exchange's status.
-``telemetry.emit_report`` writes the bucket directory from those events,
-and ``recorded_instance`` reads one back for replay, so a run that was
-killed before its reports were written still replays.
+each bucket's instances, and the bug that is a bucket's first founded it.
+A bug instance is recorded once, in ``events.jsonl``: the ``test`` event
+of the test that hit the bug names its bucket, and the instance is that
+test's (template id, rendering index) steps up to its last exchange, with
+that exchange's status. ``telemetry.emit_report`` writes the bucket
+directory from those events, and ``recorded_instance`` reads one back for
+replay, so a run that was killed before its reports were written still
+replays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -73,29 +73,23 @@ def _suffixes_shortest_first(ids: Sequence[str]) -> Iterable[tuple[str, ...]]:
 
 
 class BucketStore:
-    """Thread-safe suffix index: defining sequence -> bucket id."""
+    """Suffix index: defining sequence -> bucket id. The engine files every
+    bug under its commit lock, so the store takes none."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._ids: dict[tuple[str, ...], str] = {}
 
-    def record(self, instance: BugInstance) -> tuple[str, tuple[str, ...], bool]:
-        """File the instance under the first suffix-matching bucket; return
-        that bucket's id and defining sequence, and whether this instance
-        founded it.
-
-        The suffix scan and the possible insert happen under one lock so
-        concurrent workers cannot race two buckets into existence for the
-        same sequence.
-        """
-        with self._lock:
-            for suffix in _suffixes_shortest_first(instance.template_ids):
-                bucket_id = self._ids.get(suffix)
-                if bucket_id is not None:
-                    return bucket_id, suffix, False
-            defining = instance.template_ids
-            bucket_id = self._ids[defining] = bucket_id_for(defining)
-            return bucket_id, defining, True
+    def record(self, instance: BugInstance) -> tuple[str, tuple[str, ...]]:
+        """File the instance under the first suffix-matching bucket, founding
+        one on its full sequence if none matches; return that bucket's id
+        and defining sequence."""
+        for suffix in _suffixes_shortest_first(instance.template_ids):
+            bucket_id = self._ids.get(suffix)
+            if bucket_id is not None:
+                return bucket_id, suffix
+        defining = instance.template_ids
+        bucket_id = self._ids[defining] = bucket_id_for(defining)
+        return bucket_id, defining
 
 
 def recorded_instance(events_path: Path, bucket_id: str, index: int) -> BugInstance:

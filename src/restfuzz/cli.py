@@ -321,6 +321,9 @@ def cmd_fuzz(args) -> int:
         + "\n"
     )
 
+    # Probe before the sink opens events.jsonl, so an unreachable target
+    # leaves the directory free for the next run.
+    probe_target(conn)
     sink = TelemetrySink(out_dir)
     engine = FuzzEngine(
         grammar,
@@ -328,7 +331,6 @@ def cmd_fuzz(args) -> int:
         config,
         transport_factory=lambda: SocketTransport(conn, auth),
         sink=sink,
-        probe=lambda: probe_target(conn),
     )
 
     previous = {}

@@ -20,19 +20,20 @@ test, and the loop before each iteration, which records its answer. A worker
 that raises stops the others at their next test, and its exception is
 re-raised once they have returned.
 
-The executor only runs tests. ``FuzzEngine._record_test`` is the one reader
-of a finished test: it files a bug, whose bucket the bucket index names,
-adds the test and any bug instance to the run's ``FuzzReport``, whose
-``add_test`` alone applies the feedback rule that decides whether the
-search retains the test (so the frontier and the per-length sequence-set
-sizes cannot disagree), and hands
-the test to the sink in one call, which writes it as one ``test`` event:
-the test's steps, exchanges, final class, objects extracted, any transport
-failure or unresolvable consumer, and its bucket. That event is the only
-record of a bug instance, and the report folds each length's row from the
-tests alone. The ``run`` loop gives the report and the sink each restart
-alike; ``run_end`` carries only the stop reason and elapsed time, since
-``emit_report`` folds the rest from events.
+The executor only runs tests. ``FuzzEngine._record_test`` commits each
+finished test under the engine's one lock: it files a bug in the bucket
+index, which names its bucket; adds the test and any bug instance to the
+run's ``FuzzReport``, whose instance count alone says whether the test
+founded its bucket, and whose ``add_test`` alone applies the feedback rule
+that decides whether the search retains the test (so the frontier and the
+per-length sequence-set sizes cannot disagree); and writes the test to the
+sink as one ``test`` event: the test's steps, exchanges, final class,
+objects extracted, any transport failure or unresolvable consumer, and its
+bucket. So at any worker count a bucket's first ``test`` line founded it.
+That event is the only record of a bug instance, and the report folds each
+length's row from the tests alone. The ``run`` loop gives the report and
+the sink each restart alike; ``run_end`` carries only the stop reason and
+elapsed time, since ``emit_report`` folds the rest from events.
 
 Strategies differ only in the extension step:
 
@@ -231,6 +232,8 @@ class FuzzEngine:
     campaign is deterministic against a deterministic target. Retained
     sequences are merged back in candidate order, so the search frontier is
     the same at any worker count even though bucket discovery order may not.
+    Workers commit their tests one at a time, under ``_lock``, so the bucket
+    index and the sink, which only the commit calls, need no lock.
     """
 
     def __init__(
@@ -240,7 +243,6 @@ class FuzzEngine:
         config: EngineConfig,
         transport_factory: Callable[[], Transport],
         sink: TelemetrySink | None = None,
-        probe: Callable[[], None] | None = None,
     ):
         config.validate()
         self.grammar = grammar.without_dependencies() if config.no_deps else grammar
@@ -249,13 +251,12 @@ class FuzzEngine:
         self.transport_factory = transport_factory
         self.sink = sink
         self.bucket_store = BucketStore()
-        self.probe = probe
         self.stop_requested = threading.Event()
         self._deadline: float | None = None  # the time budget's end, set by run
         self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}  # by template id
         self._status_labels = Memo(status_class_label)
         self.report = FuzzReport(config.to_dict())
-        self._stats_lock = threading.Lock()  # guards self.report while workers run
+        self._lock = threading.Lock()  # held by each commit, see _record_test
 
     # -- helpers -----------------------------------------------------------
 
@@ -278,35 +279,35 @@ class FuzzEngine:
         )
 
     def _record_test(self, test_index: int, steps: RenderedSteps, result: ExecutionResult) -> bool:
-        """File a finished test when its final response was a bug, add it
-        to the report, and hand it to the sink. Return whether the search
-        retains it, as the report decides."""
-        filed = None
-        if result.final_class == ResponseClass.BUG:
-            instance = BugInstance(
-                steps=_pairs(steps[: len(result.exchanges)]),
-                final_status=result.exchanges[-1].status,
-            )
-            filed = self.bucket_store.record(instance)
-            bucket_id, defining_sequence, created = filed
-            logger.info(
-                "bug (status %d) filed under bucket %s%s: %s",
-                instance.final_status,
-                bucket_id,
-                " [new]" if created else "",
-                " -> ".join(instance.template_ids),
-            )
+        """Commit a finished test: under the engine's one lock, file it in
+        the bucket index when its final response was a bug, add it and its
+        bug instance to the report, and write its ``test`` line. Return
+        whether the search retains it, as the report decides."""
         behaviors = [
             (step.template_id, self._status_labels[exchange.status])
             for step, exchange in zip(steps, result.exchanges)
         ]
-        with self._stats_lock:
+        with self._lock:
+            filed = None
+            if result.final_class == ResponseClass.BUG:
+                instance = BugInstance(
+                    steps=_pairs(steps[: len(result.exchanges)]),
+                    final_status=result.exchanges[-1].status,
+                )
+                bucket_id, defining = self.bucket_store.record(instance)
+                created = self.report.add_bucket_instance(bucket_id, defining) == 1
+                filed = bucket_id, defining, created
+                logger.info(
+                    "bug (status %d) filed under bucket %s%s: %s",
+                    instance.final_status,
+                    bucket_id,
+                    " [new]" if created else "",
+                    " -> ".join(instance.template_ids),
+                )
             retained = self.report.add_test(len(steps), behaviors, result.final_class,
                                             result.failure is not None, result.extracted)
-            if filed is not None:
-                self.report.add_bucket_instance(bucket_id, defining_sequence)
-        if self.sink is not None:
-            self.sink.record_test(test_index, _pairs(steps), result, filed)
+            if self.sink is not None:
+                self.sink.record_test(test_index, _pairs(steps), result, filed)
         return retained
 
     def _stop_reason(self) -> str | None:
@@ -382,8 +383,6 @@ class FuzzEngine:
 
     def run(self) -> FuzzReport:
         started = time.monotonic()
-        if self.probe is not None:
-            self.probe()
         if self.sink is not None:
             self.sink.record_run_start(self.config.to_dict())
 

@@ -25,7 +25,8 @@ such as a run recorded by an older restfuzz.
 
 ``FuzzReport`` is the run's report as a fold of those facts. The engine
 feeds one during the run; ``emit_report`` feeds a fresh one from the events.
-It is the one place a bucket's instances are counted: the bucket index,
+It is the one place a bucket's instances are counted, so a ``test``
+event's ``created`` comes from it: the bucket index,
 ``buckets.BucketStore``, holds only each bucket's id and defining sequence.
 
 ``events.jsonl`` is the durable record, and the only record of a bug
@@ -62,7 +63,6 @@ import csv
 import io
 import json
 import logging
-import threading
 import time
 from collections import Counter
 from dataclasses import astuple, dataclass
@@ -210,6 +210,9 @@ class FuzzReport:
 class TelemetrySink:
     """Appends a run's events to ``events.jsonl`` in ``out_dir``.
 
+    The engine is its only caller and serialises its calls, writing each
+    ``test`` event under its commit lock, so the sink takes no lock.
+
     Disk trouble degrades the sink instead of killing the run: one error is
     logged, nothing more is written, and the run continues. ``events.jsonl``
     and the reports built from it then hold only what came before the
@@ -218,7 +221,6 @@ class TelemetrySink:
 
     def __init__(self, out_dir: Path):
         self.degraded = False
-        self._lock = threading.Lock()
         self._start_monotonic = time.monotonic()
         self._start_wall = time.time()
         self._events_fh: io.TextIOBase | None = None
@@ -251,9 +253,8 @@ class TelemetrySink:
 
     def _record(self, kind: str, **fields) -> None:
         """Append an event of type ``kind`` stamped with the run's elapsed time."""
-        with self._lock:
-            event = {"type": kind, "elapsed": self.elapsed(), **fields}
-            self._write(json.dumps(event, sort_keys=True) + "\n")
+        event = {"type": kind, "elapsed": self.elapsed(), **fields}
+        self._write(json.dumps(event, sort_keys=True) + "\n")
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start_monotonic
@@ -287,9 +288,9 @@ class TelemetrySink:
     ) -> None:
         """Append test ``test_index``, whose steps are (template id,
         rendering index) pairs, as one ``test`` line, and flush it.
-        ``filed`` is the bucket index's (bucket id, defining sequence,
-        created) when the test hit a bug. The line is encoded by one
-        ``json.dumps`` before the lock is taken."""
+        ``filed`` is (bucket id, defining sequence, created) when the test
+        hit a bug, ``created`` being whether it was the bucket's first
+        instance. The line is encoded by one ``json.dumps``."""
         event: dict = {
             "elapsed": self.elapsed(),
             "exchanges": [self.record_exchange(exchange) for exchange in result.exchanges],
@@ -310,10 +311,7 @@ class TelemetrySink:
             event["failure"] = {"detail": str(result.failure), "phase": result.failure.phase}
         if result.unresolved is not None:
             event["unresolved"] = str(result.unresolved)
-        line = json.dumps(event, sort_keys=True) + "\n"
-        del event  # hold only the line while waiting for the lock
-        with self._lock:
-            self._write(line)
+        self._write(json.dumps(event, sort_keys=True) + "\n")
 
     def record_restart(self, test_index: int, length: int) -> None:
         """The random walk restarts from the empty sequence after reaching
@@ -325,13 +323,12 @@ class TelemetrySink:
         self._record("run_end", reason=reason, elapsed_seconds=elapsed_seconds)
 
     def close(self) -> None:
-        with self._lock:
-            if self._events_fh is not None:
-                try:
-                    self._events_fh.close()
-                except OSError:
-                    pass
-            self._events_fh = None
+        if self._events_fh is not None:
+            try:
+                self._events_fh.close()
+            except OSError:
+                pass
+        self._events_fh = None
 
 
 # ------------------------------------------------------------------------------

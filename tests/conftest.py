@@ -68,8 +68,8 @@ def campaign_runner(handle, model, secure=False):
             config=EngineConfig(**config_kwargs),
             transport_factory=lambda: SocketTransport(conn),
             sink=sink,
-            probe=lambda: probe_target(conn),
         )
+        probe_target(conn)
         return engine.run()
 
     return _run

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-from restfuzz.engine import RenderedSteps, sequence_produces
-from restfuzz.grammar import GrammarProgram, RequestTemplate, consumes
+from restfuzz.engine import EngineConfig, FuzzEngine, RenderedSteps, sequence_produces
+from restfuzz.grammar import (
+    FuzzingDictionary,
+    GrammarProgram,
+    RenderedRequest,
+    RequestTemplate,
+    consumes,
+)
 
 
 def dependencies_satisfied(
@@ -12,3 +18,18 @@ def dependencies_satisfied(
     """The per-pair dependency check that ``extend`` batches: every type
     ``template`` consumes is produced by ``steps`` or given externally."""
     return consumes(template) <= sequence_produces(steps, grammar)
+
+
+def step(template_id, rendering=0):
+    """A bodiless rendering of ``template_id``: the search and the commit
+    read only its id and rendering index."""
+    return RenderedRequest(template_id, rendering, parts=(), body_start=0)
+
+
+def committing_engine(sink=None) -> FuzzEngine:
+    """An engine that runs no test of its own, whose ``_record_test`` a
+    test calls with finished tests, as the workers of a run do."""
+    return FuzzEngine(
+        GrammarProgram(templates=()), FuzzingDictionary.default(), EngineConfig(),
+        transport_factory=None, sink=sink,
+    )

@@ -290,7 +290,7 @@ def test_criterion_06_bucketization_oracle(capsys):
         report = FuzzReport()
         homes = []
         for seq in sequences:
-            bucket_id, defining, _ = store.record(bug_instance(seq))
+            bucket_id, defining = store.record(bug_instance(seq))
             report.add_bucket_instance(bucket_id, defining)
             homes.append(bucket_id)
         expected = brute_force_bucketize(sequences)

@@ -16,6 +16,7 @@ import gc
 import json
 import shutil
 import stat
+import sys
 import threading
 import time
 import tracemalloc
@@ -41,6 +42,8 @@ from restfuzz.executor import (
 )
 from restfuzz.telemetry import EVENTS_FILENAME, FuzzReport, TelemetrySink, emit_report
 
+from helpers import committing_engine, step
+
 
 def make_instance(ids, indices=None, status=500):
     indices = indices or [0] * len(ids)
@@ -49,15 +52,16 @@ def make_instance(ids, indices=None, status=500):
 
 class Filing:
     """A bucket store and the report fed from each of its ``record``
-    results, as ``FuzzEngine._record_test`` feeds them."""
+    results, as ``FuzzEngine._record_test`` feeds them: a bug founded its
+    bucket when the report counts it as the bucket's first."""
 
     def __init__(self):
         self.store = BucketStore()
         self.report = FuzzReport()
 
     def record(self, ids, indices=None):
-        bucket_id, defining, created = self.store.record(make_instance(ids, indices))
-        self.report.add_bucket_instance(bucket_id, defining)
+        bucket_id, defining = self.store.record(make_instance(ids, indices))
+        created = self.report.add_bucket_instance(bucket_id, defining) == 1
         return bucket_id, defining, created
 
     def counts(self):
@@ -67,10 +71,10 @@ class Filing:
 
 class RecordedRun:
     """A run directory whose bugs are recorded as the engine records them:
-    the instance filed in a store, then its test as one ``test`` event that
-    names the bucket; ``bug`` returns the bucket's id. Every request carries
-    ``auth_header: secret``; every response but the last is a bodiless 200,
-    the last one ``status oops`` with body ``boom``."""
+    the instance filed and counted as ``Filing`` does, then its test as one
+    ``test`` event that names the bucket; ``bug`` returns the bucket's id.
+    Every request carries ``auth_header: secret``; every response but the
+    last is a bodiless 200, the last one ``status oops`` with body ``boom``."""
 
     def __init__(self, run_dir, auth_header="PRIVATE-TOKEN"):
         self.dir = run_dir
@@ -79,7 +83,7 @@ class RecordedRun:
         (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header}))
         self.sink = TelemetrySink(run_dir)
         self.sink.record_run_start({"strategy": "bfs"})
-        self.store = BucketStore()
+        self.bugs = Filing()
         self.tests = 0
 
     def bug(self, ids, indices=None, status=500, requests=None, responses=None):
@@ -100,12 +104,11 @@ class RecordedRun:
             if responses is not None:
                 exchange.status, exchange.reason = responses[step_index]
             exchanges.append(exchange)
-        filed = self.store.record(instance)
+        filed = self.bugs.record(ids, indices)
         result = ExecutionResult(exchanges, "bug")
         self.sink.record_test(self.tests, instance.steps, result, filed)
-        bucket_id = filed[0]
         self.tests += 1
-        return bucket_id
+        return filed[0]
 
     def close(self):
         """End the run and write its report files and bucket directory."""
@@ -236,28 +239,44 @@ class TestInstanceValidation:
 # Concurrency
 
 
-def test_concurrent_records_agree_on_one_bucket():
-    bugs = Filing()
-    outcomes = []
+def test_concurrent_records_agree_on_one_bucket(tmp_path):
+    """Eight workers commit the same two bugs at once, switching as often as
+    they can: each bucket is founded once, and by its first ``test`` line."""
+    sink = TelemetrySink(tmp_path)
+    engine = committing_engine(sink)
     barrier = threading.Barrier(8)
-    report_lock = threading.Lock()  # the engine's lock around its report
 
-    def work():
+    def work(worker):
         barrier.wait()
-        bucket_id, defining, created = bugs.store.record(make_instance(["A", "B"]))
-        with report_lock:
-            bugs.report.add_bucket_instance(bucket_id, defining)
-        outcomes.append(created)
+        for offset, ids in enumerate((("A", "B"), ("C",))):
+            statuses = [200] * (len(ids) - 1) + [500]
+            exchanges = [
+                HttpExchange(b"GET / HTTP/1.1\r\n\r\n", status, "", (), b"", time.monotonic(), 0.0)
+                for status in statuses
+            ]
+            engine._record_test(2 * worker + offset, tuple(map(step, ids)),
+                                ExecutionResult(exchanges, "bug"))
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=work, args=(worker,)) for worker in range(8)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(t.is_alive() for t in threads)
+    sink.close()
 
-    assert len(bugs.report.buckets) == 1
-    assert outcomes.count(True) == 1
-    assert bugs.report.buckets[0]["instances"] == 8
+    lines = [json.loads(line) for line in (tmp_path / EVENTS_FILENAME).read_text().splitlines()]
+    assert len(engine.report.buckets) == 2
+    for bucket in engine.report.buckets:
+        created = [line["bucket"]["created"] for line in lines
+                   if line["bucket"]["bucket_id"] == bucket["bucket_id"]]
+        assert created == [True] + [False] * 7
+        assert bucket["instances"] == 8
 
 
 # --------------------------------------------------------------------------

@@ -208,13 +208,21 @@ class TestUsage:
         assert "one worker" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unreachable_target_is_exit_3(self, tmp_path, capsys):
+    def test_unreachable_target_is_exit_3(self, tmp_path, capsys, blog_server):
+        out = tmp_path / "o"
         code = main(
             ["fuzz", "--spec", SPEC, "--max-length", "1",
-             "--out", str(tmp_path / "o"), "--target", f"127.0.0.1:{closed_port()}"]
+             "--out", str(out), "--target", f"127.0.0.1:{closed_port()}"]
         )
         assert code == EXIT_UNREACHABLE
         assert "unreachable" in capsys.readouterr().err
+        # No recorded run is left behind, so the directory takes the next run.
+        assert not (out / EVENTS_FILENAME).exists()
+        code = main(
+            ["fuzz", "--spec", SPEC, "--max-length", "1",
+             "--out", str(out), "--target", f"127.0.0.1:{blog_server.port}"]
+        )
+        assert code == EXIT_OK
 
 
 # --------------------------------------------------------------------------

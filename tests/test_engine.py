@@ -45,28 +45,23 @@ from restfuzz.executor import (
 )
 from restfuzz.grammar import (
     ConsumerSlot,
+    FuzzableSlot,
     FuzzingDictionary,
     GrammarProgram,
     ProducerSpec,
-    RenderedRequest,
     RequestTemplate,
     ResourceType,
     StaticSlot,
 )
 from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report, iter_events
 
-from helpers import dependencies_satisfied
+from helpers import dependencies_satisfied, step
 
 GET_COLL = "GET /api/blog/posts"
 POST = "POST /api/blog/posts"
 DELETE_ONE = "DELETE /api/blog/posts/{id}"
 GET_ONE = "GET /api/blog/posts/{id}"
 PUT_ONE = "PUT /api/blog/posts/{id}"
-
-
-def step(template_id, rendering=0):
-    """A bodiless rendering of ``template_id``: the search reads only its id."""
-    return RenderedRequest(template_id, rendering, parts=(), body_start=0)
 
 
 @pytest.fixture(scope="module")
@@ -764,7 +759,78 @@ class EmptyObjectStub:
         return HttpExchange(request, 200, "OK", headers, b"{}", time.monotonic(), 0.0)
 
 
+class PutFailsStub:
+    """An in-process target: ``POST`` answers 201 with id 1, ``PUT`` 500,
+    and anything else 200 with ``{}``."""
+
+    def roundtrip(self, request):
+        method = request.split(b" ", 1)[0]
+        status, body = {b"POST": (201, b'{"id": 1}'), b"PUT": (500, b"")}.get(method, (200, b"{}"))
+        headers = (("Content-Length", str(len(body))),)
+        return HttpExchange(request, status, "", headers, body, time.monotonic(), 0.0)
+
+
+def put_fails_grammar():
+    """``POST /p``, with one rendering per dictionary string, produces a
+    ``p/id`` that ``GET /p/{id}`` and ``PUT /p/{id}`` consume."""
+    pid = ResourceType("p/id")
+    head_end = StaticSlot(b" HTTP/1.1\r\nHost: h\r\n")
+    return GrammarProgram(templates=(
+        RequestTemplate("POST /p", "POST", (StaticSlot(b"POST /p?n="), FuzzableSlot("string"),
+                                            head_end), producers=(ProducerSpec(pid, ("id",)),)),
+        RequestTemplate("GET /p/{id}", "GET", (StaticSlot(b"GET /p/"), ConsumerSlot(pid), head_end)),
+        RequestTemplate("PUT /p/{id}", "PUT", (StaticSlot(b"PUT /p/"), ConsumerSlot(pid), head_end)),
+    ))
+
+
 class TestRecording:
+    def test_a_buckets_first_line_is_the_one_that_founded_it(self, tmp_path):
+        """At length 2 the two ``PUT`` tests, one per ``POST`` rendering,
+        fall to different workers. The worker that files its bug first is
+        held, after filing it, until the other worker's bug test has
+        reached its commit and 50 ms more: the bucket's first ``test`` line
+        is still the one that says it founded the bucket."""
+        sink = TelemetrySink(tmp_path)
+        engine = FuzzEngine(
+            put_fails_grammar(),
+            FuzzingDictionary({"string": ("a", "b")}),
+            EngineConfig(strategy=Strategy.BFS, max_length=2, worker_count=2),
+            transport_factory=PutFailsStub,
+            sink=sink,
+        )
+        record_test, record = engine._record_test, engine.bucket_store.record
+        bug_workers = set()
+        both_committing = threading.Event()
+        held = []
+
+        def committing(test_index, steps, result):
+            if result.final_class == "bug":
+                bug_workers.add(threading.current_thread())
+                if len(bug_workers) == 2:
+                    both_committing.set()
+            return record_test(test_index, steps, result)
+
+        def record_and_hold(instance):
+            filed = record(instance)
+            if not held:
+                held.append(instance)
+                both_committing.wait(timeout=0.5)
+                time.sleep(0.05)
+            return filed
+
+        engine._record_test, engine.bucket_store.record = committing, record_and_hold
+        try:
+            engine.run()
+        finally:
+            sink.close()
+        assert both_committing.is_set()
+        created = [
+            event["bucket"]["created"]
+            for event in recorded_tests(iter_events(tmp_path / EVENTS_FILENAME))
+            if "bucket" in event
+        ]
+        assert created == [True, False]
+
     def test_sink_sees_every_exchange_with_context(self, blog_server, blog_model, tmp_path):
         conn = ConnectionConfig("127.0.0.1", blog_server.port)
         report, events, tests = recorded_campaign(

@@ -51,6 +51,8 @@ from restfuzz.telemetry import (
     iter_events,
 )
 
+from helpers import committing_engine, step
+
 TOKEN_REQUEST = b"POST /x HTTP/1.1\r\nPRIVATE-TOKEN: hunter2\r\nHost: h\r\n\r\npayload"
 
 
@@ -346,7 +348,7 @@ def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
 
 
 def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
-    """Two workers record their tests at once: each test is one line, so a
+    """Two workers commit their tests at once: each test is one line, so a
     bug's trace holds only its own test's exchanges."""
     write_config(tmp_path, "PRIVATE-TOKEN")
     sink = started_sink(tmp_path)
@@ -362,30 +364,32 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
         exchanges=[], final_class="invalid",
         failure=TransportFailure("read", "timed out"),
     )
-    bug_steps = (("POST /x", 0), ("PUT /x", 0))
-    other_steps = (("POST /x", 0), ("GET /x", 0))
+    bug_steps = (step("POST /x"), step("PUT /x"))
+    other_steps = (step("POST /x"), step("GET /x"))
+    engine = committing_engine(sink)
     start = threading.Barrier(2)
 
     def worker(*tests):
         start.wait()
         for test in tests:
-            sink.record_test(*test)
+            engine._record_test(*test)
 
-    filed = ("abc123def456", ("PUT /x",), True)
     threads = [
-        threading.Thread(target=worker, args=((7, bug_steps, bug, filed),)),
+        threading.Thread(target=worker, args=((7, bug_steps, bug),)),
         threading.Thread(
-            target=worker, args=((8, other_steps, other, None), (9, other_steps, failed, None))
+            target=worker, args=((8, other_steps, other), (9, other_steps, failed))
         ),
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
     sink.close()
     assert sorted(e["test_index"] for e in recorded_tests(tmp_path)) == [7, 8, 9]
     emit_report(tmp_path)
-    trace = (tmp_path / "buckets" / "abc123def456" / "instance-0001.txt").read_text()
+    [bucket] = engine.report.buckets
+    trace = (tmp_path / "buckets" / bucket["bucket_id"] / "instance-0001.txt").read_text()
     request = "POST /x HTTP/1.1\nPRIVATE-TOKEN: [FILTERED]\nHost: h\n\npayload"
     head = "Content-Type: application/json\n"
     assert trace == (
@@ -399,13 +403,14 @@ def test_concurrent_tests_are_whole_lines(tmp_path):
     """More workers than cores, switching as often as they can: each test
     is still one line that parses, and each test index is there once."""
     sink = TelemetrySink(out_dir=tmp_path)
+    engine = committing_engine(sink)
     workers = 8
 
     def worker(first):
         for test_index in range(first, 200, workers):
             exchanges = [make_exchange(201), make_exchange(500, body=b"x" * 2000)]
-            record(sink, exchanges, "bug", test_index,
-                   filed=("abc123def456", ("POST /x",), test_index == 0))
+            engine._record_test(test_index, (step("POST /x"), step("POST /x")),
+                                ExecutionResult(exchanges, "bug"))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
     switch_interval = sys.getswitchinterval()
