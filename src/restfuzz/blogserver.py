@@ -263,6 +263,11 @@ class _BlogRoutes:
             self.wfile.write(data)
 
 
+# How often the serving loop checks whether ``ServerHandle.stop`` asked it
+# to end, so the longest a stop waits (the library's default is 0.5 s).
+_SHUTDOWN_POLL_SECONDS = 0.05
+
+
 @dataclass
 class ServerHandle:
     server: ThreadingHTTPServer
@@ -292,7 +297,9 @@ def serve(port: int = 0, store: BlogStore | None = None) -> ServerHandle:
     server = ThreadingHTTPServer(("127.0.0.1", port), handler)
     server.daemon_threads = True
     server.store = store  # type: ignore[attr-defined]
-    thread = threading.Thread(target=server.serve_forever, name="blogserver", daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,), name="blogserver", daemon=True
+    )
     thread.start()
     return ServerHandle(server=server, thread=thread, store=store)
 

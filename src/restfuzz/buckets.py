@@ -24,7 +24,6 @@ replays.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,8 +31,6 @@ from typing import Iterable, Sequence
 from .executor import ResponseClass, SequenceExecutor, TransportFailure
 from .grammar import FuzzingDictionary, GrammarProgram, render_combinations
 from .telemetry import iter_events
-
-logger = logging.getLogger(__name__)
 
 BUCKET_ID_HEX_DIGITS = 12
 
@@ -177,17 +174,9 @@ def replay_bucket(
     final_status = result.exchanges[-1].status if answered else None
 
     diverged: int | None = None
-    if result.final_class != ResponseClass.BUG:
-        # Unless a step failed below HTTP, some step changed class since
-        # recording: either a prefix step stopped being Valid, or the final
-        # step no longer errors.
-        if result.failure is None:
-            diverged = result.steps_executed
-        logger.warning(
-            "bucket %s not reproduced: step %d/%d %s",
-            bucket_id,
-            result.steps_executed,
-            len(instance.steps),
-            f"is now {result.final_class}" if diverged else f"got no response: {result.failure}",
-        )
+    if result.final_class != ResponseClass.BUG and result.failure is None:
+        # The step that ended the replay changed class since recording:
+        # either a prefix step stopped being Valid, or the final step no
+        # longer errors. The caller reports the verdict.
+        diverged = result.steps_executed
     return ReplayResult(bucket_id, result.final_class, final_status, diverged, result.failure)

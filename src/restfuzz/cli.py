@@ -27,14 +27,17 @@ from pathlib import Path
 from . import __version__
 from .buckets import BucketError, recorded_instance, replay_bucket
 from .compiler import AnnotationOverrides, CompileError, compile_grammar, parse_spec
-from .engine import ConfigError, EngineConfig, FuzzEngine, Strategy
+from .engine import ConfigError, EngineConfig, FuzzEngine, Strategy, check_seconds
 from .executor import (
     AuthConfig,
     ConnectionConfig,
     DEFAULT_AUTH_HEADER,
+    DEFAULT_ERROR_STATUS_CLASSES,
+    ExecutorError,
     SequenceExecutor,
     SocketTransport,
     TargetUnreachable,
+    bug_statuses,
     probe_target,
 )
 from .grammar import (
@@ -233,6 +236,8 @@ def _connection_from_args(args, fallback_host: str | None, secure: bool) -> Conn
     if not target:
         raise ConfigError("no target address: pass --target or put a host in the document")
     host, port = parse_target(target, secure)
+    check_seconds("--connect-timeout", args.connect_timeout)
+    check_seconds("--read-timeout", args.read_timeout)
     return ConnectionConfig(
         host=host,
         port=port,
@@ -287,7 +292,7 @@ def cmd_fuzz(args) -> int:
         max_length=args.max_length,
         time_budget=args.time_budget,
         combination_cap=args.combination_cap,
-        error_status_classes=tuple(args.error_status) or ("5xx",),
+        error_status_classes=tuple(args.error_status) or DEFAULT_ERROR_STATUS_CLASSES,
         rng_seed=args.seed,
         worker_count=args.workers,
         no_deps=args.no_deps,
@@ -367,7 +372,13 @@ def cmd_replay(args) -> int:
     )
     # A flag given here overrides what the recording run used.
     recorded = run_config(run_dir)
-    error_classes = tuple(recorded.get("config", {}).get("error_status_classes") or ("5xx",))
+    error_classes = tuple(
+        recorded.get("config", {}).get("error_status_classes") or DEFAULT_ERROR_STATUS_CLASSES
+    )
+    try:
+        bug_statuses(error_classes)
+    except ExecutorError as exc:
+        raise ConfigError(f"{run_dir / CONFIG_FILENAME}: {exc}") from exc
     secure = args.secure or recorded.get("secure", False)
     auth_header = args.auth_header or recorded.get("auth_header") or DEFAULT_AUTH_HEADER
 

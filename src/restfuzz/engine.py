@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import random
 import threading
 import time
@@ -73,12 +74,12 @@ from .buckets import BucketStore, BugInstance
 from .executor import (
     DEFAULT_ERROR_STATUS_CLASSES,
     ExecutionResult,
-    Memo,
+    ExecutorError,
     ResponseClass,
     SequenceExecutor,
     Transport,
+    bug_statuses,
     status_class_label,
-    validate_status_patterns,
 )
 from .grammar import (
     DEFAULT_COMBINATION_CAP,
@@ -97,6 +98,12 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(Exception):
     pass
+
+
+def check_seconds(name: str, value: float) -> None:
+    """Refuse a duration that is not a finite positive number of seconds."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number of seconds, not {value}")
 
 
 class Strategy(enum.Enum):
@@ -133,15 +140,15 @@ class EngineConfig:
             raise ConfigError("worker_count must be >= 1")
         if self.combination_cap < 1:
             raise ConfigError("combination_cap must be >= 1")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ConfigError("time_budget must be positive")
+        if self.time_budget is not None:
+            check_seconds("time_budget", self.time_budget)
         if self.strategy is Strategy.RANDOM_WALK and self.time_budget is None:
             raise ConfigError("random-walk has no length bound; a time budget is required")
         if self.strategy is Strategy.RANDOM_WALK and self.worker_count > 1:
             raise ConfigError("random-walk runs one test at a time; it takes one worker")
         try:
-            validate_status_patterns(self.error_status_classes)
-        except Exception as exc:
+            bug_statuses(self.error_status_classes)
+        except ExecutorError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
@@ -254,7 +261,6 @@ class FuzzEngine:
         self.stop_requested = threading.Event()
         self._deadline: float | None = None  # the time budget's end, set by run
         self._render_cache: dict[str, tuple[RenderedRequest, ...]] = {}  # by template id
-        self._status_labels = Memo(status_class_label)
         self.report = FuzzReport(config.to_dict())
         self._lock = threading.Lock()  # held by each commit, see _record_test
 
@@ -284,7 +290,7 @@ class FuzzEngine:
         bug instance to the report, and write its ``test`` line. Return
         whether the search retains it, as the report decides."""
         behaviors = [
-            (step.template_id, self._status_labels[exchange.status])
+            (step.template_id, status_class_label(exchange.status))
             for step, exchange in zip(steps, result.exchanges)
         ]
         with self._lock:

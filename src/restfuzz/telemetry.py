@@ -1,9 +1,12 @@
 """Client-side observation of a fuzzing run, and the run's report.
 
 The sink appends every event of a run to one file, ``events.jsonl``: one
-JSON object per line, request and response bytes base64-encoded as they
-crossed the wire (except that a chunked response body is stored de-chunked),
-the auth token included. It keeps nothing in memory. The engine is its only
+JSON object per line. An exchange's request is base64-encoded as sent, the
+auth token included. Its response is not the bytes received: it is
+``HttpExchange.response_head`` (a head rebuilt from the parsed status line
+and headers, with values trimmed, lines without a colon left out and
+interim 1xx heads gone) followed by the body, without trailers and
+de-chunked. It keeps nothing in memory. The engine is its only
 caller. The first event, ``run_start``, carries the events ``schema`` number
 and the engine config. Each finished test is one ``test`` event, written
 with one write and one flush: its index, [template id, rendering index]

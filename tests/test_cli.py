@@ -71,6 +71,8 @@ def resetting_server():
     try:
         yield listener.getsockname()[1]
     finally:
+        # Closing alone does not wake a blocked accept() on Linux; a shutdown does.
+        listener.shutdown(socket.SHUT_RDWR)
         listener.close()
         thread.join(timeout=5)
 
@@ -207,6 +209,29 @@ class TestUsage:
         assert code == EXIT_CONFIG
         assert "one worker" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--read-timeout", "-1", "--read-timeout"),
+            ("--read-timeout", "nan", "--read-timeout"),
+            ("--connect-timeout", "-1", "--connect-timeout"),
+            ("--time-budget", "nan", "time_budget"),
+            ("--time-budget", "inf", "time_budget"),
+        ],
+        ids=["read-negative", "read-nan", "connect-negative", "budget-nan", "budget-inf"],
+    )
+    def test_bad_timeout_or_budget_is_exit_2_before_anything_is_written(
+        self, tmp_path, capsys, blog_server, flag, value, named
+    ):
+        out = tmp_path / "o"
+        code = main(
+            ["fuzz", "--spec", SPEC, "--strategy", "bfs", "--max-length", "1", flag, value,
+             "--out", str(out), "--target", f"127.0.0.1:{blog_server.port}"]
+        )
+        assert code == EXIT_CONFIG
+        assert f"{named} must be a finite positive number of seconds" in capsys.readouterr().err
+        assert not (out / EVENTS_FILENAME).exists()
 
     def test_unreachable_target_is_exit_3(self, tmp_path, capsys, blog_server):
         out = tmp_path / "o"
@@ -501,9 +526,12 @@ class TestReplayCommand:
         assert replay(closed_port()) == EXIT_CONFIG
         assert f"no instance #{index}" in capsys.readouterr().err
 
-    def test_divergence_names_the_step_of_the_instance(self, recorded_run, tmp_path, capsys):
+    def test_divergence_names_the_step_of_the_instance(
+        self, recorded_run, tmp_path, capsys, caplog
+    ):
         """A 4-step instance of the 3-step bucket that no longer reaches
-        the bug: its fetch of a deleted post is a 404 at step 3 of 4."""
+        the bug: its fetch of a deleted post is a 404 at step 3 of 4. The
+        verdict is printed once and not logged as well."""
         ids = (
             "POST /api/blog/posts",
             "DELETE /api/blog/posts/{id}",
@@ -513,10 +541,11 @@ class TestReplayCommand:
         run = copy_run(recorded_run, tmp_path / "run", with_instance(ids))
         handle = serve()
         try:
-            code = main(
-                ["replay", "--out", str(run), "--bucket", BUCKET_ID, "--instance", "1",
-                 "--target", f"127.0.0.1:{handle.port}"]
-            )
+            with caplog.at_level("WARNING"):
+                code = main(
+                    ["replay", "--out", str(run), "--bucket", BUCKET_ID, "--instance", "1",
+                     "--target", f"127.0.0.1:{handle.port}"]
+                )
         finally:
             handle.stop()
         assert code == EXIT_OK
@@ -524,6 +553,33 @@ class TestReplayCommand:
             f"bucket {BUCKET_ID}: not reproduced — final class invalid (status 404)"
             " — diverged at step 3/4\n"
         )
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_a_bad_recorded_error_pattern_is_exit_2_before_connecting(
+        self, recorded_run, tmp_path, capsys
+    ):
+        run = copy_run(recorded_run, tmp_path / "run")
+        config = json.loads((run / "config.json").read_text())
+        config["config"]["error_status_classes"] = ["5x"]
+        (run / "config.json").write_text(json.dumps(config))
+        handle = serve()
+        try:
+            code = main(
+                ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+                 "--target", f"127.0.0.1:{handle.port}"]
+            )
+        finally:
+            handle.stop()
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "bad status pattern '5x'" in captured.err
+        assert captured.out == ""
+        assert handle.store.list_posts() == []  # nothing was sent
+        code = main(
+            ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+             "--target", f"127.0.0.1:{closed_port()}"]
+        )
+        assert code == EXIT_CONFIG  # refused before the probe, too
 
     def test_transport_failure_is_not_reported_as_a_divergence(self, recorded_run, capsys):
         with resetting_server() as port:

@@ -92,6 +92,8 @@ class TestConfig:
             {"strategy": Strategy.RANDOM_WALK},  # needs a budget
             {"strategy": Strategy.RANDOM_WALK, "time_budget": 5.0, "worker_count": 2},
             {"error_status_classes": ("5xxx",)},
+            {"time_budget": float("nan")},  # its deadline would never come
+            {"time_budget": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

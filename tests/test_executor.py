@@ -17,13 +17,14 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from restfuzz.compiler import compile_grammar
 from restfuzz.executor import (
     AuthConfig,
     BodyParseError,
     ConnectionConfig,
+    DEFAULT_ERROR_STATUS_CLASSES,
     DynamicObjectPool,
     ExecutorError,
     HttpExchange,
@@ -38,6 +39,7 @@ from restfuzz.executor import (
     _Reader,
     _read_head,
     _read_response,
+    bug_statuses,
     classify_status,
     extract_objects,
     inject_header,
@@ -45,7 +47,6 @@ from restfuzz.executor import (
     redact_header_value,
     send_request,
     status_class_label,
-    validate_status_patterns,
     value_to_text,
 )
 from restfuzz.grammar import (
@@ -89,8 +90,9 @@ def exchange_with_body(body: bytes) -> HttpExchange:
 
 class TestClassification:
     def test_defaults_are_total_over_all_statuses(self):
+        bugs = bug_statuses(DEFAULT_ERROR_STATUS_CLASSES)
         for status in range(100, 600):
-            label = classify_status(status)
+            label = classify_status(status, bugs)
             if 500 <= status <= 599:
                 assert label == ResponseClass.BUG
             elif 200 <= status <= 299:
@@ -99,30 +101,36 @@ class TestClassification:
                 assert label == ResponseClass.INVALID
 
     def test_redirects_are_invalid_not_followed(self):
-        assert classify_status(301) == ResponseClass.INVALID
-        assert classify_status(307) == ResponseClass.INVALID
+        bugs = bug_statuses(DEFAULT_ERROR_STATUS_CLASSES)
+        assert classify_status(301, bugs) == ResponseClass.INVALID
+        assert classify_status(307, bugs) == ResponseClass.INVALID
 
     def test_exact_code_pattern(self):
-        assert classify_status(404, ("404",)) == ResponseClass.BUG
-        assert classify_status(405, ("404",)) == ResponseClass.INVALID
-        assert classify_status(500, ("404",)) == ResponseClass.INVALID
+        bugs = bug_statuses(("404",))
+        assert bugs == {404}
+        assert classify_status(404, bugs) == ResponseClass.BUG
+        assert classify_status(405, bugs) == ResponseClass.INVALID
+        assert classify_status(500, bugs) == ResponseClass.INVALID
 
     def test_class_pattern_and_mixtures(self):
-        classes = ("4xx", "503")
-        assert classify_status(400, classes) == ResponseClass.BUG
-        assert classify_status(503, classes) == ResponseClass.BUG
-        assert classify_status(500, classes) == ResponseClass.INVALID
+        bugs = bug_statuses(("4xx", "503"))
+        assert classify_status(400, bugs) == ResponseClass.BUG
+        assert classify_status(503, bugs) == ResponseClass.BUG
+        assert classify_status(500, bugs) == ResponseClass.INVALID
 
     def test_bug_patterns_take_precedence_over_valid(self):
         # A deliberately odd configuration: even 2xx can be declared a bug,
         # and the bug check runs first.
-        assert classify_status(204, ("2xx",)) == ResponseClass.BUG
+        assert classify_status(204, bug_statuses(("2xx",))) == ResponseClass.BUG
 
     def test_pattern_validation(self):
-        assert validate_status_patterns(["5xx", "503", "4XX"]) == ("5xx", "503", "4XX")
-        for bad in ("", "50", "5xxx", "xxx", "1234", "5x"):
-            with pytest.raises(ExecutorError):
-                validate_status_patterns([bad])
+        assert bug_statuses(["5xx", "503", "4XX"]) == set(range(400, 600))
+        assert bug_statuses(["0xx"]) == set(range(100))
+        assert bug_statuses([]) == frozenset()
+        # Only ASCII digits: "٥٠٣" is three Arabic-Indic digits.
+        for bad in ("", "50", "5xxx", "xxx", "1234", "5x", "x5x", "5xy", "٥٠٣", 503):
+            with pytest.raises(ExecutorError, match="bad status pattern"):
+                bug_statuses([bad])
 
     def test_status_class_label(self):
         assert status_class_label(204) == "2xx"
@@ -1138,20 +1146,34 @@ class StatusTransport:
         return HttpExchange(request, self.status, "", (), b"", 0.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "error_classes",
-    [("5xx",), ("404",), ("4xx", "503"), ("2xx",), ("1XX", "999"), ()],
-    ids=lambda c: ",".join(c) or "none",
+def matches(status: int, pattern: str) -> bool:
+    """Whether one status pattern names ``status``, decided digit by digit:
+    each of the pattern's characters is the status's digit there or an x."""
+    return all(p in (digit, "x", "X") for p, digit in zip(pattern, f"{status:03d}"))
+
+
+status_patterns = st.one_of(
+    st.integers(0, 999).map(lambda n: f"{n:03d}"),
+    st.builds(lambda d, xx: f"{d}{xx}", st.integers(0, 9), st.sampled_from(["xx", "XX", "xX"])),
 )
-def test_memoized_status_class_matches_classify_status(error_classes):
+
+
+@given(st.lists(status_patterns, max_size=4), st.lists(st.integers(0, 999), min_size=1))
+@example(["1XX", "999"], [99, 100, 199, 200, 998, 999])
+@example([], [0, 200, 500])
+def test_the_final_class_follows_a_per_pattern_matcher(patterns, statuses):
     transport = StatusTransport()
-    executor = SequenceExecutor(transport, error_classes=error_classes)
+    executor = SequenceExecutor(transport, error_classes=patterns)
     step = plain_step(b"/")
-    for _ in range(2):  # the first pass fills the memo, the second reads it
-        for status in range(1000):
-            transport.status = status
-            result = executor.execute_sequence([step])
-            assert result.final_class == classify_status(status, error_classes), status
+    for status in statuses:
+        transport.status = status
+        if any(matches(status, p) for p in patterns):
+            expected = ResponseClass.BUG
+        elif 200 <= status <= 299:
+            expected = ResponseClass.VALID
+        else:
+            expected = ResponseClass.INVALID
+        assert executor.execute_sequence([step]).final_class == expected, (patterns, status)
 
 
 POST = "POST /api/blog/posts"
