@@ -1146,6 +1146,24 @@ class StatusTransport:
         return HttpExchange(request, self.status, "", (), b"", 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "error_classes",
+    [("5xx",), ("404",), ("4xx", "503"), ("2xx",), ("1XX", "999"), ()],
+    ids=lambda c: ",".join(c) or "none",
+)
+def test_memoized_status_class_matches_classify_status(error_classes):
+    # The executor decides its bug statuses once; every status it can see
+    # must still get the class classify_status gives it.
+    transport = StatusTransport()
+    executor = SequenceExecutor(transport, error_classes=error_classes)
+    bugs = bug_statuses(error_classes)
+    step = plain_step(b"/")
+    for status in range(1000):
+        transport.status = status
+        result = executor.execute_sequence([step])
+        assert result.final_class == classify_status(status, bugs), status
+
+
 def matches(status: int, pattern: str) -> bool:
     """Whether one status pattern names ``status``, decided digit by digit:
     each of the pattern's characters is the status's digit there or an x."""
