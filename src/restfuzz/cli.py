@@ -367,9 +367,9 @@ def cmd_fuzz(args) -> int:
 def cmd_replay(args) -> int:
     run_dir: Path = args.out
     grammar = load_grammar(_read_text(run_dir / "grammar.json"))
-    dictionary = _load_dictionary(
-        run_dir / "dictionary.json" if (run_dir / "dictionary.json").is_file() else None
-    )
+    dictionary = _load_dictionary(run_dir / "dictionary.json")
+    if not (run_dir / CONFIG_FILENAME).is_file():
+        raise ConfigError(f"no {CONFIG_FILENAME} under {run_dir}")
     # A flag given here overrides what the recording run used.
     recorded = run_config(run_dir)
     error_classes = tuple(

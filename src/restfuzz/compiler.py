@@ -5,22 +5,23 @@ The compiler runs in three stages:
 1. :func:`parse_spec` lowers a JSON or YAML document into a resolved
    :class:`SpecModel` (refs inlined, unsupported constructs collected as
    warnings rather than errors).
-2. :func:`infer_dependencies` decides which response fields are
-   server-created values (producers) and which parameters must be wired from
-   them (consumers). A response field becomes a producer unless it merely
-   echoes client input: its own operation's path parameter, a required field
-   of its own body, or a field some operation under the same resource stem
-   both requires in its body and echoes back in its response. Path parameters
-   always consume; required body fields consume only when something actually
-   produces a matching resource type, otherwise they stay fuzzable.
-3. :func:`compile_grammar` emits one request template per operation: request
-   line, headers and a compact JSON body skeleton as static slots, with
-   fuzzable/consumer slots where values go. Each operation's consumer
-   bindings are decided once, in one table keyed by (location, lowercased
-   name): the inferred bindings, then ``suppress_consumers`` removes some,
-   then ``consumers`` forces others; a forced binding opts its optional
-   parameter or field in, as ``include_optional`` would. Operations whose
-   path parameters cannot be satisfied by any producer are excluded
+2. :func:`infer_dependencies` returns the two tables stage 3 emits from:
+   per operation, the response fields that are server-created values
+   (producers), and the parameters that must be wired from them (consumer
+   bindings, keyed by location and lowercased name). A response field
+   becomes a producer unless it merely echoes client input: its own
+   operation's path parameter, a required field of its own body, or a field
+   some operation under the same resource stem both requires in its body and
+   echoes back in its response. Path parameters always consume; required
+   body fields consume only when something actually produces a matching
+   resource type, otherwise they stay fuzzable.
+3. :func:`compile_grammar` applies the overrides to those tables in place
+   (``suppress_consumers`` removes bindings, then ``consumers`` forces
+   others; a forced binding opts its optional parameter or field in, as
+   ``include_optional`` would), then emits one request template per
+   operation: request line, headers and a compact JSON body skeleton as
+   static slots, with fuzzable/consumer slots where values go. Operations
+   whose path parameters cannot be satisfied by any producer are excluded
    (iterated to a fixpoint, since dropping an operation can orphan other
    producers) and reported.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import yaml
@@ -83,11 +84,11 @@ class Schema:
 
 @dataclass(frozen=True)
 class Parameter:
+    """A path or query parameter."""
+
     name: str
-    location: str  # path | query | body
     required: bool
-    kind: str | None = None  # declared primitive type for path/query
-    schema: Schema | None = None  # body parameters only
+    kind: str  # string | integer | boolean
 
 
 @dataclass(frozen=True)
@@ -95,23 +96,14 @@ class Operation:
     method: str
     path: str  # includes basePath, keeps {param} placeholders
     op_id: str
-    parameters: tuple[Parameter, ...]
+    path_parameters: tuple[Parameter, ...]
+    query_parameters: tuple[Parameter, ...]
+    body_schema: Schema | None
     response_schema: Schema | None
-
-    @property
-    def path_parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if p.location == "path")
-
-    @property
-    def query_parameters(self) -> tuple[Parameter, ...]:
-        return tuple(p for p in self.parameters if p.location == "query")
-
-    @property
-    def body_schema(self) -> Schema | None:
-        for p in self.parameters:
-            if p.location == "body":
-                return p.schema
-        return None
+    # Where an override naming a lowercased name binds: a path or query
+    # parameter of that name (the later-declared one, if both), else a
+    # top-level body field.
+    consumer_locations: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -120,19 +112,6 @@ class SpecModel:
     host: str | None
     operations: tuple[Operation, ...]
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ConsumerBinding:
-    location: str  # path | body | query
-    name: str
-    resource: ResourceType
-
-
-@dataclass(frozen=True)
-class DependencyMap:
-    producers: dict[str, tuple[ProducerSpec, ...]]
-    consumers: dict[str, tuple[ConsumerBinding, ...]]
 
 
 @dataclass(frozen=True)
@@ -154,29 +133,41 @@ class AnnotationOverrides:
         if not isinstance(raw, dict):
             raise MalformedDocument("overrides document must be a JSON object")
 
-        def _steps(path) -> tuple[str | int, ...]:
+        def entries(section: str, *keys: str) -> list[list]:
+            """Each entry of ``section``, as the list of its ``keys``' values."""
+            listed = raw.get(section, [])
+            if not isinstance(listed, list):
+                raise MalformedDocument(f"overrides {section} must be a JSON list")
+            for index, entry in enumerate(listed):
+                if not isinstance(entry, dict) or not all(k in entry for k in keys):
+                    raise MalformedDocument(
+                        f"overrides {section}[{index}] needs {', '.join(keys[:-1])} "
+                        f"and {keys[-1]}: {entry!r}"
+                    )
+            return [[entry[k] for k in keys] for entry in listed]
+
+        def steps(index: int, path) -> tuple[str | int, ...]:
+            if not isinstance(path, list):
+                raise MalformedDocument(f"overrides producers[{index}] path must be a JSON list")
             return tuple(int(s) if isinstance(s, int) else str(s) for s in path)
 
+        def texts(section: str, *keys: str) -> tuple[tuple[str, ...], ...]:
+            return tuple(tuple(map(str, entry)) for entry in entries(section, *keys))
+
+        external = raw.get("external", {})
+        if not isinstance(external, dict):
+            raise MalformedDocument("overrides external must be a JSON object")
         return cls(
             producers=tuple(
-                (str(e["operation"]), str(e["resource"]), _steps(e["path"]))
-                for e in raw.get("producers", ())
+                (str(op), str(resource), steps(index, path))
+                for index, (op, resource, path) in enumerate(
+                    entries("producers", "operation", "resource", "path")
+                )
             ),
-            consumers=tuple(
-                (str(e["operation"]), str(e["parameter"]), str(e["resource"]))
-                for e in raw.get("consumers", ())
-            ),
-            suppress_producers=tuple(
-                (str(e["operation"]), str(e["resource"]))
-                for e in raw.get("suppress_producers", ())
-            ),
-            suppress_consumers=tuple(
-                (str(e["operation"]), str(e["parameter"]))
-                for e in raw.get("suppress_consumers", ())
-            ),
-            external=tuple(
-                (str(k), str(v)) for k, v in raw.get("external", {}).items()
-            ),
+            consumers=texts("consumers", "operation", "parameter", "resource"),
+            suppress_producers=texts("suppress_producers", "operation", "resource"),
+            suppress_consumers=texts("suppress_consumers", "operation", "parameter"),
+            external=tuple((str(k), str(v)) for k, v in external.items()),
         )
 
     def external_values(self) -> dict[ResourceType, str]:
@@ -221,7 +212,7 @@ def parse_spec(text: str | bytes) -> SpecModel:
         for method, op_obj in path_item.items():
             if method == "parameters":
                 continue
-            if method.lower() not in _SUPPORTED_METHODS:
+            if not isinstance(method, str) or method.lower() not in _SUPPORTED_METHODS:
                 warnings.append(f"ignoring unsupported construct {raw_path!r}.{method}")
                 continue
             if not isinstance(op_obj, dict):
@@ -287,7 +278,9 @@ def _parse_operation(
     op_id = f"{method.upper()} {full_path}"
 
     raw_params = list(shared_params or []) + list(op_obj.get("parameters") or [])
-    parameters: list[Parameter] = []
+    params: dict[str, list[Parameter]] = {"path": [], "query": []}
+    bodies: list[Schema | None] = []  # the first body parameter is the body
+    named: dict[str, str] = {}  # lowercased path/query name -> location
     seen_names: set[tuple[str, str]] = set()
     for rp in raw_params:
         if not isinstance(rp, dict):
@@ -299,43 +292,39 @@ def _parse_operation(
             continue
         seen_names.add((location, name.lower()))
         if location == "body":
-            schema = _resolve_schema(rp.get("schema"), definitions, warnings, op_id)
-            parameters.append(
-                Parameter(name=name, location="body", required=bool(rp.get("required")), schema=schema)
-            )
+            bodies.append(_resolve_schema(rp.get("schema"), definitions, warnings, op_id))
         elif location in ("path", "query"):
             kind = _primitive_kind(rp.get("type"), warnings, f"{op_id} parameter {name!r}")
-            parameters.append(
-                Parameter(
-                    name=name,
-                    location=location,
-                    required=True if location == "path" else bool(rp.get("required")),
-                    kind=kind,
-                )
-            )
+            required = location == "path" or bool(rp.get("required"))
+            params[location].append(Parameter(name=name, required=required, kind=kind))
+            named[name.lower()] = location
         else:
             warnings.append(f"{op_id}: ignoring unsupported parameter location {location!r}")
 
     # Every placeholder in the path template must have a parameter entry,
     # matched case-insensitively as parameters are deduplicated.
-    declared = {p.name.lower() for p in parameters if p.location == "path"}
+    declared = {p.name.lower() for p in params["path"]}
     for placeholder in _PATH_PARAM_RE.findall(full_path):
         if placeholder.lower() not in declared:
             warnings.append(
                 f"{op_id}: path parameter {placeholder!r} undeclared, assuming string"
             )
-            parameters.append(
-                Parameter(name=placeholder, location="path", required=True, kind="string")
-            )
+            params["path"].append(Parameter(name=placeholder, required=True, kind="string"))
+            named[placeholder.lower()] = "path"
 
     response_schema = _success_response_schema(op_obj.get("responses"), definitions, warnings, op_id)
+    body_schema = bodies[0] if bodies else None
+    body_fields = body_schema.properties if body_schema else ()
 
     return Operation(
         method=method.upper(),
         path=full_path,
         op_id=op_id,
-        parameters=tuple(parameters),
+        path_parameters=tuple(params["path"]),
+        query_parameters=tuple(params["query"]),
+        body_schema=body_schema,
         response_schema=response_schema,
+        consumer_locations={name.lower(): "body" for name, _ in body_fields} | named,
     )
 
 
@@ -352,7 +341,8 @@ def _primitive_kind(raw_type, warnings: list[str], context: str) -> str:
 def _success_response_schema(responses, definitions, warnings, op_id) -> Schema | None:
     if not isinstance(responses, dict):
         return None
-    for status in sorted(responses):
+    # YAML reads ``201:`` as an int and ``default:`` as a str.
+    for status in sorted(responses, key=str):
         code = str(status)
         if len(code) == 3 and code.startswith("2"):
             body = responses[status]
@@ -387,12 +377,19 @@ def _resolve_schema(raw, definitions, warnings, context, depth: int = 0) -> Sche
     declared = raw.get("type")
     properties = raw.get("properties")
     if properties is not None or declared == "object":
+        if not isinstance(properties, dict):
+            if properties is not None:
+                warnings.append(f"{context}: ignoring non-object properties")
+            properties = {}
         props: list[tuple[str, Schema]] = []
-        for name, sub in (properties or {}).items():
+        for name, sub in properties.items():
             sub_schema = _resolve_schema(sub, definitions, warnings, f"{context}.{name}", depth + 1)
             if sub_schema is not None:
                 props.append((str(name), sub_schema))
-        required = raw.get("required") or ()
+        required = raw.get("required") or []
+        if not isinstance(required, list):
+            warnings.append(f"{context}: ignoring non-list required")
+            required = []
         return Schema(
             type="object",
             properties=tuple(props),
@@ -450,8 +447,16 @@ def _required_body_fields(op: Operation) -> frozenset[str]:
     return frozenset(name.lower() for name in schema.required)
 
 
-def infer_dependencies(model: SpecModel) -> DependencyMap:
-    """Derive producer and consumer annotations for every operation.
+# Per operation id: its consumer bindings by (location, lowercased name),
+# each the parameter's or field's name and the resource type it consumes.
+Bindings = dict[str, dict[tuple[str, str], tuple[str, ResourceType]]]
+
+
+def infer_dependencies(
+    model: SpecModel,
+) -> tuple[dict[str, list[ProducerSpec]], Bindings]:
+    """Derive the producers and the consumer bindings of every operation,
+    the two tables ``compile_grammar`` emits from.
 
     Producers never depend on consumer decisions, so inference is two
     passes with no fixpoint.
@@ -465,7 +470,7 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
         echoes = own_required & {name.lower() for name, _ in _response_fields(op)}
         client_originating.setdefault(stem, set()).update(echoes)
 
-    producers: dict[str, tuple[ProducerSpec, ...]] = {}
+    producers: dict[str, list[ProducerSpec]] = {}
     for op, stem, own_required in per_op:
         own_path_params = {p.name.lower() for p in op.path_parameters}
         specs: list[ProducerSpec] = []
@@ -480,20 +485,19 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
             specs.append(
                 ProducerSpec(ResourceType(f"{stem}/{lowered}"), (name,))
             )
-        producers[op.op_id] = tuple(specs)
+        producers[op.op_id] = specs
 
     produced = {p.resource for specs in producers.values() for p in specs}
 
-    consumers: dict[str, tuple[ConsumerBinding, ...]] = {}
+    bindings: Bindings = {}
     for op, stem, _ in per_op:
-        bindings = [
-            ConsumerBinding(
-                "path",
+        table = bindings[op.op_id] = {
+            ("path", param.name.lower()): (
                 param.name,
                 ResourceType(f"{_stem_for_path_param(op.path, param.name)}/{param.name.lower()}"),
             )
             for param in op.path_parameters
-        ]
+        }
         schema = op.body_schema
         if schema is not None and schema.type == "object":
             for name, _sub in schema.properties:
@@ -501,11 +505,10 @@ def infer_dependencies(model: SpecModel) -> DependencyMap:
                     continue
                 resource = ResourceType(f"{stem}/{name.lower()}")
                 if resource in produced:
-                    bindings.append(ConsumerBinding("body", name, resource))
+                    table["body", name.lower()] = (name, resource)
                 # otherwise the field stays fuzzable
-        consumers[op.op_id] = tuple(bindings)
 
-    return DependencyMap(producers=producers, consumers=consumers)
+    return producers, bindings
 
 
 # --------------------------------------------------------------------------
@@ -542,30 +545,20 @@ def compile_grammar(
         )
     external = overrides.external_values()
 
-    deps = infer_dependencies(model)
-    producers = {op: list(specs) for op, specs in deps.producers.items()}
+    producers, bindings = infer_dependencies(model)
     for op_id, resource, path in overrides.producers:
         producers[op_id].append(ProducerSpec(ResourceType(resource), tuple(path)))
     for op_id, resource in overrides.suppress_producers:
         rt = ResourceType(resource)
         producers[op_id] = [p for p in producers[op_id] if p.resource != rt]
 
-    # Each operation's consumer bindings by (location, lowercased name): the
-    # inferred ones, less the suppressed names, then the forced ones.
-    suppressed = {(op_id, name.lower()) for op_id, name in overrides.suppress_consumers}
-    bindings: dict[str, dict[tuple[str, str], ConsumerBinding]] = {
-        op_id: {
-            (b.location, b.name.lower()): b
-            for b in inferred
-            if (op_id, b.name.lower()) not in suppressed
-        }
-        for op_id, inferred in deps.consumers.items()
-    }
+    # Each operation's consumer bindings: the inferred ones, less the
+    # suppressed names, then the forced ones.
+    for op_id, name in overrides.suppress_consumers:
+        bindings[op_id] = {k: b for k, b in bindings[op_id].items() if k[1] != name.lower()}
     for op_id, name, resource in overrides.consumers:
-        location = _consumer_locations(ops[op_id])[name.lower()]
-        bindings[op_id][location, name.lower()] = ConsumerBinding(
-            location, name, ResourceType(resource)
-        )
+        location = ops[op_id].consumer_locations[name.lower()]
+        bindings[op_id][location, name.lower()] = (name, ResourceType(resource))
 
     # Exclude operations whose path parameters nothing can satisfy; iterate,
     # because dropping an operation drops its producers too. The pass that
@@ -581,13 +574,12 @@ def compile_grammar(
         for op in model.operations:
             if op.op_id in excluded:
                 continue
-            for binding in bindings[op.op_id].values():
-                if binding.location == "path" and binding.resource not in produced:
+            for (location, _), (name, resource) in bindings[op.op_id].items():
+                if location == "path" and resource not in produced:
                     excluded[op.op_id] = (
-                        f"path parameter {binding.name!r} needs {binding.resource} "
-                        "which nothing produces"
+                        f"path parameter {name!r} needs {resource} which nothing produces"
                     )
-                    unsatisfiable.add(binding.resource)
+                    unsatisfiable.add(resource)
                     changed = True
                     break
         if not changed:
@@ -614,9 +606,9 @@ def compile_grammar(
             host=host_value,
             producers=tuple(producers[op.op_id]),
             bindings={
-                key: b.resource
-                for key, b in bindings[op.op_id].items()
-                if b.resource in produced
+                key: resource
+                for key, (_, resource) in bindings[op.op_id].items()
+                if resource in produced
             },
             include_lc=include_lc,
         )
@@ -641,7 +633,7 @@ def _check_override_targets(ops: dict[str, Operation], overrides: AnnotationOver
     for op_id, name in named:
         if op_id not in ops:
             raise CompileError(f"override names operation {op_id!r}, which the document lacks")
-        if name is not None and name.lower() not in _consumer_locations(ops[op_id]):
+        if name is not None and name.lower() not in ops[op_id].consumer_locations:
             raise CompileError(f"override names parameter {name!r} of {op_id}, which it lacks")
 
 
@@ -653,15 +645,6 @@ def _field_names(schema: Schema | None) -> Iterator[str]:
         yield name.lower()
         yield from _field_names(sub)
     yield from _field_names(schema.items)
-
-
-def _consumer_locations(op: Operation) -> dict[str, str]:
-    """Where each lowercased name an override may bind is: a path or query
-    parameter of that name, else a top-level body field."""
-    body = op.body_schema
-    locations = {field.lower(): "body" for field, _ in (body.properties if body else ())}
-    locations.update((p.name.lower(), p.location) for p in op.parameters if p.location != "body")
-    return locations
 
 
 def _build_template(
@@ -676,14 +659,14 @@ def _build_template(
     emitted as if ``include_lc`` named it."""
     slots: list[Slot] = [StaticSlot(f"{op.method} ".encode())]
 
-    param_kinds = {p.name.lower(): (p.kind or "string") for p in op.path_parameters}
+    param_kinds = {p.name.lower(): p.kind for p in op.path_parameters}
     for kind, chunk in _split_path(op.path):
         if kind == "static":
             slots.append(StaticSlot(chunk.encode()))
         elif (bound := bindings.get(("path", chunk.lower()))) is not None:
             slots.append(ConsumerSlot(bound))
         else:
-            slots.append(FuzzableSlot(param_kinds.get(chunk.lower(), "string")))
+            slots.append(FuzzableSlot(param_kinds[chunk.lower()]))
 
     active_query = [
         p
@@ -697,7 +680,7 @@ def _build_template(
         if bound is not None:
             slots.append(ConsumerSlot(bound))
         else:
-            slots.append(FuzzableSlot(param.kind or "string"))
+            slots.append(FuzzableSlot(param.kind))
 
     slots.append(StaticSlot(b" HTTP/1.1\r\n"))
     slots.append(StaticSlot(b"Accept: application/json\r\n"))

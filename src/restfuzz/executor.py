@@ -181,7 +181,8 @@ class AuthConfig:
 
 @dataclass(slots=True)
 class HttpExchange:
-    """One request/response pair: the request's bytes as sent, and the final
+    """One request/response pair: the request's bytes as sent (with
+    ``SocketTransport``'s auth header value redacted), and the final
     response's parsed fields, not its bytes. ``response_head`` rebuilds a
     head from them with names and values trimmed, lines without a colon and
     interim 1xx heads gone; trailers are dropped, and a chunked body is
@@ -292,11 +293,15 @@ class SocketTransport:
             self.tls.verify_mode = ssl.CERT_NONE
 
     def roundtrip(self, request: bytes) -> HttpExchange:
-        if self.auth is not None:
-            line = self.auth.header_line()
-            if line is not None:
-                request = inject_header(request, line)
-        return send_request(request, self)
+        """Send ``request`` with the auth header, if there is a token; the
+        exchange returned holds the request with that header's value
+        redacted, so the token goes on the wire and nowhere else."""
+        line = self.auth.header_line() if self.auth is not None else None
+        if line is None:
+            return send_request(request, self)
+        exchange = send_request(inject_header(request, line), self)
+        exchange.request = redact_header_value(exchange.request, self.auth.header_name)
+        return exchange
 
     def connection(self) -> socket.socket:
         """Hand over the kept socket, or a new connection when there is none

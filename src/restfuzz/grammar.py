@@ -214,6 +214,11 @@ class FuzzingDictionary:
             raise GrammarFormatError(f"dictionary is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise GrammarFormatError("dictionary document must be a JSON object")
+        for kind, candidates in raw.items():
+            if not isinstance(candidates, list):
+                raise GrammarFormatError(
+                    f"dictionary kind {kind!r}: candidates must be a JSON list"
+                )
         return cls({k: tuple(v) for k, v in raw.items()})
 
 

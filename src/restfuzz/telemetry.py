@@ -1,12 +1,13 @@
 """Client-side observation of a fuzzing run, and the run's report.
 
 The sink appends every event of a run to one file, ``events.jsonl``: one
-JSON object per line. An exchange's request is base64-encoded as sent, the
-auth token included. Its response is not the bytes received: it is
-``HttpExchange.response_head`` (a head rebuilt from the parsed status line
-and headers, with values trimmed, lines without a colon left out and
-interim 1xx heads gone) followed by the body, without trailers and
-de-chunked. It keeps nothing in memory. The engine is its only
+JSON object per line. An exchange's request is base64-encoded as sent,
+except that ``SocketTransport`` has already redacted the auth header's
+value, so the token is nowhere in the run directory. Its response is not
+the bytes received: it is ``HttpExchange.response_head`` (a head rebuilt
+from the parsed status line and headers, with values trimmed, lines
+without a colon left out and interim 1xx heads gone) followed by the body,
+without trailers and de-chunked. It keeps nothing in memory. The engine is its only
 caller. The first event, ``run_start``, carries the events ``schema`` number
 and the engine config. Each finished test is one ``test`` event, written
 with one write and one flush: its index, [template id, rendering index]
@@ -339,7 +340,9 @@ class TelemetrySink:
 
 
 class EventFormatError(Exception):
-    """An ``events.jsonl`` that does not start with a ``run_start`` of ``EVENTS_SCHEMA``."""
+    """A run directory this restfuzz cannot read: an ``events.jsonl`` that
+    does not start with a ``run_start`` of ``EVENTS_SCHEMA``, or a
+    ``config.json`` of the wrong shape."""
 
 
 def iter_events(path: Path) -> Iterator[dict]:
@@ -379,9 +382,29 @@ def iter_events(path: Path) -> Iterator[dict]:
 def run_config(run_dir: Path) -> dict:
     """The ``config.json`` that ``restfuzz fuzz`` wrote in ``run_dir``: the
     engine config, target, ``secure``, both timeouts and ``auth_header``.
-    A directory only a sink wrote has none, and reads as ``{}``."""
+    A directory only a sink wrote has none, and reads as ``{}``. A file that
+    is not a JSON object, or records a ``config`` that is not one, an
+    ``error_status_classes`` that is not a list or an ``auth_header`` that is
+    not a string (null stands for the default of either) raises
+    ``EventFormatError`` naming the file."""
     path = Path(run_dir) / CONFIG_FILENAME
-    return json.loads(path.read_text()) if path.is_file() else {}
+    if not path.is_file():
+        return {}
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise EventFormatError(f"{path}: {exc}") from exc
+    if not isinstance(recorded, dict):
+        problem = "is not a JSON object"
+    elif not isinstance(config := recorded.get("config", {}), dict):
+        problem = "records a config that is not a JSON object"
+    elif not isinstance(config.get("error_status_classes"), (list, type(None))):
+        problem = "records error_status_classes that are not a list"
+    elif not isinstance(recorded.get("auth_header"), (str, type(None))):
+        problem = "records an auth_header that is not a string"
+    else:
+        return recorded
+    raise EventFormatError(f"{path} {problem}")
 
 
 def emit_report(run_dir: Path) -> int:

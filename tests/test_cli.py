@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import restfuzz.cli as cli
+import restfuzz.executor as executor
 from restfuzz.blogserver import bundled_spec_path, serve
 from restfuzz.cli import (
     EXIT_CONFIG,
@@ -34,7 +35,7 @@ from restfuzz.cli import (
 )
 from restfuzz.compiler import compile_grammar, parse_spec
 from restfuzz.engine import ConfigError, FuzzEngine
-from restfuzz.executor import SocketTransport
+from restfuzz.executor import send_request
 from restfuzz.grammar import load_grammar
 from restfuzz.telemetry import EVENTS_FILENAME, EVENTS_SCHEMA, TelemetrySink
 
@@ -189,6 +190,30 @@ class TestUsage:
         )
         assert code == EXIT_CONFIG
         assert "no candidates for kind 'string'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, document, named",
+        [
+            ("--annotations", {"consumers": [{"operation": "GET /api/blog/posts/{id}"}]},
+             "consumers[0] needs operation, parameter and resource"),
+            ("--dictionary", {"string": "ab"}, "dictionary kind 'string'"),
+            ("--dictionary", {"string": 5}, "dictionary kind 'string'"),
+        ],
+        ids=["annotation-without-parameter", "dictionary-string", "dictionary-number"],
+    )
+    def test_bad_annotations_or_dictionary_file_is_exit_2(
+        self, tmp_path, capsys, flag, document, named
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        code = main(
+            ["fuzz", "--spec", SPEC, flag, str(bad), "--out", str(out),
+             "--target", f"127.0.0.1:{closed_port()}"]
+        )
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_walk_without_budget(self, tmp_path, capsys):
@@ -581,6 +606,39 @@ class TestReplayCommand:
         )
         assert code == EXIT_CONFIG  # refused before the probe, too
 
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda run: (run / "config.json").write_text("{"), "config.json"),
+            (lambda run: (run / "config.json").write_text(
+                json.dumps({"config": {"error_status_classes": 503}})),
+             "config.json records error_status_classes that are not a list"),
+            (lambda run: (run / "config.json").write_text(json.dumps({"auth_header": 7})),
+             "config.json records an auth_header that is not a string"),
+            (lambda run: (run / "config.json").unlink(), "no config.json under"),
+            (lambda run: (run / "dictionary.json").unlink(), "dictionary.json"),
+        ],
+        ids=["config-not-json", "error-classes-not-a-list", "auth-header-not-a-string",
+             "config-missing", "dictionary-missing"],
+    )
+    def test_a_damaged_run_directory_is_exit_2_before_connecting(
+        self, recorded_run, tmp_path, capsys, damage, named
+    ):
+        """A run fuzzed with --dictionary or --error-status would replay
+        other requests or another oracle without its files, so replay
+        needs them as they were written."""
+        run = copy_run(recorded_run, tmp_path / "run")
+        damage(run)
+        code = main(
+            ["replay", "--out", str(run), "--bucket", BUCKET_ID,
+             "--target", f"127.0.0.1:{closed_port()}"]
+        )
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert str(run) in captured.err
+        assert captured.out == ""
+
     def test_transport_failure_is_not_reported_as_a_divergence(self, recorded_run, capsys):
         with resetting_server() as port:
             code = main(
@@ -609,13 +667,11 @@ class TestReplayCommand:
         monkeypatch.setenv("RF_TOKEN", "t0k")
         sent = []
 
-        class Recording(SocketTransport):
-            def roundtrip(self, request):
-                exchange = super().roundtrip(request)
-                sent.append(exchange.request)
-                return exchange
+        def recording(request, transport):
+            sent.append(request)
+            return send_request(request, transport)
 
-        monkeypatch.setattr(cli, "SocketTransport", Recording)
+        monkeypatch.setattr(executor, "send_request", recording)
         handle = serve()
         try:
             code = main(
@@ -691,6 +747,15 @@ class TestReportCommand:
         capsys.readouterr()
         for name, blob in originals.items():
             assert (clone / name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize("text", ["[]", "{", '{"config": []}'], ids=["list", "not-json", "config-list"])
+    def test_a_damaged_config_json_is_exit_2(self, recorded_run, tmp_path, capsys, text):
+        run = copy_run(recorded_run, tmp_path / "run")
+        (run / "config.json").write_text(text)
+        (run / "wire.log").unlink()
+        assert main(["report", "--out", str(run)]) == EXIT_CONFIG
+        assert str(run / "config.json") in capsys.readouterr().err
+        assert not (run / "wire.log").exists()  # refused before a report file is written
 
     def test_per_length_csv_has_the_reports_one_row_per_length(self, tmp_path, capsys):
         """A walk's rows are folded from its ``test`` lines: each length's
@@ -1000,17 +1065,25 @@ class TestAuth:
         capsys.readouterr()
         assert code == EXIT_OK
 
-        # On the wire: present (proven via the machine record) ...
+        # The recorded request names the header with its value filtered ...
         events = [
             json.loads(line)
             for line in (out / "events.jsonl").read_text().splitlines()
         ]
         exchange = next(e for e in events if e["type"] == "test")["exchanges"][0]
-        assert b"PRIVATE-TOKEN: topsecret\r\n" in base64.b64decode(exchange["request_b64"])
+        assert b"PRIVATE-TOKEN: [FILTERED]\r\n" in base64.b64decode(exchange["request_b64"])
 
-        # ... but in no human-readable artifact.
-        assert "topsecret" not in (out / "wire.log").read_text()
-        assert "topsecret" not in (out / "config.json").read_text()
+        # ... and the token is in no file of the run, nor in a decoded payload.
+        for path in out.rglob("*"):
+            if path.is_file():
+                assert b"topsecret" not in path.read_bytes(), path
+        payloads = [
+            base64.b64decode(x[key])
+            for e in events if e["type"] == "test"
+            for x in e["exchanges"]
+            for key in ("request_b64", "response_b64")
+        ]
+        assert payloads and not any(b"topsecret" in payload for payload in payloads)
 
     def test_missing_env_var_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("RF_NOPE", raising=False)

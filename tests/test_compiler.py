@@ -568,6 +568,106 @@ def test_consumer_override_opts_in_an_optional_query_parameter():
     assert request.startswith(b"GET /api/things?after=c1 HTTP/1.1\r\n")
 
 
+QUERY_X = {"in": "query", "name": "x", "type": "string"}
+PATH_X = {"in": "path", "name": "x", "type": "string"}
+
+
+@pytest.mark.parametrize(
+    ("parameters", "consumed"),
+    [
+        ([QUERY_X, PATH_X], [rt("ext/v")]),
+        ([PATH_X, QUERY_X], [rt("a/x"), rt("ext/v")]),
+        ([QUERY_X], [rt("ext/v")]),
+    ],
+    ids=["path-declared-last", "query-declared-last", "path-undeclared"],
+)
+def test_override_of_a_name_both_path_and_query_binds_the_later_declared(parameters, consumed):
+    """A consumer override naming ``x`` binds the parameter declared last; a
+    placeholder without a declaration counts as declared after all others."""
+    doc = _doc({"/a/{x}": {"get": {"parameters": parameters, "responses": {"200": {}}}}})
+    overrides = AnnotationOverrides.from_json(json.dumps({
+        "consumers": [{"operation": "GET /api/a/{x}", "parameter": "X", "resource": "ext/v"}],
+        "external": {"a/x": "1", "ext/v": "2"},
+    }))
+    (template,) = _compile(doc, overrides=overrides).templates
+    assert [s.resource for s in template.slots if isinstance(s, ConsumerSlot)] == consumed
+
+
+def test_yaml_status_codes_beside_a_default_response():
+    """YAML reads ``201:`` as an int and ``default:`` as a str; the 2xx
+    schema is still the one whose fields are produced."""
+    text = """
+swagger: '2.0'
+paths:
+  /things:
+    post:
+      responses:
+        default:
+          schema: {type: object, properties: {error: {type: string}}}
+        201:
+          schema: {type: object, properties: {id: {type: integer}}}
+"""
+    (template,) = compile_grammar(parse_spec(text)).templates
+    assert produces(template) == {rt("things/id")}
+
+
+MALFORMED_SHAPES = {
+    "properties-list": (
+        "    post:\n"
+        "      parameters:\n"
+        "        - {in: body, name: p, schema: {type: object, properties: [a, b]}}\n"
+        "      responses: {200: {}}\n",
+        "POST /things: ignoring non-object properties",
+    ),
+    "required-true": (
+        "    post:\n"
+        "      parameters:\n"
+        "        - {in: body, name: p, schema: {type: object, required: true}}\n"
+        "      responses: {200: {}}\n",
+        "POST /things: ignoring non-list required",
+    ),
+    "method-key-not-a-string": (
+        "    get: {responses: {200: {}}}\n"
+        "    1: {responses: {200: {}}}\n",
+        "ignoring unsupported construct '/things'.1",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_SHAPES, ids=list(MALFORMED_SHAPES))
+def test_malformed_schema_shapes_are_warnings(shape, tmp_path, capsys):
+    from restfuzz.cli import main
+
+    operations, warning = MALFORMED_SHAPES[shape]
+    text = "swagger: '2.0'\npaths:\n  /things:\n" + operations
+    assert parse_spec(text).warnings == (warning,)
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    assert main(["compile", "--spec", str(spec), "--out", str(tmp_path / "g.json")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    ("document", "named"),
+    [
+        ({"consumers": [{"operation": "GET /api/blog/posts/{id}"}]},
+         "consumers[0] needs operation, parameter and resource"),
+        ({"producers": [{"operation": "POST /api/blog/posts", "resource": "r", "path": "id"}]},
+         "producers[0] path must be a JSON list"),
+        ({"suppress_producers": ["POST /api/blog/posts"]},
+         "suppress_producers[0] needs operation and resource"),
+        ({"suppress_consumers": {"operation": "POST /api/blog/posts"}},
+         "suppress_consumers must be a JSON list"),
+        ({"external": ["posts/id"]}, "external must be a JSON object"),
+    ],
+    ids=["missing-key", "path-not-a-list", "entry-not-an-object", "section-not-a-list",
+         "external-not-an-object"],
+)
+def test_malformed_override_entries_are_refused_by_name(document, named):
+    with pytest.raises(MalformedDocument, match=re.escape(named)):
+        AnnotationOverrides.from_json(json.dumps(document))
+
+
 # ---------------------------------------------------------------------------
 # The compiler's output, pinned byte for byte
 
@@ -638,7 +738,7 @@ def test_path_placeholders_match_declared_names_in_any_case():
         ("groupid", "string"), ("thingid", "integer")
     ]
     # Each placeholder is a resource of the segment before it.
-    assert {b.resource for b in infer_dependencies(model).consumers[get_one]} == {
+    assert {resource for _, resource in infer_dependencies(model)[1][get_one].values()} == {
         rt("groups/groupid"), rt("things/thingid")
     }
     # With its binding suppressed, a placeholder is fuzzed as declared.
@@ -745,5 +845,4 @@ def test_json_documents_accepted(blog_model):
 def test_infer_dependencies_pure(blog_model):
     first = infer_dependencies(blog_model)
     second = infer_dependencies(blog_model)
-    assert first.producers == second.producers
-    assert first.consumers == second.consumers
+    assert first == second

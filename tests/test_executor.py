@@ -1084,10 +1084,12 @@ class TestAuth:
                 AuthConfig(token="hunter2"),
             )
             try:
-                transport.roundtrip(PLAIN_GET)
+                exchange = transport.roundtrip(PLAIN_GET)
             finally:
                 transport.close()
         assert captured[0].endswith(b"PRIVATE-TOKEN: hunter2\r\n\r\n")
+        # The exchange handed on to be recorded holds the header, not the token.
+        assert exchange.request == captured[0].replace(b"hunter2", b"[FILTERED]")
 
     def test_token_file_is_reread_each_request(self, tmp_path):
         token_file = tmp_path / "token"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from restfuzz.grammar import (
     FuzzableSlot,
     FuzzingDictionary,
     GrammarError,
+    GrammarFormatError,
     GrammarProgram,
     MissingDictionaryKind,
     ProducerSpec,
@@ -65,6 +67,12 @@ class TestDictionary:
     def test_json_round_trip(self):
         d = FuzzingDictionary({"string": ("x", ""), "integer": ("7",)})
         assert FuzzingDictionary.from_json(d.to_json()) == d
+
+    @pytest.mark.parametrize("candidates", ["ab", 5, None], ids=["string", "number", "null"])
+    def test_candidates_must_be_a_json_list(self, candidates):
+        """A string is not read as its characters."""
+        with pytest.raises(GrammarFormatError, match="dictionary kind 'string'"):
+            FuzzingDictionary.from_json(json.dumps({"string": candidates}))
 
 
 class TestRendering:
