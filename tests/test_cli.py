@@ -748,7 +748,9 @@ class TestReportCommand:
         for name, blob in originals.items():
             assert (clone / name).read_bytes() == blob, name
 
-    @pytest.mark.parametrize("text", ["[]", "{", '{"config": []}'], ids=["list", "not-json", "config-list"])
+    @pytest.mark.parametrize(
+        "text", ["[]", "{", '{"config": []}'], ids=["list", "not-json", "config-list"]
+    )
     def test_a_damaged_config_json_is_exit_2(self, recorded_run, tmp_path, capsys, text):
         run = copy_run(recorded_run, tmp_path / "run")
         (run / "config.json").write_text(text)
