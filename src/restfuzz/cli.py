@@ -17,9 +17,9 @@ command-line literal (argv is world-readable on most systems).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
+import re
 import signal
 import sys
 from pathlib import Path
@@ -49,8 +49,7 @@ from .grammar import (
     dump_grammar,
     load_grammar,
 )
-from .telemetry import CONFIG_FILENAME, EVENTS_FILENAME, EventFormatError, TelemetrySink
-from .telemetry import emit_report, run_config
+from .telemetry import EVENTS_FILENAME, EventFormatError, TelemetrySink, emit_report, iter_events
 
 logger = logging.getLogger(__name__)
 
@@ -183,8 +182,10 @@ def parse_target(text: str, secure: bool = False) -> tuple[str, int]:
     if sep:
         if not host:
             raise ConfigError(f"bad target {text!r}")
-        if not port_text.isdigit():
-            raise ConfigError(f"bad port in target {text!r}")
+        # A port is ASCII digits naming 1-65535: the resolver would wrap a
+        # larger number modulo 65536.
+        if not re.fullmatch(r"[0-9]{1,5}", port_text) or not 0 < int(port_text) < 65536:
+            raise ConfigError(f"bad port in target {text!r} (want 1-65535)")
         return host, int(port_text)
     return text, 443 if secure else 80
 
@@ -311,25 +312,22 @@ def cmd_fuzz(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "grammar.json").write_text(dump_grammar(grammar) + "\n")
     (out_dir / "dictionary.json").write_text(dictionary.to_json() + "\n")
-    (out_dir / CONFIG_FILENAME).write_text(
-        json.dumps(
-            {
-                "config": config.to_dict(),
-                "target": f"{conn.host}:{conn.port}",
-                "secure": conn.secure,
-                "connect_timeout": conn.connect_timeout,
-                "read_timeout": conn.read_timeout,
-                "auth_header": auth_header,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
 
     # Probe before the sink opens events.jsonl, so an unreachable target
-    # leaves the directory free for the next run.
+    # leaves the directory free for the next run. The sink's run_start is
+    # the one record of the run's settings.
     probe_target(conn)
-    sink = TelemetrySink(out_dir)
+    sink = TelemetrySink(
+        out_dir,
+        {
+            "config": config.to_dict(),
+            "target": f"{conn.host}:{conn.port}",
+            "secure": conn.secure,
+            "connect_timeout": conn.connect_timeout,
+            "read_timeout": conn.read_timeout,
+            "auth_header": auth_header,
+        },
+    )
     engine = FuzzEngine(
         grammar,
         dictionary,
@@ -368,23 +366,20 @@ def cmd_replay(args) -> int:
     run_dir: Path = args.out
     grammar = load_grammar(_read_text(run_dir / "grammar.json"))
     dictionary = _load_dictionary(run_dir / "dictionary.json")
-    if not (run_dir / CONFIG_FILENAME).is_file():
-        raise ConfigError(f"no {CONFIG_FILENAME} under {run_dir}")
-    # A flag given here overrides what the recording run used.
-    recorded = run_config(run_dir)
-    error_classes = tuple(
-        recorded.get("config", {}).get("error_status_classes") or DEFAULT_ERROR_STATUS_CLASSES
-    )
-    try:
-        bug_statuses(error_classes)
-    except ExecutorError as exc:
-        raise ConfigError(f"{run_dir / CONFIG_FILENAME}: {exc}") from exc
-    secure = args.secure or recorded.get("secure", False)
-    auth_header = args.auth_header or recorded.get("auth_header") or DEFAULT_AUTH_HEADER
-
     events_path = run_dir / EVENTS_FILENAME
     if not events_path.is_file():
         raise ConfigError(f"no {EVENTS_FILENAME} under {run_dir}")
+    # The run's settings; a flag given here overrides what the run used.
+    events = iter_events(events_path)
+    recorded = next(events)
+    events.close()
+    error_classes = tuple(recorded["config"]["error_status_classes"])
+    try:
+        bug_statuses(error_classes)
+    except ExecutorError as exc:
+        raise ConfigError(f"{events_path}: run_start: {exc}") from exc
+    secure = args.secure or recorded["secure"]
+    auth_header = args.auth_header or recorded["auth_header"]
     instance = recorded_instance(events_path, args.bucket, args.instance)
 
     conn = _connection_from_args(args, baked_host(grammar), secure)

@@ -195,8 +195,13 @@ def parse_spec(text: str | bytes) -> SpecModel:
         warnings.append("ignoring non-object definitions section")
         definitions = {}
     base_path = str(doc.get("basePath", "") or "")
-    host = doc.get("host")
-    host = str(host) if host else None
+    if base_path and not base_path.startswith("/"):
+        warnings.append(f"basePath {base_path!r} does not start with '/', prepending one")
+        base_path = "/" + base_path
+    host = doc.get("host") or None
+    if host is not None and not isinstance(host, str):
+        warnings.append(f"ignoring non-string host {host!r}")
+        host = None
 
     operations: list[Operation] = []
     paths = doc.get("paths")
@@ -208,7 +213,7 @@ def parse_spec(text: str | bytes) -> SpecModel:
         if not isinstance(path_item, dict):
             warnings.append(f"ignoring non-object path item {raw_path!r}")
             continue
-        shared_params = path_item.get("parameters", [])
+        shared_params = _parameter_list(path_item, f"path {raw_path!r}", warnings)
         for method, op_obj in path_item.items():
             if method == "parameters":
                 continue
@@ -258,6 +263,18 @@ def _load_document(text: str) -> dict:
     return doc
 
 
+def _parameter_list(obj: dict, context: str, warnings: list[str]) -> list:
+    """The ``parameters`` list of a path item or operation: a missing or
+    null one is empty, and another that is not a list is one warning."""
+    raw = obj.get("parameters")
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        warnings.append(f"{context}: ignoring non-list parameters")
+        return []
+    return raw
+
+
 def _join_paths(base_path: str, path: str) -> str:
     base = base_path.rstrip("/")
     if not path.startswith("/"):
@@ -270,14 +287,14 @@ def _parse_operation(
     raw_path: str,
     base_path: str,
     op_obj: dict,
-    shared_params,
+    shared_params: list,
     definitions: dict,
     warnings: list[str],
 ) -> Operation:
     full_path = _join_paths(base_path, raw_path)
     op_id = f"{method.upper()} {full_path}"
 
-    raw_params = list(shared_params or []) + list(op_obj.get("parameters") or [])
+    raw_params = shared_params + _parameter_list(op_obj, op_id, warnings)
     params: dict[str, list[Parameter]] = {"path": [], "query": []}
     bodies: list[Schema | None] = []  # the first body parameter is the body
     named: dict[str, str] = {}  # lowercased path/query name -> location

@@ -389,8 +389,6 @@ class FuzzEngine:
 
     def run(self) -> FuzzReport:
         started = time.monotonic()
-        if self.sink is not None:
-            self.sink.record_run_start(self.config.to_dict())
 
         executors = [self._make_executor() for _ in range(self.config.worker_count)]
         if self.config.time_budget is not None:

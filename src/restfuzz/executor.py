@@ -22,7 +22,7 @@ patterns name, 5xx by default), Valid (2xx) or Invalid (everything else;
 redirects are never followed). ``bug_statuses`` turns the patterns into
 that set of statuses once per executor, and refuses a bad pattern: so
 ``restfuzz fuzz --error-status 5x`` is exit 2, and so is ``restfuzz replay``
-of a run whose ``config.json`` records one, before it connects.
+of a run whose ``run_start`` event records one, before it connects.
 
 Every response byte goes through one ``_Reader``, the only caller of
 ``recv``. ``ConnectionConfig.read_timeout`` bounds one exchange, from the

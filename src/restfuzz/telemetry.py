@@ -8,8 +8,10 @@ the bytes received: it is ``HttpExchange.response_head`` (a head rebuilt
 from the parsed status line and headers, with values trimmed, lines
 without a colon left out and interim 1xx heads gone) followed by the body,
 without trailers and de-chunked. It keeps nothing in memory. The engine is its only
-caller. The first event, ``run_start``, carries the events ``schema`` number
-and the engine config. Each finished test is one ``test`` event, written
+caller. The first event, ``run_start``, written when the sink opens the
+file, carries the events ``schema`` number and the run's settings, recorded
+nowhere else: the engine ``config``, the ``target``, ``secure``, both
+timeouts and ``auth_header``. Each finished test is one ``test`` event, written
 with one write and one flush: its index, [template id, rendering index]
 ``steps``, final class, ``exchanges`` and ``extracted``, the number of
 objects extracted during it; ``failure`` or ``unresolved`` when a step
@@ -25,7 +27,8 @@ event's ``elapsed`` is read on the monotonic clock from the sink's start; an
 exchange's is when its response arrived, taken from the exchange's own
 start and duration. ``iter_events`` refuses, with ``EventFormatError``, a
 file whose first event is not a ``run_start`` naming this ``EVENTS_SCHEMA``,
-such as a run recorded by an older restfuzz.
+such as a run recorded by an older restfuzz, or records settings of the
+wrong shape, and a file with no event at all.
 
 ``FuzzReport`` is the run's report as a fold of those facts. The engine
 feeds one during the run; ``emit_report`` feeds a fresh one from the events.
@@ -37,7 +40,7 @@ event's ``created`` comes from it: the bucket index,
 instance. ``emit_report`` is its one reader. In a single pass over the file
 it writes ``status_timeline.csv`` (cumulative counts per response class over
 time), ``wire.log`` (human-readable "Sending:" / "Received:" blocks with the
-auth header value redacted; the header is the one ``config.json`` names)
+auth header value redacted; the header is the one ``run_start`` names)
 and each bug instance's trace in the bucket directory, then, from the
 folded report, ``per_length.csv`` (tests, sequence-set size and dynamic
 objects per sequence length, one row per length, folded from the ``test``
@@ -74,7 +77,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .executor import (
-    DEFAULT_AUTH_HEADER,
     ExecutionResult,
     HttpExchange,
     ResponseClass,
@@ -85,12 +87,11 @@ from .executor import (
 logger = logging.getLogger(__name__)
 
 EVENTS_FILENAME = "events.jsonl"
-CONFIG_FILENAME = "config.json"
 WIRE_LOG_FILENAME = "wire.log"
 BUCKETS_DIRNAME = "buckets"
 _BUCKET_META_FORMAT = "restfuzz-bucket/1"
 # The version of the events ``run_start`` names; the reader reads only its own.
-EVENTS_SCHEMA = 1
+EVENTS_SCHEMA = 2
 
 
 @dataclass
@@ -212,7 +213,8 @@ class FuzzReport:
 
 
 class TelemetrySink:
-    """Appends a run's events to ``events.jsonl`` in ``out_dir``.
+    """Appends a run's events to ``events.jsonl`` in ``out_dir``, starting
+    with the ``run_start`` that records the run's ``settings``.
 
     The engine is its only caller and serialises its calls, writing each
     ``test`` event under its commit lock, so the sink takes no lock.
@@ -223,10 +225,9 @@ class TelemetrySink:
     failure.
     """
 
-    def __init__(self, out_dir: Path):
+    def __init__(self, out_dir: Path, settings: dict):
         self.degraded = False
         self._start_monotonic = time.monotonic()
-        self._start_wall = time.time()
         self._events_fh: io.TextIOBase | None = None
         out_dir = Path(out_dir)
         try:
@@ -234,6 +235,7 @@ class TelemetrySink:
             self._events_fh = open(out_dir / EVENTS_FILENAME, "a", encoding="utf-8")
         except OSError as exc:
             self._degrade(exc)
+        self._record("run_start", schema=EVENTS_SCHEMA, wall_time=time.time(), **settings)
 
     # -- low-level plumbing --------------------------------------------------
 
@@ -264,9 +266,6 @@ class TelemetrySink:
         return time.monotonic() - self._start_monotonic
 
     # -- recording ------------------------------------------------------------
-
-    def record_run_start(self, config: dict) -> None:
-        self._record("run_start", schema=EVENTS_SCHEMA, wall_time=self._start_wall, config=config)
 
     def record_exchange(self, exchange: HttpExchange) -> dict:
         """One exchange's entry in its test's ``exchanges``. Its ``elapsed``
@@ -341,8 +340,8 @@ class TelemetrySink:
 
 class EventFormatError(Exception):
     """A run directory this restfuzz cannot read: an ``events.jsonl`` that
-    does not start with a ``run_start`` of ``EVENTS_SCHEMA``, or a
-    ``config.json`` of the wrong shape."""
+    does not start with a ``run_start`` of ``EVENTS_SCHEMA`` whose settings
+    have the shape the readers rely on."""
 
 
 def iter_events(path: Path) -> Iterator[dict]:
@@ -350,9 +349,12 @@ def iter_events(path: Path) -> Iterator[dict]:
 
     Blank lines are skipped, and so are lines that are not a JSON object
     (a write cut short by a full disk), each with a warning. A first event
-    that is not a ``run_start`` naming ``EVENTS_SCHEMA`` raises
+    that is not a ``run_start`` naming ``EVENTS_SCHEMA``, or whose
+    ``config`` is not an object, ``config.error_status_classes`` not a list,
+    ``auth_header`` not a string or ``secure`` not a bool, raises
     ``EventFormatError``: such a file is not read at all rather than
-    misread.
+    misread. So does a file with no event, so a reader can take the first
+    event as the run's settings.
     """
     checked = False
     with open(path, encoding="utf-8") as fh:
@@ -373,38 +375,24 @@ def iter_events(path: Path) -> Iterator[dict]:
                         f"{path}:{line_no}: a {event.get('type')!r} event of events schema "
                         f"{event.get('schema')!r}, where this restfuzz reads only a run that "
                         f"starts with a 'run_start' of schema {EVENTS_SCHEMA} (a run recorded "
-                        "by an older restfuzz names none)"
+                        "by an older restfuzz names an older one, or none)"
                     )
+                if not isinstance(config := event.get("config"), dict):
+                    problem = "a config that is not a JSON object"
+                elif not isinstance(config.get("error_status_classes"), list):
+                    problem = "error_status_classes that are not a list"
+                elif not isinstance(event.get("auth_header"), str):
+                    problem = "an auth_header that is not a string"
+                elif not isinstance(event.get("secure"), bool):
+                    problem = "a secure that is not true or false"
+                else:
+                    problem = None
+                if problem is not None:
+                    raise EventFormatError(f"{path}:{line_no}: the run_start records {problem}")
                 checked = True
             yield event
-
-
-def run_config(run_dir: Path) -> dict:
-    """The ``config.json`` that ``restfuzz fuzz`` wrote in ``run_dir``: the
-    engine config, target, ``secure``, both timeouts and ``auth_header``.
-    A directory only a sink wrote has none, and reads as ``{}``. A file that
-    is not a JSON object, or records a ``config`` that is not one, an
-    ``error_status_classes`` that is not a list or an ``auth_header`` that is
-    not a string (null stands for the default of either) raises
-    ``EventFormatError`` naming the file."""
-    path = Path(run_dir) / CONFIG_FILENAME
-    if not path.is_file():
-        return {}
-    try:
-        recorded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise EventFormatError(f"{path}: {exc}") from exc
-    if not isinstance(recorded, dict):
-        problem = "is not a JSON object"
-    elif not isinstance(config := recorded.get("config", {}), dict):
-        problem = "records a config that is not a JSON object"
-    elif not isinstance(config.get("error_status_classes"), (list, type(None))):
-        problem = "records error_status_classes that are not a list"
-    elif not isinstance(recorded.get("auth_header"), (str, type(None))):
-        problem = "records an auth_header that is not a string"
-    else:
-        return recorded
-    raise EventFormatError(f"{path} {problem}")
+    if not checked:
+        raise EventFormatError(f"{path} holds no event, so no run_start")
 
 
 def emit_report(run_dir: Path) -> int:
@@ -419,11 +407,11 @@ def emit_report(run_dir: Path) -> int:
     """
     run_dir = Path(run_dir)
     events = iter_events(run_dir / EVENTS_FILENAME)
-    # The schema check reads the first event, before a report file is opened.
-    start = next(events, None)
-    report = FuzzReport(start["config"] if start is not None else None)
-    # Only a directory without config.json (one a sink wrote) names no header.
-    auth_header = run_config(run_dir).get("auth_header") or DEFAULT_AUTH_HEADER
+    # The reader checks the first event, the run's settings, before a report
+    # file is opened.
+    start = next(events)
+    report = FuzzReport(start["config"])
+    auth_header = start["auth_header"]
     cumulative: Counter[str] = Counter()
     with open(run_dir / "status_timeline.csv", "w", newline="", encoding="utf-8") as timeline_fh, \
             open(run_dir / WIRE_LOG_FILENAME, "w", newline="", encoding="utf-8",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from restfuzz.engine import EngineConfig, FuzzEngine, RenderedSteps, sequence_produces
+from restfuzz.executor import DEFAULT_AUTH_HEADER
 from restfuzz.grammar import (
     FuzzingDictionary,
     GrammarProgram,
@@ -33,3 +34,17 @@ def committing_engine(sink=None) -> FuzzEngine:
         GrammarProgram(templates=()), FuzzingDictionary.default(), EngineConfig(),
         transport_factory=None, sink=sink,
     )
+
+
+def run_settings(config=None, auth_header=DEFAULT_AUTH_HEADER) -> dict:
+    """The settings ``restfuzz fuzz`` hands its sink to record in
+    ``run_start``, for a run of ``config`` (by default ``EngineConfig()``)
+    that names ``auth_header``."""
+    return {
+        "config": (config or EngineConfig()).to_dict(),
+        "target": "127.0.0.1:80",
+        "secure": False,
+        "connect_timeout": 5.0,
+        "read_timeout": 30.0,
+        "auth_header": auth_header,
+    }

@@ -33,6 +33,7 @@ from restfuzz.buckets import (
     recorded_instance,
     replay_bucket,
 )
+from restfuzz.engine import EngineConfig, Strategy
 from restfuzz.executor import (
     ExecutionResult,
     HttpExchange,
@@ -42,7 +43,7 @@ from restfuzz.executor import (
 )
 from restfuzz.telemetry import EVENTS_FILENAME, FuzzReport, TelemetrySink, emit_report
 
-from helpers import committing_engine, step
+from helpers import committing_engine, run_settings, step
 
 
 def make_instance(ids, indices=None, status=500):
@@ -80,9 +81,9 @@ class RecordedRun:
         self.dir = run_dir
         self.auth_header = auth_header
         run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header}))
-        self.sink = TelemetrySink(run_dir)
-        self.sink.record_run_start({"strategy": "bfs"})
+        self.sink = TelemetrySink(
+            run_dir, run_settings(EngineConfig(strategy=Strategy.BFS), auth_header)
+        )
         self.bugs = Filing()
         self.tests = 0
 
@@ -242,7 +243,7 @@ class TestInstanceValidation:
 def test_concurrent_records_agree_on_one_bucket(tmp_path):
     """Eight workers commit the same two bugs at once, switching as often as
     they can: each bucket is founded once, and by its first ``test`` line."""
-    sink = TelemetrySink(tmp_path)
+    sink = TelemetrySink(tmp_path, run_settings())
     engine = committing_engine(sink)
     barrier = threading.Barrier(8)
 
@@ -271,6 +272,7 @@ def test_concurrent_records_agree_on_one_bucket(tmp_path):
     sink.close()
 
     lines = [json.loads(line) for line in (tmp_path / EVENTS_FILENAME).read_text().splitlines()]
+    lines = lines[1:]  # after the run_start
     assert len(engine.report.buckets) == 2
     for bucket in engine.report.buckets:
         created = [line["bucket"]["created"] for line in lines

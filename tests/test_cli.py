@@ -39,6 +39,8 @@ from restfuzz.executor import send_request
 from restfuzz.grammar import load_grammar
 from restfuzz.telemetry import EVENTS_FILENAME, EVENTS_SCHEMA, TelemetrySink
 
+from helpers import run_settings
+
 SPEC = str(bundled_spec_path())
 BUCKET_ID = "c46f74afdc64"  # BFS depth 3 finds exactly this one
 
@@ -101,6 +103,31 @@ class TestParseTarget:
             parse_target("host:notaport")
         with pytest.raises(ConfigError):
             parse_target(":8080")
+
+    def test_ports_at_the_bounds(self):
+        assert parse_target("example.com:1") == ("example.com", 1)
+        assert parse_target("example.com:65535") == ("example.com", 65535)
+
+    @pytest.mark.parametrize(
+        "port",
+        ["0", "65536", "70000", "123456", "1" * 5000, "\u00b2", "\u0665", "+80", " 80"],
+        ids=["zero", "65536", "70000", "six-digits", "5000-digits", "superscript-two",
+             "arabic-indic-five", "plus-sign", "leading-space"],
+    )
+    def test_a_port_outside_1_to_65535_is_exit_2(self, recorded_run, tmp_path, capsys, port):
+        """The resolver takes a port modulo 65536, so a larger number would
+        reach another port: only ASCII digits naming 1-65535 are a port.
+        Neither fuzz nor replay writes or connects before refusing one."""
+        target = ["--target", f"127.0.0.1:{port}"]
+        with pytest.raises(ConfigError, match="bad port in target"):
+            parse_target(target[1])
+        out = tmp_path / "out"
+        assert main(["fuzz", "--spec", SPEC, "--out", str(out), *target]) == EXIT_CONFIG
+        assert not out.exists()
+        replay = ["replay", "--out", str(recorded_run), "--bucket", BUCKET_ID, *target]
+        assert main(replay) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("bad port in target") == 2 and "(want 1-65535)" in err
 
 
 def test_baked_host_round_trips(blog_model):
@@ -374,9 +401,10 @@ class TestFuzzArtifacts:
             "report.json",
             "grammar.json",
             "dictionary.json",
-            "config.json",
         ):
             assert (recorded_run / name).is_file(), name
+        # The run's settings are recorded once, in run_start.
+        assert not (recorded_run / "config.json").exists()
 
     def test_report_numbers_match_the_frozen_campaign(self, recorded_run):
         report = json.loads((recorded_run / "report.json").read_text())
@@ -415,7 +443,8 @@ class TestFuzzArtifacts:
             handle.stop()
         capsys.readouterr()
         assert code == EXIT_OK
-        config = json.loads((out / "config.json").read_text())
+        config = json.loads((out / EVENTS_FILENAME).read_text().splitlines()[0])
+        assert config["type"] == "run_start"
         assert config["target"] == f"127.0.0.1:{handle.port}"
         assert (config["connect_timeout"], config["read_timeout"]) == (2.5, 7.0)
 
@@ -428,6 +457,19 @@ def copy_run(run_dir, dest, rewrite=None):
         events = [json.loads(line) for line in path.read_text().splitlines()]
         path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in rewrite(events)))
     return dest
+
+
+def rewrite_start(run, edit):
+    """Replace the first line of ``run``'s events.jsonl, the run_start that
+    records the run's settings, with ``edit(start)``."""
+    path = run / EVENTS_FILENAME
+    start, rest = path.read_text().split("\n", 1)
+    path.write_text(edit(json.loads(start)) + "\n" + rest)
+
+
+def settings(**fields):
+    """A ``rewrite_start`` edit that records ``fields`` in the run_start."""
+    return lambda start: json.dumps(dict(start, **fields))
 
 
 def with_instance(template_ids):
@@ -584,9 +626,8 @@ class TestReplayCommand:
         self, recorded_run, tmp_path, capsys
     ):
         run = copy_run(recorded_run, tmp_path / "run")
-        config = json.loads((run / "config.json").read_text())
-        config["config"]["error_status_classes"] = ["5x"]
-        (run / "config.json").write_text(json.dumps(config))
+        rewrite_start(run, lambda start: json.dumps(
+            dict(start, config=dict(start["config"], error_status_classes=["5x"]))))
         handle = serve()
         try:
             code = main(
@@ -609,24 +650,36 @@ class TestReplayCommand:
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda run: (run / "config.json").write_text("{"), "config.json"),
-            (lambda run: (run / "config.json").write_text(
-                json.dumps({"config": {"error_status_classes": 503}})),
-             "config.json records error_status_classes that are not a list"),
-            (lambda run: (run / "config.json").write_text(json.dumps({"auth_header": 7})),
-             "config.json records an auth_header that is not a string"),
-            (lambda run: (run / "config.json").unlink(), "no config.json under"),
+            (lambda run: rewrite_start(run, lambda start: "{"),
+             f"{EVENTS_FILENAME}:2: a 'test' event of events schema None"),
+            (lambda run: rewrite_start(run, lambda start: json.dumps(
+                dict(start, config=dict(start["config"], error_status_classes=503)))),
+             f"{EVENTS_FILENAME}:1: the run_start records error_status_classes that are not a "
+             "list"),
+            (lambda run: rewrite_start(run, settings(auth_header=7)),
+             "the run_start records an auth_header that is not a string"),
+            (lambda run: rewrite_start(
+                run, lambda start: json.dumps({k: v for k, v in start.items() if k != "config"})),
+             "the run_start records a config that is not a JSON object"),
+            (lambda run: rewrite_start(run, settings(config=[1])),
+             "the run_start records a config that is not a JSON object"),
+            (lambda run: rewrite_start(run, settings(secure="no")),
+             "the run_start records a secure that is not true or false"),
+            (lambda run: (run / EVENTS_FILENAME).write_text(""),
+             f"{EVENTS_FILENAME} holds no event, so no run_start"),
             (lambda run: (run / "dictionary.json").unlink(), "dictionary.json"),
         ],
         ids=["config-not-json", "error-classes-not-a-list", "auth-header-not-a-string",
-             "config-missing", "dictionary-missing"],
+             "config-missing", "config-not-an-object", "secure-not-a-bool", "events-empty",
+             "dictionary-missing"],
     )
     def test_a_damaged_run_directory_is_exit_2_before_connecting(
         self, recorded_run, tmp_path, capsys, damage, named
     ):
-        """A run fuzzed with --dictionary or --error-status would replay
-        other requests or another oracle without its files, so replay
-        needs them as they were written."""
+        """A run fuzzed with --dictionary, --error-status, --secure or
+        --auth-header would replay other requests, another oracle or
+        another connection without its files and the settings its
+        run_start records, so replay needs them as they were written."""
         run = copy_run(recorded_run, tmp_path / "run")
         damage(run)
         code = main(
@@ -662,8 +715,7 @@ class TestReplayCommand:
         self, recorded_run, tmp_path, monkeypatch, capsys, flags, sent_header
     ):
         run = copy_run(recorded_run, tmp_path / "run")
-        config = json.loads((run / "config.json").read_text())
-        (run / "config.json").write_text(json.dumps(dict(config, auth_header="X-Api-Key")))
+        rewrite_start(run, settings(auth_header="X-Api-Key"))
         monkeypatch.setenv("RF_TOKEN", "t0k")
         sent = []
 
@@ -749,14 +801,16 @@ class TestReportCommand:
             assert (clone / name).read_bytes() == blob, name
 
     @pytest.mark.parametrize(
-        "text", ["[]", "{", '{"config": []}'], ids=["list", "not-json", "config-list"]
+        "edit", [lambda start: "[]", lambda start: "{", settings(config=[])],
+        ids=["list", "not-json", "config-list"],
     )
-    def test_a_damaged_config_json_is_exit_2(self, recorded_run, tmp_path, capsys, text):
+    def test_a_damaged_config_json_is_exit_2(self, recorded_run, tmp_path, capsys, edit):
+        """The run_start that records the run's config as JSON, damaged."""
         run = copy_run(recorded_run, tmp_path / "run")
-        (run / "config.json").write_text(text)
+        rewrite_start(run, edit)
         (run / "wire.log").unlink()
         assert main(["report", "--out", str(run)]) == EXIT_CONFIG
-        assert str(run / "config.json") in capsys.readouterr().err
+        assert f"{run / EVENTS_FILENAME}:" in capsys.readouterr().err
         assert not (run / "wire.log").exists()  # refused before a report file is written
 
     def test_per_length_csv_has_the_reports_one_row_per_length(self, tmp_path, capsys):
@@ -944,7 +998,7 @@ class TestReportCommand:
                 "extracted": 0,
             }
 
-        start = {"type": "run_start", "schema": EVENTS_SCHEMA, "elapsed": 0.0, "config": {}}
+        start = {"type": "run_start", "schema": EVENTS_SCHEMA, "elapsed": 0.0, **run_settings()}
         events = [start, test_event(0, 200, "OK", "valid"), test_event(1, 500, "Oops", "bug")]
         (run_dir / "events.jsonl").write_text(
             "".join(json.dumps(e) + "\n" for e in events)

@@ -776,6 +776,41 @@ def test_number_coerced_to_integer_with_warning():
     assert op.query_parameters[0].kind == "integer"
 
 
+@pytest.mark.parametrize("base", ["api", 5])
+def test_a_base_path_without_a_leading_slash_gets_one_and_a_warning(base):
+    """Swagger 2.0 requires basePath to start with a slash; without one a
+    request line would not be in origin form."""
+    model = parse_spec(json.dumps(_doc({"/a": {"get": {"responses": {"200": {}}}}}, base=base)))
+    assert model.warnings == (f"basePath '{base}' does not start with '/', prepending one",)
+    (template,) = compile_grammar(model).templates
+    assert template.id == f"GET /{base}/a"
+    assert StaticSlot(f"/{base}/a".encode()) in template.slots
+
+
+def test_a_non_string_host_is_one_warning_and_the_default_host():
+    doc = dict(_doc({"/a": {"get": {"responses": {"200": {}}}}}), host={"a": 1})
+    model = parse_spec(json.dumps(doc))
+    assert model.warnings == ("ignoring non-string host {'a': 1}",)
+    assert model.host is None
+    (template,) = compile_grammar(model).templates
+    assert StaticSlot(f"Host: {compiler.DEFAULT_HOST}\r\n".encode()) in template.slots
+
+
+@pytest.mark.parametrize("level", ["path", "operation"])
+@pytest.mark.parametrize("parameters", ["abc", {"in": "query", "name": "q"}],
+                         ids=["string", "object"])
+def test_non_list_parameters_are_one_warning(level, parameters):
+    """Not one warning per character of a string or key of an object."""
+    operation = {"responses": {"200": {}}}
+    path_item = {"get": operation}
+    (path_item if level == "path" else operation)["parameters"] = parameters
+    model = parse_spec(json.dumps(_doc({"/a": path_item})))
+    context = "path '/a'" if level == "path" else "GET /api/a"
+    assert model.warnings == (f"{context}: ignoring non-list parameters",)
+    (op,) = model.operations
+    assert op.query_parameters == op.path_parameters == ()
+
+
 def test_version_check():
     with pytest.raises(UnsupportedVersion):
         parse_spec('{"swagger": "3.0", "paths": {}}')

@@ -55,7 +55,7 @@ from restfuzz.grammar import (
 )
 from restfuzz.telemetry import EVENTS_FILENAME, TelemetrySink, emit_report, iter_events
 
-from helpers import dependencies_satisfied, step
+from helpers import dependencies_satisfied, run_settings, step
 
 GET_COLL = "GET /api/blog/posts"
 POST = "POST /api/blog/posts"
@@ -695,11 +695,12 @@ def recorded_campaign(grammar, transport_factory, run_dir, **config_kwargs):
     its events and, by test index, the steps the engine ran and the
     statuses of their exchanges. Each ``test`` event must name its steps
     by the (template id, rendering index) of the renderings that ran."""
-    sink = TelemetrySink(run_dir)
+    config = EngineConfig(**config_kwargs)
+    sink = TelemetrySink(run_dir, run_settings(config))
     engine = FuzzEngine(
         grammar,
         FuzzingDictionary.default(),
-        EngineConfig(**config_kwargs),
+        config,
         transport_factory=transport_factory,
         sink=sink,
     )
@@ -792,11 +793,12 @@ class TestRecording:
         held, after filing it, until the other worker's bug test has
         reached its commit and 50 ms more: the bucket's first ``test`` line
         is still the one that says it founded the bucket."""
-        sink = TelemetrySink(tmp_path)
+        config = EngineConfig(strategy=Strategy.BFS, max_length=2, worker_count=2)
+        sink = TelemetrySink(tmp_path, run_settings(config))
         engine = FuzzEngine(
             put_fails_grammar(),
             FuzzingDictionary({"string": ("a", "b")}),
-            EngineConfig(strategy=Strategy.BFS, max_length=2, worker_count=2),
+            config,
             transport_factory=PutFailsStub,
             sink=sink,
         )

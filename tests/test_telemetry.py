@@ -5,7 +5,7 @@ durable machine record (one ``test`` line per finished test, bytes
 base64'd exactly as sent, auth token included); emit_report() builds every
 report file from it alone, in memory that does not grow with the run,
 among them wire.log, the human copy with the auth value of the header
-config.json names redacted. The engine's side of the stream (which steps,
+the ``run_start`` event names redacted. The engine's side of the stream (which steps,
 exchanges and class each test event names) is checked in test_engine.py.
 """
 
@@ -51,7 +51,7 @@ from restfuzz.telemetry import (
     iter_events,
 )
 
-from helpers import committing_engine, step
+from helpers import committing_engine, run_settings, step
 
 TOKEN_REQUEST = b"POST /x HTTP/1.1\r\nPRIVATE-TOKEN: hunter2\r\nHost: h\r\n\r\npayload"
 
@@ -76,11 +76,13 @@ def exchange_at(sink, elapsed, status=200, **kwargs):
     return exchange
 
 
-def started_sink(run_dir):
-    """A sink whose first event is the ``run_start`` the engine writes."""
-    sink = TelemetrySink(out_dir=run_dir)
-    sink.record_run_start({"strategy": "bfs"})
-    return sink
+SETTINGS = run_settings(EngineConfig(strategy=Strategy.BFS))
+
+
+def started_sink(run_dir, auth_header_name="PRIVATE-TOKEN"):
+    """A sink whose first event is the ``run_start`` of a bfs run that
+    names ``auth_header_name``."""
+    return TelemetrySink(out_dir=run_dir, settings=dict(SETTINGS, auth_header=auth_header_name))
 
 
 def record(sink, exchanges, final_class, test_index=0, length=None, template="POST /x",
@@ -121,10 +123,10 @@ class StatusTransport:
         return make_exchange(status, request=request, started=time.monotonic())
 
 
-def run_into(sink, statuses, error_classes=("5xx",)):
+def run_into(run_dir, statuses, error_classes=("5xx",)):
     """Run one single-request test per status, ``GET /<status>``, through
-    an engine that classifies with ``error_classes`` and records into
-    ``sink``."""
+    an engine that classifies with ``error_classes`` and records into a
+    sink in ``run_dir``."""
     grammar = GrammarProgram(
         templates=tuple(
             RequestTemplate(
@@ -136,7 +138,11 @@ def run_into(sink, statuses, error_classes=("5xx",)):
         )
     )
     config = EngineConfig(strategy=Strategy.BFS, max_length=1, error_status_classes=error_classes)
-    FuzzEngine(grammar, FuzzingDictionary.default(), config, StatusTransport, sink=sink).run()
+    sink = TelemetrySink(out_dir=run_dir, settings=run_settings(config))
+    try:
+        FuzzEngine(grammar, FuzzingDictionary.default(), config, StatusTransport, sink=sink).run()
+    finally:
+        sink.close()
 
 
 def recorded_events(run_dir):
@@ -173,9 +179,7 @@ def exchange_counts(tmp_path, key) -> Counter:
 
 
 def test_counters_track_classes_and_status_groups(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
-    run_into(sink, [200, 201, 404, 500])
-    sink.close()
+    run_into(tmp_path, [200, 201, 404, 500])
     classes = exchange_counts(tmp_path, lambda e: e["response_class"])
     groups = exchange_counts(tmp_path, lambda e: status_class_label(e["status"]))
     assert classes == {"valid": 2, "invalid": 1, "bug": 1}
@@ -184,9 +188,7 @@ def test_counters_track_classes_and_status_groups(tmp_path):
 
 
 def test_custom_error_classes_change_the_recorded_class(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
-    run_into(sink, [404, 500], error_classes=("404",))
-    sink.close()
+    run_into(tmp_path, [404, 500], error_classes=("404",))
     classes = exchange_counts(tmp_path, lambda e: e["response_class"])
     assert classes == {"bug": 1, "invalid": 1}
 
@@ -232,8 +234,9 @@ def test_event_stream_structure(tmp_path):
     ]
     assert [e["test_index"] for e in events[1:5]] == [0, 1, 2, 3]
     assert [e["extracted"] for e in events[1:5]] == [1, 0, 0, 0]
-    assert events[0]["schema"] == EVENTS_SCHEMA
-    assert events[0]["config"] == {"strategy": "bfs"}
+    assert {k: v for k, v in events[0].items() if k not in ("elapsed", "wall_time")} == {
+        "type": "run_start", "schema": EVENTS_SCHEMA, **SETTINGS,
+    }
     assert events[-2]["test_index"] == 4 and events[-2]["length"] == 1
     assert {k: v for k, v in events[-1].items() if k != "elapsed"} == {
         "type": "run_end", "reason": "completed", "elapsed_seconds": 1.5,
@@ -272,13 +275,8 @@ def test_wire_log_is_the_redacted_human_copy(tmp_path):
     assert base64.b64encode(TOKEN_REQUEST).decode() in events_text
 
 
-def write_config(run_dir, auth_header_name):
-    (run_dir / "config.json").write_text(json.dumps({"auth_header": auth_header_name}))
-
-
 def test_custom_auth_header_redaction(tmp_path):
-    write_config(tmp_path, "X-Key")
-    sink = started_sink(tmp_path)
+    sink = started_sink(tmp_path, "X-Key")
     request = b"GET / HTTP/1.1\r\nX-Key: opensesame\r\n\r\n"
     record(sink, [make_exchange(request=request)], "valid")
     sink.close()
@@ -288,13 +286,18 @@ def test_custom_auth_header_redaction(tmp_path):
     assert "X-Key: [FILTERED]" in wire
 
 
-def test_config_without_an_auth_header_redacts_the_default_one(tmp_path):
-    write_config(tmp_path, None)
-    recorded_sink(tmp_path)
-    emit_report(tmp_path)
-    wire = (tmp_path / WIRE_LOG_FILENAME).read_text()
-    assert "hunter2" not in wire
-    assert "PRIVATE-TOKEN: [FILTERED]" in wire
+def test_a_run_start_without_an_auth_header_is_refused(tmp_path):
+    """wire.log redacts the header ``run_start`` names, so a run_start that
+    names none is refused rather than redacted by a guess."""
+    settings = dict(SETTINGS)
+    del settings["auth_header"]
+    sink = TelemetrySink(out_dir=tmp_path, settings=settings)
+    record(sink, [make_exchange()], "valid")
+    sink.close()
+    with pytest.raises(EventFormatError, match=r"events\.jsonl:1: the run_start records an "
+                       "auth_header that is not a string"):
+        emit_report(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [EVENTS_FILENAME]
 
 
 def test_rendering_index_travels_with_the_event(tmp_path):
@@ -350,7 +353,6 @@ def test_unresolvable_consumer_is_one_event_and_one_wire_log_line(tmp_path):
 def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
     """Two workers commit their tests at once: each test is one line, so a
     bug's trace holds only its own test's exchanges."""
-    write_config(tmp_path, "PRIVATE-TOKEN")
     sink = started_sink(tmp_path)
     bug = ExecutionResult(
         exchanges=[make_exchange(201), make_exchange(500, body=b"boom")],
@@ -402,7 +404,7 @@ def test_instance_trace_holds_only_its_own_tests_exchanges(tmp_path):
 def test_concurrent_tests_are_whole_lines(tmp_path):
     """More workers than cores, switching as often as they can: each test
     is still one line that parses, and each test index is there once."""
-    sink = TelemetrySink(out_dir=tmp_path)
+    sink = started_sink(tmp_path)
     engine = committing_engine(sink)
     workers = 8
 
@@ -425,7 +427,7 @@ def test_concurrent_tests_are_whole_lines(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     sink.close()
     lines = (tmp_path / EVENTS_FILENAME).read_text().splitlines()
-    tests = [json.loads(line) for line in lines]
+    tests = [json.loads(line) for line in lines[1:]]  # after the run_start
     assert sorted(test["test_index"] for test in tests) == list(range(200))
     assert all(len(test["exchanges"]) == 2 for test in tests)
 
@@ -505,8 +507,7 @@ def test_event_and_wire_bytes_match_the_reference_writer(
     steps = ((template_id, 5),) * 2
     with tempfile.TemporaryDirectory() as out:
         out = Path(out)
-        write_config(out, auth_header_name)
-        sink = started_sink(out)
+        sink = started_sink(out, auth_header_name)
         exchange = HttpExchange(
             request=request,
             status=status,
@@ -576,9 +577,7 @@ def test_report_files_match_the_recorded_stream(tmp_path):
 
 
 def test_rebuild_keeps_custom_response_classes(tmp_path):
-    sink = TelemetrySink(out_dir=tmp_path)
-    run_into(sink, [404], error_classes=("404",))
-    sink.close()
+    run_into(tmp_path, [404], error_classes=("404",))
     emit_report(tmp_path)
     assert csv_rows(tmp_path / "status_timeline.csv")[1][6] == "bug"
 
@@ -627,7 +626,7 @@ def test_report_memory_does_not_grow_with_the_run(tmp_path):
 def test_unwritable_out_dir_degrades_without_raising(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("in the way")
-    sink = TelemetrySink(out_dir=blocker / "sub")
+    sink = started_sink(blocker / "sub")
     assert sink.degraded
     record(sink, [make_exchange()], "valid")  # must not raise
     sink.close()
@@ -796,5 +795,14 @@ def test_a_file_of_another_schema_is_refused(tmp_path, first):
                        f"of schema {EVENTS_SCHEMA}"):
         next(iter_events(tmp_path / EVENTS_FILENAME))
     with pytest.raises(EventFormatError):
+        emit_report(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [EVENTS_FILENAME]
+
+
+def test_a_file_with_no_event_is_refused(tmp_path):
+    """A reader takes the first event as the run's settings, so a file with
+    none is refused before a report file is opened."""
+    (tmp_path / EVENTS_FILENAME).write_text("\n")
+    with pytest.raises(EventFormatError, match="holds no event, so no run_start"):
         emit_report(tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [EVENTS_FILENAME]

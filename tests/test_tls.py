@@ -71,8 +71,8 @@ def test_tls_context_is_built_once_per_transport(tls_blog_server, monkeypatch, c
 
 @pytest.mark.parametrize("replay_flags", [["--secure"], []], ids=["flag", "recorded"])
 def test_replay_over_tls_reproduces_the_bug(tls_blog_server, tmp_path, capsys, replay_flags):
-    """Without ``--secure``, replay takes TLS from the run's config.json, as
-    the bucket's replay.sh relies on."""
+    """Without ``--secure``, replay takes TLS from the settings the run's
+    ``run_start`` event records, as the bucket's replay.sh relies on."""
     target = ["--target", f"127.0.0.1:{tls_blog_server.port}"]
     out = tmp_path / "run"
     code = main(
